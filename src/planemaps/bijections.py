@@ -163,7 +163,7 @@ def transfer_left(
 
     ws = workspace_with_arrows(m)
     _plant_carry(ws, carry)
-    walk = leftmost_geodesic(m, cv, from_corner=dart)
+    walk = leftmost_geodesic(m, cv, from_corner=dart, dist=dist)
     assert walk and walk[0] == dart
     exit_split = _cut_split(ws.marks_of(anchor), gain, slot, m.degree(gain))
     s = slit(ws, walk, (dart, 0), (anchor, exit_split))
@@ -206,7 +206,7 @@ def _transfer_right_impl(
     if prepare is not None:
         prepare(ws)
     entry = m.next[dart]
-    walk = rightmost_geodesic(m, cv, from_corner=entry)
+    walk = rightmost_geodesic(m, cv, from_corner=entry, dist=dist)
     assert walk and walk[0] == m.twin[dart]
     marks = ws.marks_of(anchor)
     if split_fn is not None:
@@ -283,8 +283,8 @@ def _transfer1_right_impl(
         h_new = ws.new_dart()
         ws.twin[h_new] = told
         ws.twin[told] = h_new
-        ws.next[h_new] = anchor
-        ws.next[y] = h_new
+        ws.link(h_new, anchor)
+        ws.link(y, h_new)
         marks = ws.markers.get(anchor, [])
         if n_star:
             ws.markers[h_new] = marks[:n_star]
@@ -293,7 +293,7 @@ def _transfer1_right_impl(
         out_ref, v_ref = h_new, told
     else:
         dist = distances(m, cv)
-        walk = rightmost_geodesic(m, cv, from_corner=lam)
+        walk = rightmost_geodesic(m, cv, from_corner=lam, dist=dist)
         assert walk and dist[m.vertex_of(walk[0])] == dist[m.vertex_of(lam)]
         marks0 = ws.marks_of(anchor)
         if split_fn is not None:
@@ -371,7 +371,7 @@ def transfer1_left(
 
     ws = workspace_with_arrows(m)
     _plant_carry(ws, carry)
-    walk = leftmost_geodesic(m, vertex, from_corner=dart)
+    walk = leftmost_geodesic(m, vertex, from_corner=dart, dist=dist)
     assert walk and walk[0] == dart
     s = slit(ws, walk, (dart, 0), None)
     sew_backward(ws, s)
@@ -442,13 +442,13 @@ def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: 
     assert len(toward) == 1, "one dart of a bipartite edge points toward any vertex"
     ebar = toward[0]
     tw = m.twin[ebar]
-    geo_c = rightmost_geodesic(m, cv, from_dart=ebar)
+    geo_c = rightmost_geodesic(m, cv, from_dart=ebar, dist=dist)
     dist2 = distances(m, cv2)
     if classify_dart(m, tw, cv2, dist2) == "toward":
         walk = [m.twin[x] for x in reversed(geo_c)] + [tw]
-        walk += rightmost_geodesic(m, cv2, from_dart=tw)
+        walk += rightmost_geodesic(m, cv2, from_dart=tw, dist=dist2)
         return "simple", walk, anchor_c, anchor_2, u2, ebar
-    geo_2 = rightmost_geodesic(m, cv2, from_dart=ebar)
+    geo_2 = rightmost_geodesic(m, cv2, from_dart=ebar, dist=dist2)
     idx = 0
     while idx < min(len(geo_c), len(geo_2)) and geo_c[idx] == geo_2[idx]:
         idx += 1
@@ -593,6 +593,7 @@ def grow_via_transfers(
 
 
 def _validate_shrink(m: PlaneMap, v: int, h: int, h2: int, j: int, k: int):
+    """Check a shrink decoration; returns the distances from v."""
     if not 0 <= v < m.n_vertices:
         raise BadDecoration(f"vertex {v} out of range")
     _check_dart(m, h, j)
@@ -604,11 +605,14 @@ def _validate_shrink(m: PlaneMap, v: int, h: int, h2: int, j: int, k: int):
         raise BadDecoration("the first dart must point toward the vertex")
     if classify_dart(m, h2, v, dist) != "toward":
         raise BadDecoration("the second dart must point toward the vertex")
+    return dist
 
 
-def _shrink(m: PlaneMap, v: int, h: int, h2: int, j: int, k: int, same: bool, carry):
-    geo_h = leftmost_geodesic(m, v, from_corner=h)
-    geo_2 = leftmost_geodesic(m, v, from_corner=h2)
+def _shrink(
+    m: PlaneMap, v: int, h: int, h2: int, j: int, k: int, same: bool, carry, dist
+):
+    geo_h = leftmost_geodesic(m, v, from_corner=h, dist=dist)
+    geo_2 = leftmost_geodesic(m, v, from_corner=h2, dist=dist)
     assert geo_h[0] == h and geo_2[0] == h2
     vh = [m.vertex_of(h)] + [m.head_of(x) for x in geo_h]
     vh2 = [m.vertex_of(h2)] + [m.head_of(x) for x in geo_2]
@@ -675,8 +679,8 @@ def shrink_same(m: PlaneMap, v: int, h: int, h2: int, *, face: int = 1, carry=No
     _check_face(m, face)
     if _odd_faces(m):
         raise NotBipartite("shrinking within one face needs every degree even")
-    _validate_shrink(m, v, h, h2, face, face)
-    return _shrink(m, v, h, h2, face, face, True, carry)
+    dist = _validate_shrink(m, v, h, h2, face, face)
+    return _shrink(m, v, h, h2, face, face, True, carry, dist)
 
 
 def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None):
@@ -694,5 +698,5 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
         raise SameFace("the two-face shrink needs distinct faces")
     if _odd_faces(m) != {j, k}:
         raise BadParity("the two shrink faces must be exactly the odd ones")
-    _validate_shrink(m, v, h, h2, j, k)
-    return _shrink(m, v, h, h2, j, k, False, carry)
+    dist = _validate_shrink(m, v, h, h2, j, k)
+    return _shrink(m, v, h, h2, j, k, False, carry, dist)

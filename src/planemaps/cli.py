@@ -47,6 +47,21 @@ def parse_type(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _at_least(low: int):
+    """Argument type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def admissible_types(max_edges: int) -> Iterator[tuple[int, ...]]:
     """All degree tuples with at most max_edges edges, by size then lex.
 
@@ -396,26 +411,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw uniform maps of a type")
     p.add_argument("--type", type=parse_type, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_at_least(0), default=1)
     p.add_argument("--format", choices=("json", "dot", "code"), default="json")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser(
         "verify-identities", help="check the four counting identities"
     )
-    p.add_argument("--max-edges", type=int, default=4)
+    p.add_argument("--max-edges", type=_at_least(1), default=4)
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser(
         "verify-roundtrip", help="run the bijection round trips exhaustively"
     )
-    p.add_argument("--max-edges", type=int, default=3)
+    p.add_argument("--max-edges", type=_at_least(1), default=3)
     p.set_defaults(func=cmd_verify_roundtrip)
 
     p = sub.add_parser(
         "verify-props", help="sweep the toward/away/parallel censuses"
     )
-    p.add_argument("--max-edges", type=int, default=4)
+    p.add_argument("--max-edges", type=_at_least(1), default=4)
     p.set_defaults(func=cmd_verify_props)
 
     p = sub.add_parser("export", help="convert serialized maps to DOT")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .counting import Identity, check_type, edge_count
-from .errors import Disconnected, WrongGenus
+from .errors import Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap
 from .metric import classify_dart, distances
 
@@ -45,7 +45,7 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
     t = check_type(a)
     e = edge_count(t)
     if e > max_edges:
-        raise ValueError(
+        raise TooManyEdges(
             f"type {t} has {e} edges, above the bound {max_edges}; "
             "raise max_edges explicitly to proceed"
         )

@@ -63,6 +63,12 @@ class NotDigon(PlaneMapError):
     pass
 
 
+# enumeration
+
+class TooManyEdges(PlaneMapError, ValueError):
+    """The type is larger than the enumerator's edge bound."""
+
+
 # bijections
 
 class NotBipartite(PlaneMapError):

@@ -18,6 +18,7 @@ mark.
 from __future__ import annotations
 
 import json
+import struct
 from collections import deque
 from typing import Iterable, NamedTuple
 
@@ -41,7 +42,7 @@ class CornerSlot(NamedTuple):
 
 def _as_perm(data: Iterable[int], name: str) -> tuple[int, ...]:
     try:
-        seq = tuple(int(x) for x in data)
+        seq = tuple(map(int, data))
     except (TypeError, ValueError):
         raise NotPermutation(f"{name} is not a sequence of integers")
     n = len(seq)
@@ -78,43 +79,42 @@ class PlaneMap:
             raise NotPermutation("twin and next act on different dart sets")
         if n == 0 or n % 2:
             raise NotInvolution("twin must pair an even, positive number of darts")
-        for d in range(n):
-            if twin_t[twin_t[d]] != d or twin_t[d] == d:
+        for d, e in enumerate(twin_t):
+            if twin_t[e] != d or e == d:
                 raise NotInvolution("twin is not a fixed-point-free involution")
 
         try:
-            face_t = tuple(int(x) for x in face)
+            face_t = tuple(map(int, face))
         except (TypeError, ValueError):
             raise FaceMismatch("face labels are not integers")
         if len(face_t) != n:
             raise FaceMismatch("face labelling does not cover the dart set")
 
         # walk next-orbits; each orbit is one face and must carry one label
-        contours: dict[int, tuple[int, ...]] = {}
+        contours: dict[int, list[int]] = {}
         seen = [False] * n
         for d in range(n):
             if seen[d]:
                 continue
-            orbit = []
+            label = face_t[d]
+            if label in contours:
+                raise FaceMismatch(f"two contours share the label {label}")
+            orbit = contours[label] = []
             e = d
             while not seen[e]:
+                if face_t[e] != label:
+                    raise FaceMismatch("face label changes along a contour")
                 seen[e] = True
                 orbit.append(e)
                 e = next_t[e]
             if e != d:
                 raise NotPermutation("next is not a permutation")
-            label = face_t[d]
-            if any(face_t[x] != label for x in orbit):
-                raise FaceMismatch("face label changes along a contour")
-            if label in contours:
-                raise FaceMismatch(f"two contours share the label {label}")
-            contours[label] = tuple(orbit)
         r = len(contours)
         if sorted(contours) != list(range(1, r + 1)):
             raise FaceMismatch("face labels are not exactly 1..r")
 
         try:
-            marked_t = tuple(int(x) for x in marked)
+            marked_t = tuple(map(int, marked))
         except (TypeError, ValueError):
             raise BadMark("marked darts are not integers")
         if len(marked_t) != r:
@@ -123,29 +123,17 @@ class PlaneMap:
             if not 0 <= d < n or face_t[d] != i:
                 raise BadMark(f"marked dart of face {i} does not lie on it")
 
-        # connectivity under the group generated by next and twin
-        reach = [False] * n
-        reach[0] = True
-        stack = [0]
-        while stack:
-            d = stack.pop()
-            for e in (next_t[d], twin_t[d]):
-                if not reach[e]:
-                    reach[e] = True
-                    stack.append(e)
-        if not all(reach):
+        # connectivity: twin must join the face orbits into one piece
+        reached = {1}
+        stack = [1]
+        while stack and len(reached) < r:
+            for d in contours[stack.pop()]:
+                i = face_t[twin_t[d]]
+                if i not in reached:
+                    reached.add(i)
+                    stack.append(i)
+        if len(reached) < r:
             raise Disconnected("darts do not form a single connected map")
-
-        # rotate contours so each starts at its marked dart
-        normed = []
-        for i in range(1, r + 1):
-            orbit = contours[i]
-            k = orbit.index(marked_t[i - 1])
-            normed.append(orbit[k:] + orbit[:k])
-
-        prev_t = [0] * n
-        for d in range(n):
-            prev_t[next_t[d]] = d
 
         # vertices are the orbits of sigma = next o twin, clockwise
         vertex_of = [-1] * n
@@ -163,6 +151,17 @@ class PlaneMap:
 
         if len(vertices) - n // 2 + r != 2:
             raise WrongGenus("Euler characteristic is not 2")
+
+        # rotate contours so each starts at its marked dart
+        normed = []
+        for i, d in enumerate(marked_t, start=1):
+            orbit = contours[i]
+            k = orbit.index(d)
+            normed.append(tuple(orbit[k:] + orbit[:k]))
+
+        prev_t = [0] * n
+        for d in range(n):
+            prev_t[next_t[d]] = d
 
         object.__setattr__(self, "twin", twin_t)
         object.__setattr__(self, "next", next_t)
@@ -237,9 +236,7 @@ class PlaneMap:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (d, twin(d)) with d < twin(d), sorted by d."""
-        return tuple(
-            (d, self.twin[d]) for d in range(self.n_darts) if d < self.twin[d]
-        )
+        return tuple((d, t) for d, t in enumerate(self.twin) if d < t)
 
     # corners and slots
 
@@ -309,7 +306,9 @@ class PlaneMap:
         """Hex code invariant under dart renaming.
 
         Darts are renumbered by canonical_relabeling and the renumbered
-        data is packed as big-endian 16-bit words.
+        data is packed as big-endian 16-bit words.  Maps with more than
+        65536 darts, whose ids do not fit 16 bits, pack 32-bit words
+        behind the prefix "w", which no 16-bit code starts with.
         """
         order = self.canonical_relabeling()
         n = self.n_darts
@@ -323,7 +322,9 @@ class PlaneMap:
         marked = [order[d] for d in self.marked]
         words = [self.n_faces, self.n_edges]
         words += next_ + twin + face + marked
-        return b"".join(w.to_bytes(2, "big") for w in words).hex()
+        if n <= 0x10000:
+            return struct.pack(f">{len(words)}H", *words).hex()
+        return "w" + struct.pack(f">{len(words)}I", *words).hex()
 
     def to_json(self) -> str:
         obj = {

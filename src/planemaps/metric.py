@@ -13,22 +13,21 @@ when the walk starts in one.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .maps import PlaneMap
 
 
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
     """BFS distance from vertex index v to every vertex."""
-    dist = [-1] * m.n_vertices
+    vertices, vertex_of, twin = m._vertices, m._vertex_of, m.twin
+    dist = [-1] * len(vertices)
     dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for d in m.vertex_darts(u):
-            w = m.head_of(d)
+    queue = [v]
+    for u in queue:
+        du = dist[u] + 1
+        for d in vertices[u]:
+            w = vertex_of[twin[d]]
             if dist[w] < 0:
-                dist[w] = dist[u] + 1
+                dist[w] = du
                 queue.append(w)
     return tuple(dist)
 
@@ -46,15 +45,15 @@ def classify_dart(m: PlaneMap, d: int, v: int, dist=None) -> str:
     return "parallel"
 
 
-def _walk(m, start_candidates, step, target, dist):
+def _walk(m, cands, step, dist):
+    vertex_of, twin = m._vertex_of, m.twin
     path = []
-    cands = start_candidates
     while True:
-        cur = m.vertex_of(cands[0])
-        if dist[cur] == 0:
+        want = dist[vertex_of[cands[0]]] - 1
+        if want < 0:
             return tuple(path)
         for u in cands:
-            if dist[m.head_of(u)] == dist[cur] - 1:
+            if dist[vertex_of[twin[u]]] == want:
                 path.append(u)
                 cands = step(u)
                 break
@@ -62,55 +61,66 @@ def _walk(m, start_candidates, step, target, dist):
             raise AssertionError("no distance-decreasing dart found")
 
 
+def _rotate_past(cycle, d):
+    """The cycle read from the entry after d around to d itself."""
+    k = cycle.index(d) + 1
+    return list(cycle[k:] + cycle[:k])
+
+
 def _clockwise_from(m, d):
     """All darts at the origin of d: d itself last, scanning clockwise."""
-    out = [m.sigma(d)]
-    while out[-1] != d:
-        out.append(m.sigma(out[-1]))
-    return out
+    return _rotate_past(m._vertices[m._vertex_of[d]], d)
 
 
 def _counterclockwise_from(m, d):
-    out = [m.sigma_inv(d)]
-    while out[-1] != d:
-        out.append(m.sigma_inv(out[-1]))
-    return out
+    return _rotate_past(m._vertices[m._vertex_of[d]][::-1], d)
+
+
+def _target_dist(m, target, from_dart, from_corner, dist):
+    if (from_dart is None) == (from_corner is None):
+        raise TypeError("need exactly one of from_dart and from_corner")
+    if dist is None:
+        return distances(m, target)
+    if len(dist) != m.n_vertices or dist[target] != 0:
+        raise ValueError(f"dist is not a distance table from vertex {target}")
+    return dist
 
 
 def leftmost_geodesic(
-    m: PlaneMap, target: int, *, from_dart=None, from_corner=None
+    m: PlaneMap, target: int, *, from_dart=None, from_corner=None, dist=None
 ) -> tuple[int, ...]:
     """Leftmost geodesic to vertex index target.
 
     Exactly one of from_dart (continue past that dart) and from_corner
-    (start inside the corner before that dart) must be given.  Returns
-    the darts of the walk, empty when already at the target.
+    (start inside the corner before that dart) must be given.  dist,
+    when given, is ``distances(m, target)`` already at hand and saves
+    the BFS; a table that is not 0 at the target raises ValueError.
+    Returns the darts of the walk, empty when already at the target.
     """
-    dist = distances(m, target)
+    dist = _target_dist(m, target, from_dart, from_corner, dist)
     step = lambda u: _clockwise_from(m, m.twin[u])
-    if (from_dart is None) == (from_corner is None):
-        raise TypeError("need exactly one of from_dart and from_corner")
     if from_dart is not None:
         cands = step(from_dart)
     else:
         d = from_corner
         cands = [d] + _clockwise_from(m, d)[:-1]
-    return _walk(m, cands, step, target, dist)
+    return _walk(m, cands, step, dist)
 
 
 def rightmost_geodesic(
-    m: PlaneMap, target: int, *, from_dart=None, from_corner=None
+    m: PlaneMap, target: int, *, from_dart=None, from_corner=None, dist=None
 ) -> tuple[int, ...]:
-    """Rightmost geodesic to vertex index target, mirror of leftmost."""
-    dist = distances(m, target)
+    """Rightmost geodesic to vertex index target, mirror of leftmost.
+
+    Takes the same arguments, dist included.
+    """
+    dist = _target_dist(m, target, from_dart, from_corner, dist)
     step = lambda u: _counterclockwise_from(m, m.twin[u])
-    if (from_dart is None) == (from_corner is None):
-        raise TypeError("need exactly one of from_dart and from_corner")
     if from_dart is not None:
         cands = step(from_dart)
     else:
         cands = _counterclockwise_from(m, from_corner)
-    return _walk(m, cands, step, target, dist)
+    return _walk(m, cands, step, dist)
 
 
 def edge_id(m: PlaneMap, d: int) -> int:

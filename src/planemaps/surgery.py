@@ -3,7 +3,9 @@
 Operations run on a Workspace, a mutable copy of the twin and next
 permutations that is allowed to pass through states that are not valid
 plane maps (disconnected pieces, wrong Euler characteristic) between a
-slit and the sewing that closes it.
+slit and the sewing that closes it.  The workspace also keeps prev, the
+inverse of next; every write to next goes through Workspace.link, which
+updates both.
 
 Corners can carry ordered lists of marker tokens.  A marker anchored
 to dart d sits in the corner before d; the list is ordered across the
@@ -41,6 +43,7 @@ class Workspace:
     def __init__(self, m: PlaneMap) -> None:
         self.twin: dict[int, int] = dict(enumerate(m.twin))
         self.next: dict[int, int] = dict(enumerate(m.next))
+        self.prev: dict[int, int] = dict(enumerate(m._prev))
         self.markers: dict[int, list] = {}
         self._fresh = m.n_darts
 
@@ -52,19 +55,24 @@ class Workspace:
     def sigma(self, d: int) -> int:
         return self.next[self.twin[d]]
 
+    def link(self, a: int, b: int) -> None:
+        """Make b follow a in its contour; every write to next goes here."""
+        self.next[a] = b
+        self.prev[b] = a
+
     def prev_of(self, d: int) -> int:
-        e = d
-        while self.next[e] != d:
-            e = self.next[e]
-        return e
+        return self.prev[d]
 
     def sigma_inv(self, d: int) -> int:
-        return self.twin[self.prev_of(d)]
+        return self.twin[self.prev[d]]
 
     def rotation_from(self, d: int) -> list[int]:
+        nxt, twin = self.next, self.twin
         out = [d]
-        while (e := self.sigma(out[-1])) != d:
+        e = nxt[twin[d]]
+        while e != d:
             out.append(e)
+            e = nxt[twin[e]]
         return out
 
     def contour_from(self, d: int) -> list[int]:
@@ -80,6 +88,7 @@ class Workspace:
         assert not self.markers.get(d), f"dart {d} dies carrying markers"
         del self.twin[d]
         del self.next[d]
+        del self.prev[d]
         self.markers.pop(d, None)
 
     def add_marker(self, d: int, token, rank: int | None = None) -> None:
@@ -134,6 +143,19 @@ def _arc(ws: Workspace, start: int, stop: int) -> list[int]:
     return out
 
 
+def _walk_rotations(ws: Workspace, p) -> list[list[int]]:
+    """Rotation at the origin of each walk dart; checks the walk chains."""
+    rotations = []
+    for k, dart in enumerate(p):
+        if dart not in ws.twin:
+            raise InvalidWalk(f"unknown dart {dart}")
+        rot = ws.rotation_from(dart)
+        if k and ws.twin[p[k - 1]] not in rot:
+            raise InvalidWalk("walk darts do not chain head to tail")
+        rotations.append(rot)
+    return rotations
+
+
 def slit(
     ws: Workspace,
     walk,
@@ -152,12 +174,7 @@ def slit(
     if not p:
         raise InvalidWalk("empty walk")
     d_c, entry_split = entry
-    for k, dart in enumerate(p):
-        if dart not in ws.twin:
-            raise InvalidWalk(f"unknown dart {dart}")
-        if k and ws.twin[p[k - 1]] not in ws.rotation_from(dart):
-            raise InvalidWalk("walk darts do not chain head to tail")
-    vertex_keys = [frozenset(ws.rotation_from(d)) for d in p]
+    vertex_keys = [frozenset(rot) for rot in _walk_rotations(ws, p)]
     vertex_keys.append(frozenset(ws.rotation_from(ws.twin[p[-1]])))
     if len(set(vertex_keys)) != len(vertex_keys):
         raise InvalidWalk("walk revisits a vertex")
@@ -215,15 +232,15 @@ def slit(
         ws.twin[twin_old[k]] = nr[k]
         ws.twin[nr[k]] = twin_old[k]
     for k in range(l - 1):
-        ws.next[nr[k]] = nr[k + 1]
-        ws.next[nl[k + 1]] = nl[k]
-    ws.next[y] = nr[0]
-    ws.next[nl[0]] = d_c
+        ws.link(nr[k], nr[k + 1])
+        ws.link(nl[k + 1], nl[k])
+    ws.link(y, nr[0])
+    ws.link(nl[0], d_c)
     if d_ex is not None:
-        ws.next[nr[-1]] = d_ex
-        ws.next[x] = nl[-1]
+        ws.link(nr[-1], d_ex)
+        ws.link(x, nl[-1])
     else:
-        ws.next[nr[-1]] = nl[-1]
+        ws.link(nr[-1], nl[-1])
 
     # split the markers of the mouth corners
     entry_marks = ws.markers.get(d_c, [])
@@ -277,14 +294,13 @@ def slit_pinched(
     up = [ws.twin[x] for x in reversed(ch)]
     p = tuple(sa + ch + up + sb)
     length = len(p)
-    for k, dart in enumerate(p):
-        if dart not in ws.twin:
-            raise InvalidWalk(f"unknown dart {dart}")
-        if k and ws.twin[p[k - 1]] not in ws.rotation_from(dart):
-            raise InvalidWalk("walk darts do not chain head to tail")
-    down_keys = [frozenset(ws.rotation_from(d)) for d in sa + ch]
-    down_keys.append(frozenset(ws.rotation_from(ws.twin[ch[-1]])))
-    side_keys = [frozenset(ws.rotation_from(ws.twin[d])) for d in sb]
+    # the walk chains, so the head of each dart is the origin of the
+    # next one: only the final head needs a rotation of its own
+    keys = [frozenset(rot) for rot in _walk_rotations(ws, p)]
+    if sb:
+        keys.append(frozenset(ws.rotation_from(ws.twin[sb[-1]])))
+    down_keys = keys[: a + n_ch + 1]
+    side_keys = keys[a + 2 * n_ch + 1 :]
     if len(set(down_keys)) != len(down_keys):
         raise InvalidWalk("walk revisits a vertex")
     if len(set(side_keys)) != len(side_keys) or set(side_keys) & set(down_keys):
@@ -416,7 +432,7 @@ def slit_pinched(
         ws.twin[told[s]], ws.twin[snr[s]] = snr[s], told[s]
     for cyc in cycles:
         for q, ray in enumerate(cyc):
-            ws.next[ws.twin[ray]] = cyc[(q + 1) % len(cyc)]
+            ws.link(ws.twin[ray], cyc[(q + 1) % len(cyc)])
 
     if same_corner:
         marks = ws.markers.get(d_c, [])
@@ -472,13 +488,13 @@ def glue(ws: Workspace, a: int, b: int) -> None:
     ta, tb = ws.twin[a], ws.twin[b]
     if nb != a:
         ws.markers[nb] = ws.markers.pop(a, []) + ws.markers.get(nb, [])
-        ws.next[pa] = nb
+        ws.link(pa, nb)
     else:
         assert not ws.markers.get(a), "markers stranded on a glued hairpin"
         ws.markers.pop(a, None)
     if na != b:
         ws.markers[na] = ws.markers.pop(b, []) + ws.markers.get(na, [])
-        ws.next[pb] = na
+        ws.link(pb, na)
     else:
         assert not ws.markers.get(b), "markers stranded on a glued hairpin"
         ws.markers.pop(b, None)
@@ -496,8 +512,8 @@ def weld(ws: Workspace, bank_a: list[int], bank_b: list[int]) -> None:
     assert ws.sigma(ea) == bank_a[0] and ws.sigma(eb) == bank_b[0], (
         "weld banks are not closed vertex cycles"
     )
-    ws.next[ws.twin[ea]] = bank_b[0]
-    ws.next[ws.twin[eb]] = bank_a[0]
+    ws.link(ws.twin[ea], bank_b[0])
+    ws.link(ws.twin[eb], bank_a[0])
 
 
 def sew_forward(ws: Workspace, s: Slit) -> None:
@@ -570,7 +586,7 @@ def suppress_pendant(ws: Workspace, beta: int, out_marker=None) -> int:
     if out_marker is not None:
         tokens.append(out_marker)
     ws.markers[target] = tokens + ws.markers.get(target, [])
-    ws.next[ws.prev_of(alpha)] = target
+    ws.link(ws.prev_of(alpha), target)
     ws.delete(alpha)
     ws.delete(beta)
     return target
@@ -608,28 +624,22 @@ def finish(ws: Workspace) -> tuple[PlaneMap, dict[int, int], dict[int, list]]:
     twin = [rename[ws.twin[d]] for d in old]
     next_ = [rename[ws.next[d]] for d in old]
 
+    # label each contour from its arrow; a contour reached twice
+    # carries two arrows, a dart left at 0 lies on a contour with none
     face = [0] * len(old)
     marked_at: dict[int, int] = {}
-    seen: set[int] = set()
-    for d in old:
-        if d in seen:
-            continue
-        contour = ws.contour_from(d)
-        seen.update(contour)
-        labels = [
-            (e, tok[1])
-            for e in contour
-            for tok in ws.markers.get(e, [])
-            if is_arrow(tok)
-        ]
-        assert len(labels) == 1, (
-            f"contour of {d} carries {len(labels)} arrows, wanted 1"
-        )
-        e, i = labels[0]
-        assert i not in marked_at, f"face label {i} used twice"
-        marked_at[i] = rename[e]
-        for e in contour:
-            face[rename[e]] = i
+    for d, toks in ws.markers.items():
+        for tok in toks:
+            if not is_arrow(tok):
+                continue
+            i = tok[1]
+            assert i >= 1 and i not in marked_at, f"face label {i} reused or below 1"
+            e = marked_at[i] = rename[d]
+            assert not face[e], f"the contour of {d} carries two arrows"
+            while not face[e]:
+                face[e] = i
+                e = next_[e]
+    assert all(face), "a contour carries no arrow"
     r = len(marked_at)
     assert sorted(marked_at) == list(range(1, r + 1)), (
         f"face labels are {sorted(marked_at)}"

@@ -1,6 +1,7 @@
 """Transfer bijections: frozen examples, inverses, exhaustive families."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planemaps.bijections import (
     transfer1_left,
@@ -17,7 +18,8 @@ from planemaps.errors import (
     NoDegreeOneFace,
     SameFace,
 )
-from planemaps.metric import classify_dart
+from planemaps.metric import classify_dart, distances
+from planemaps.sampler import sample
 
 from common import double_edge, loop_map, loop_pendant
 
@@ -201,6 +203,23 @@ class TestFaceToFaceFamilies:
                 m2, c, h2, _ = transfer_right(mt, r, 1, c2, h)
                 m3, c4, h4, _ = transfer_left(m2, 1, r, c, h2)
                 assert keyed(m3, slot=c4, dart=h4) == keyed(mt, slot=c2, dart=h)
+
+
+@pytest.mark.parametrize("a", [(20, 20), (50, 50)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_round_trip(a, seed, data):
+    # transfer_left undoes transfer_right on sampled maps with E = 20
+    # and 50: a slot of face 1 and a dart of face 2 away from it
+    m = sample(a, seed)
+    slot = data.draw(st.integers(0, m.degree(1)), label="slot")
+    cv = m.vertex_of(m.slot_anchor(1, slot))
+    dist = distances(m, cv)
+    away = [d for d in m.contour(2) if classify_dart(m, d, cv, dist) == "away"]
+    dart = data.draw(st.sampled_from(away), label="dart")
+    m2, slot2, dart2, _ = transfer_right(m, 1, 2, slot, dart)
+    m3, slot3, dart3, _ = transfer_left(m2, 2, 1, slot2, dart2)
+    assert keyed(m3, slot=slot3, dart=dart3) == keyed(m, slot=slot, dart=dart)
 
 
 P4_TYPES = [(3, 1), (1, 1), (1, 2, 1), (3, 2, 1)]

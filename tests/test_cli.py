@@ -55,6 +55,12 @@ class TestEnumerate:
         b = invoke(["enumerate", "--type", "4,2"])
         assert a == b
 
+    def test_above_edge_bound(self, capsys):
+        status, text = invoke(["enumerate", "--type", "8,8"])
+        assert status == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: type (8, 8) has 8 edges")
+
     def test_code_format(self):
         status, text = invoke(["enumerate", "--type", "4", "--format", "code"])
         lines = text.strip().split("\n")
@@ -75,6 +81,15 @@ class TestSample:
         assert status == 0
         for line in text.strip().split("\n"):
             assert PlaneMap.from_json(line).degrees == (3, 3)
+
+    def test_zero_count(self):
+        assert invoke(["sample", "--type", "4,4", "--count", "0"]) == (0, "")
+
+    def test_negative_count(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke(["sample", "--type", "4,4", "--count", "-1"])
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
 
     def test_seed_changes_stream(self):
         one = invoke(["sample", "--type", "4,4", "--seed", "1", "--count", "20"])
@@ -98,6 +113,24 @@ class TestVerify:
         status, text = invoke(["verify-props", "--max-edges", "3"])
         assert status == 0
         assert "all direction censuses passed" in text
+
+    @pytest.mark.parametrize(
+        "command", ["verify-identities", "verify-roundtrip", "verify-props"]
+    )
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_empty_sweep_rejected(self, command, bound, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke([command, "--max-edges", bound])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_sweep_counts(self):
+        _, text = invoke(["verify-roundtrip", "--max-edges", "1"])
+        assert text == "round trips: 2 family sweeps\nall round trips passed\n"
+        _, text = invoke(["verify-props", "--max-edges", "1"])
+        assert text == (
+            "direction censuses: 2 maps swept\nall direction censuses passed\n"
+        )
 
 
 class TestExport:

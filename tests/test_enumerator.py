@@ -4,6 +4,7 @@ import pytest
 
 from planemaps.counting import Identity, identity_sides, identity_target, tutte_count
 from planemaps.enumerator import count_maps, enumerate_decorations, enumerate_maps
+from planemaps.errors import PlaneMapError, TooManyEdges
 
 SMALL_TYPES = [
     (2,),
@@ -55,7 +56,10 @@ class TestEnumeration:
     def test_edge_guard(self):
         with pytest.raises(ValueError):
             enumerate_maps((20, 2))
+        with pytest.raises(TooManyEdges):
+            enumerate_maps((4, 4), max_edges=3)
         assert count_maps((2,), max_edges=1) == 1
+        assert issubclass(TooManyEdges, PlaneMapError)
 
 
 class TestDecorations:

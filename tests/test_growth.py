@@ -1,6 +1,7 @@
 """Growth and shrink bijections: oracle agreement, round trips, errors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planemaps.bijections import (
     grow_same,
@@ -21,6 +22,7 @@ from planemaps.errors import (
     SameSlot,
 )
 from planemaps.metric import classify_dart, distances
+from planemaps.sampler import sample
 
 from common import digon, double_edge
 
@@ -161,6 +163,23 @@ def test_via_transfers_matches_direct(types, ident, faces):
                 out = grow_via_transfers(m, e, c, c2, faces=faces, mark_side=side)
                 assert rhs_key(out[0], out[1], out[2], out[3]) == want
                 assert out[4] == case
+
+
+@pytest.mark.parametrize("a", [(40,), (20, 20), (100,), (50, 50)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_round_trip(a, seed, data):
+    # shrink_same undoes grow_same on sampled maps with E = 20 and 50,
+    # where contours and geodesics are far longer than in the families
+    m = sample(a, seed)
+    deg = m.degree(1)
+    e = data.draw(st.integers(0, m.n_edges - 1), label="e")
+    c = data.draw(st.integers(0, deg), label="c")
+    c2 = data.draw(st.integers(0, deg + 1), label="c2")
+    m2, v, h, h2, case, _ = grow_same(m, e, c, c2)
+    mb, eb, cb, c2b, case_b, _ = shrink_same(m2, v, h, h2)
+    assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
+    assert case_b == case
 
 
 def test_grow_other_face():

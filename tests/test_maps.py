@@ -198,6 +198,27 @@ class TestCanonicalCode:
         m = double_edge()
         assert m.canonical_code() != m.with_marked(2, 1).canonical_code()
 
+    @pytest.mark.parametrize("n_edges", [32768, 32769])
+    def test_word_width(self, n_edges):
+        # a path: darts 2k and 2k+1 run along edge k, out and back;
+        # 65536 darts still fit 16-bit words, 65538 need 32-bit ones
+        n = 2 * n_edges
+        twin = [d ^ 1 for d in range(n)]
+        next_ = [0] * n
+        for k in range(n_edges):
+            next_[2 * k] = 2 * k + 2 if k < n_edges - 1 else n - 1
+            next_[2 * k + 1] = 2 * k - 1 if k else 0
+        m = PlaneMap(twin, next_, [1] * n, [0])
+        assert m.degrees == (n,) and m.n_vertices == n_edges + 1
+        code = m.canonical_code()
+        words = 3 + 3 * n
+        if n <= 0x10000:
+            assert len(code) == 4 * words
+            assert code[:8] == f"0001{n_edges:04x}"
+        else:
+            assert len(code) == 1 + 8 * words
+            assert code[:17] == f"w00000001{n_edges:08x}"
+
     @given(data=st.data(), idx=st.integers(0, len(ALL_EXAMPLES) - 1))
     def test_relabel_invariance(self, data, idx):
         m = ALL_EXAMPLES[idx]()

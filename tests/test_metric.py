@@ -12,6 +12,7 @@ from planemaps.metric import (
     rightmost_geodesic,
     simple_cycles,
 )
+from planemaps.sampler import sample
 
 from common import double_edge, loop_map, loop_pendant, path_map
 
@@ -87,6 +88,28 @@ class TestGeodesics:
                                 assert dist[v] == len(geo) - k
                             if geo:
                                 assert m.head_of(geo[-1]) == target
+
+
+    @pytest.mark.parametrize("start", ["from_dart", "from_corner"])
+    @pytest.mark.parametrize("geodesic", [leftmost_geodesic, rightmost_geodesic])
+    def test_given_dist_matches(self, geodesic, start):
+        maps = [m for a in [(4, 2), (3, 3), (2, 2, 2)] for m in enumerate_maps(a)]
+        maps += [sample((40,), 3), sample((4,) * 10, 4), sample((11, 9), 5)]
+        for m in maps:
+            for target in range(m.n_vertices):
+                dist = distances(m, target)
+                for d in range(m.n_darts):
+                    kw = {start: d}
+                    assert geodesic(m, target, dist=dist, **kw) == geodesic(
+                        m, target, **kw
+                    )
+
+    @pytest.mark.parametrize("geodesic", [leftmost_geodesic, rightmost_geodesic])
+    def test_dist_from_elsewhere_rejected(self, geodesic):
+        m = path_map()
+        w, u = m.vertex_of(3), m.vertex_of(0)
+        with pytest.raises(ValueError):
+            geodesic(m, w, from_corner=0, dist=distances(m, u))
 
 
 class TestCycles:

@@ -7,7 +7,9 @@ and the exact dart wiring after each operation.
 
 import pytest
 
-from planemaps import PlaneMap
+from planemaps import PlaneMap, bijections, surgery
+from planemaps.counting import Identity
+from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.errors import (
     CornerMismatch,
     InvalidWalk,
@@ -52,6 +54,7 @@ class TestWorkspace:
         assert ws.contour_from(3) == [3, 1]
         assert ws.prev_of(0) == 2
         assert ws.sigma_inv(3) == 0
+        assert ws.prev == {0: 2, 1: 3, 2: 0, 3: 1}
 
     def test_markers(self):
         ws = Workspace(digon())
@@ -408,3 +411,67 @@ class TestSewOnto:
         assert ws.next == {0: 4, 4: 0, 2: 3, 3: 2}
         assert ws.contour_from(0) == [0, 4]
         assert ws.contour_from(2) == [2, 3]
+
+
+def assert_prev_in_step(ws, after):
+    assert set(ws.prev) == set(ws.next), f"prev and next differ in darts after {after}"
+    for d, e in ws.next.items():
+        assert ws.prev[e] == d, f"prev[next[{d}]] != {d} after {after}"
+
+
+def _sweep_bijections():
+    """Both directions of every bijection on small exhaustive families."""
+    same, two = Identity.TWO_CORNERS_SAME_FACE, Identity.CORNER_EACH_TWO_FACES
+    for a in ((4,), (2, 2)):
+        for m in enumerate_maps(a):
+            for e, c, c2 in enumerate_decorations(m, same, "lhs"):
+                m2, v, h, h2, _, _ = bijections.grow_same(m, e, c, c2)
+                bijections.shrink_same(m2, v, h, h2)
+    for m in enumerate_maps((2, 2)):
+        for e, c, c2 in enumerate_decorations(m, two, "lhs"):
+            m2, v, h, h2, _, _ = bijections.grow_two(m, e, c, c2)
+            bijections.shrink_two(m2, v, h, h2)
+        for c, h2 in enumerate_decorations(m, Identity.FACE_TO_FACE, "lhs"):
+            m2, s2, d2, _ = bijections.transfer_left(m, 1, 2, c, h2)
+            bijections.transfer_right(m2, 2, 1, s2, d2)
+    for m in enumerate_maps((3, 1)) + enumerate_maps((1, 1)):
+        for (c,) in enumerate_decorations(m, Identity.UNIT_FACE, "lhs"):
+            m2, v, h, _ = bijections.transfer1_right(m, 1, 2, c)
+            bijections.transfer1_left(m2, 1, 2, v, h)
+
+
+PRIMITIVES = (
+    "slit",
+    "slit_pinched",
+    "glue",
+    "weld",
+    "sew_forward",
+    "sew_backward",
+    "sew_onto",
+    "suppress_pendant",
+    "finish",
+)
+
+
+def test_prev_in_step_after_every_primitive(monkeypatch):
+    # wrap each primitive wherever the bijections and the sewing reach
+    # it, and check the workspace it leaves behind; finish sees the
+    # state after the in-place rewiring of transfer1_right as well
+    calls = dict.fromkeys(PRIMITIVES, 0)
+
+    def checked(name, fn):
+        def wrapper(ws, *args, **kwargs):
+            out = fn(ws, *args, **kwargs)
+            calls[name] += 1
+            assert_prev_in_step(ws, name)
+            return out
+
+        return wrapper
+
+    for name in PRIMITIVES:
+        wrapper = checked(name, getattr(surgery, name))
+        for module in (surgery, bijections):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    _sweep_bijections()
+    assert all(calls.values()), calls
