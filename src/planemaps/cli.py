@@ -36,7 +36,7 @@ from .counting import (
 from .enumerator import DEFAULT_MAX_EDGES, enumerate_decorations, enumerate_maps
 from .errors import BadParity, PlaneMapError
 from .maps import PlaneMap
-from .metric import classify_dart, distances
+from .metric import census_fits, direction_census
 from .sampler import sample
 
 
@@ -166,26 +166,26 @@ def cmd_export(args, out) -> int:
 
 
 def _lhs_key(m: PlaneMap, e: int, c: int, c2: int) -> tuple:
-    p = m.canonical_relabeling()
+    p, code = m._canonical()
     d, t = m.edges()[e]
-    return (m.canonical_code(), min(p[d], p[t]), c, c2)
+    return (code, min(p[d], p[t]), c, c2)
 
 
 def _rhs_key(m: PlaneMap, v: int, h: int, h2: int) -> tuple:
-    p = m.canonical_relabeling()
+    p, code = m._canonical()
     vid = min(p[d] for d in m.vertex_darts(v))
-    return (m.canonical_code(), vid, p[h], p[h2])
+    return (code, vid, p[h], p[h2])
 
 
 def _transfer_key(m: PlaneMap, slot: int, dart: int) -> tuple:
-    p = m.canonical_relabeling()
-    return (m.canonical_code(), slot, p[dart])
+    p, code = m._canonical()
+    return (code, slot, p[dart])
 
 
 def _vertex_key(m: PlaneMap, v: int, dart: int) -> tuple:
-    p = m.canonical_relabeling()
+    p, code = m._canonical()
     vid = min(p[d] for d in m.vertex_darts(v))
-    return (m.canonical_code(), vid, p[dart])
+    return (code, vid, p[dart])
 
 
 def cmd_verify_identities(args, out) -> int:
@@ -353,33 +353,16 @@ def cmd_verify_props(args, out) -> int:
     failures = 0
     n_maps = 0
     for t in admissible_types(k):
-        odd = set(odd_positions(t))
+        quasi = bool(odd_positions(t))
         for m in enumerate_maps(t, max_edges=k):
             n_maps += 1
             for v in range(m.n_vertices):
-                dist = distances(m, v)
-                for i in range(1, m.n_faces + 1):
-                    deg = m.degree(i)
-                    kinds = {"toward": 0, "away": 0, "parallel": 0}
-                    for d in m.contour(i):
-                        kinds[classify_dart(m, d, v, dist)] += 1
-                    if not odd:
-                        ok = kinds["parallel"] == 0 and kinds["toward"] == deg // 2
-                    elif i in odd:
-                        ok = (
-                            kinds["parallel"] == 1
-                            and kinds["toward"] == (deg - 1) // 2
-                            and kinds["away"] == (deg - 1) // 2
-                        )
-                    else:
-                        ok = (
-                            kinds["parallel"] in (0, 2)
-                            and kinds["toward"] == kinds["away"]
-                        )
-                    if not ok:
+                for i, counts in enumerate(direction_census(m, v), start=1):
+                    if not census_fits(counts, quasi):
                         failures += 1
                         print(
-                            f"FAIL direction census {t} face {i} vertex {v}: {kinds}",
+                            f"FAIL direction census {t} face {i} vertex {v}: "
+                            f"(toward, away, parallel) = {counts}",
                             file=out,
                         )
     print(f"direction censuses: {n_maps} maps swept", file=out)

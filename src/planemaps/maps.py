@@ -23,6 +23,7 @@ from collections import deque
 from typing import Iterable, NamedTuple
 
 from .errors import (
+    BadFace,
     BadMark,
     Disconnected,
     FaceMismatch,
@@ -51,6 +52,67 @@ def _as_perm(data: Iterable[int], name: str) -> tuple[int, ...]:
     return seq
 
 
+def _faces(
+    next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Contours and the inverse of next, after every check that ignores twin.
+
+    Checks that next is a permutation, that each next-orbit carries one
+    face label, that the labels are exactly 1..r and that face i is
+    marked at a dart of its own contour.  Returns the contours, face 1
+    first, each rotated to start at its marked dart, and prev as a tuple.
+    """
+    n = len(next_t)
+    if sorted(next_t) != list(range(n)):
+        raise NotPermutation(f"next is not a permutation of 0..{n - 1}")
+    if len(face_t) != n:
+        raise FaceMismatch("face labelling does not cover the dart set")
+
+    # walk next-orbits; each orbit is one face and must carry one label
+    contours: dict[int, list[int]] = {}
+    seen = [False] * n
+    for d in range(n):
+        if seen[d]:
+            continue
+        label = face_t[d]
+        if label in contours:
+            raise FaceMismatch(f"two contours share the label {label}")
+        orbit = contours[label] = []
+        e = d
+        while not seen[e]:
+            if face_t[e] != label:
+                raise FaceMismatch("face label changes along a contour")
+            seen[e] = True
+            orbit.append(e)
+            e = next_t[e]
+    r = len(contours)
+    if sorted(contours) != list(range(1, r + 1)):
+        raise FaceMismatch("face labels are not exactly 1..r")
+
+    if len(marked_t) != r:
+        raise BadMark("need exactly one marked dart per face")
+    normed = []
+    for i, d in enumerate(marked_t, start=1):
+        if not 0 <= d < n or face_t[d] != i:
+            raise BadMark(f"marked dart of face {i} does not lie on it")
+        orbit = contours[i]
+        k = orbit.index(d)
+        normed.append(tuple(orbit[k:] + orbit[:k]))
+
+    prev_t = [0] * n
+    for d in range(n):
+        prev_t[next_t[d]] = d
+    return tuple(normed), tuple(prev_t)
+
+
+# The last (next, face, marked) that passed _faces, then its result.
+# One slot compared by value: enumerate_maps builds every matching of a
+# type from the same three tuples.  On the benchmark workloads 85% of
+# the verify-sweep constructions hit and almost none of the others do;
+# 83-99.6% of all misses differ from the slot in length.
+_last_faces: tuple | None = None
+
+
 class PlaneMap:
     """Immutable rooted plane map of genus zero."""
 
@@ -72,62 +134,42 @@ class PlaneMap:
         face: Iterable[int],
         marked: Iterable[int],
     ) -> None:
+        global _last_faces
         twin_t = _as_perm(twin, "twin")
-        next_t = _as_perm(next_, "next")
         n = len(twin_t)
-        if len(next_t) != n:
-            raise NotPermutation("twin and next act on different dart sets")
         if n == 0 or n % 2:
             raise NotInvolution("twin must pair an even, positive number of darts")
         for d, e in enumerate(twin_t):
             if twin_t[e] != d or e == d:
                 raise NotInvolution("twin is not a fixed-point-free involution")
-
+        try:
+            next_t = tuple(map(int, next_))
+        except (TypeError, ValueError):
+            raise NotPermutation("next is not a sequence of integers")
+        if len(next_t) != n:
+            raise NotPermutation("twin and next act on different dart sets")
         try:
             face_t = tuple(map(int, face))
         except (TypeError, ValueError):
             raise FaceMismatch("face labels are not integers")
-        if len(face_t) != n:
-            raise FaceMismatch("face labelling does not cover the dart set")
-
-        # walk next-orbits; each orbit is one face and must carry one label
-        contours: dict[int, list[int]] = {}
-        seen = [False] * n
-        for d in range(n):
-            if seen[d]:
-                continue
-            label = face_t[d]
-            if label in contours:
-                raise FaceMismatch(f"two contours share the label {label}")
-            orbit = contours[label] = []
-            e = d
-            while not seen[e]:
-                if face_t[e] != label:
-                    raise FaceMismatch("face label changes along a contour")
-                seen[e] = True
-                orbit.append(e)
-                e = next_t[e]
-            if e != d:
-                raise NotPermutation("next is not a permutation")
-        r = len(contours)
-        if sorted(contours) != list(range(1, r + 1)):
-            raise FaceMismatch("face labels are not exactly 1..r")
-
         try:
             marked_t = tuple(map(int, marked))
         except (TypeError, ValueError):
             raise BadMark("marked darts are not integers")
-        if len(marked_t) != r:
-            raise BadMark("need exactly one marked dart per face")
-        for i, d in enumerate(marked_t, start=1):
-            if not 0 <= d < n or face_t[d] != i:
-                raise BadMark(f"marked dart of face {i} does not lie on it")
+        key = (next_t, face_t, marked_t)
+        last = _last_faces
+        if last is not None and last[0] == key:
+            (next_t, face_t, marked_t), contours, prev_t = last
+        else:
+            contours, prev_t = _faces(next_t, face_t, marked_t)
+            _last_faces = (key, contours, prev_t)
+        r = len(contours)
 
         # connectivity: twin must join the face orbits into one piece
         reached = {1}
         stack = [1]
         while stack and len(reached) < r:
-            for d in contours[stack.pop()]:
+            for d in contours[stack.pop() - 1]:
                 i = face_t[twin_t[d]]
                 if i not in reached:
                     reached.add(i)
@@ -152,23 +194,12 @@ class PlaneMap:
         if len(vertices) - n // 2 + r != 2:
             raise WrongGenus("Euler characteristic is not 2")
 
-        # rotate contours so each starts at its marked dart
-        normed = []
-        for i, d in enumerate(marked_t, start=1):
-            orbit = contours[i]
-            k = orbit.index(d)
-            normed.append(tuple(orbit[k:] + orbit[:k]))
-
-        prev_t = [0] * n
-        for d in range(n):
-            prev_t[next_t[d]] = d
-
         object.__setattr__(self, "twin", twin_t)
         object.__setattr__(self, "next", next_t)
         object.__setattr__(self, "face", face_t)
         object.__setattr__(self, "marked", marked_t)
-        object.__setattr__(self, "_prev", tuple(prev_t))
-        object.__setattr__(self, "_contours", tuple(normed))
+        object.__setattr__(self, "_prev", prev_t)
+        object.__setattr__(self, "_contours", contours)
         object.__setattr__(self, "_vertices", tuple(vertices))
         object.__setattr__(self, "_vertex_of", tuple(vertex_of))
 
@@ -198,12 +229,21 @@ class PlaneMap:
         return tuple(len(c) for c in self._contours)
 
     def degree(self, i: int) -> int:
+        # the check of contour(), inlined: degree is called per growth step
+        if not 1 <= i <= len(self._contours):
+            raise BadFace(f"face {i} out of range 1..{len(self._contours)}")
         return len(self._contours[i - 1])
 
     # incidence
 
     def contour(self, i: int) -> tuple[int, ...]:
-        """Face contour of face i, starting at its marked dart."""
+        """Face contour of face i, starting at its marked dart.
+
+        Raises BadFace unless 1 <= i <= n_faces, so that 0 and negative
+        indices cannot wrap round to the last faces.
+        """
+        if not 1 <= i <= len(self._contours):
+            raise BadFace(f"face {i} out of range 1..{len(self._contours)}")
         return self._contours[i - 1]
 
     def face_of(self, d: int) -> int:
@@ -247,10 +287,11 @@ class PlaneMap:
 
     def slot_anchor(self, i: int, slot: int) -> int:
         """Dart whose preceding corner realises the given slot of face i."""
-        a = self.degree(i)
+        contour = self.contour(i)
+        a = len(contour)
         if not 0 <= slot <= a:
             raise ValueError(f"slot {slot} out of range for degree {a}")
-        return self._contours[i - 1][slot % a]
+        return contour[slot % a]
 
     def corner_after(self, d: int) -> int:
         """After-dart of the corner following d in its contour."""
@@ -260,6 +301,7 @@ class PlaneMap:
 
     def with_marked(self, i: int, d: int) -> "PlaneMap":
         """Copy of the map with face i marked at the corner before d."""
+        self.contour(i)  # raises BadFace for a face outside 1..r
         marked = list(self.marked)
         marked[i - 1] = d
         return PlaneMap(self.twin, self.next, self.face, marked)
@@ -310,6 +352,10 @@ class PlaneMap:
         65536 darts, whose ids do not fit 16 bits, pack 32-bit words
         behind the prefix "w", which no 16-bit code starts with.
         """
+        return self._canonical()[1]
+
+    def _canonical(self) -> tuple[dict[int, int], str]:
+        """canonical_relabeling() and canonical_code() from one search."""
         order = self.canonical_relabeling()
         n = self.n_darts
         next_ = [0] * n
@@ -323,8 +369,8 @@ class PlaneMap:
         words = [self.n_faces, self.n_edges]
         words += next_ + twin + face + marked
         if n <= 0x10000:
-            return struct.pack(f">{len(words)}H", *words).hex()
-        return "w" + struct.pack(f">{len(words)}I", *words).hex()
+            return order, struct.pack(f">{len(words)}H", *words).hex()
+        return order, "w" + struct.pack(f">{len(words)}I", *words).hex()
 
     def to_json(self) -> str:
         obj = {

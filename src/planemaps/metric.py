@@ -45,6 +45,45 @@ def classify_dart(m: PlaneMap, d: int, v: int, dist=None) -> str:
     return "parallel"
 
 
+def direction_census(m: PlaneMap, v: int) -> list[tuple[int, int, int]]:
+    """(toward, away, parallel) dart counts of every face relative to vertex v.
+
+    One triple per face, face 1 first; each counts the contour darts
+    that classify_dart would call toward, away and parallel, so the
+    three add up to the face degree.
+    """
+    dist = distances(m, v)
+    twin, vertex_of = m.twin, m._vertex_of
+    out = []
+    for contour in m._contours:
+        toward = away = 0
+        for d in contour:
+            a = dist[vertex_of[d]]
+            b = dist[vertex_of[twin[d]]]
+            if b < a:
+                toward += 1
+            elif b > a:
+                away += 1
+        out.append((toward, away, len(contour) - toward - away))
+    return out
+
+
+def census_fits(counts: tuple[int, int, int], quasi: bool) -> bool:
+    """Whether one face's census obeys the rule of its parity class.
+
+    The face degree is the sum of the counts.  An odd face sees one
+    parallel dart and splits the rest evenly between toward and away.
+    An even face splits evenly with no parallel dart in a bipartite
+    map, and with zero or two in a quasibipartite one.
+    """
+    toward, away, par = counts
+    if toward != away:
+        return False
+    if (toward + away + par) % 2:
+        return par == 1
+    return par == 0 or (quasi and par == 2)
+
+
 def _walk(m, cands, step, dist):
     vertex_of, twin = m._vertex_of, m.twin
     path = []
@@ -180,30 +219,13 @@ def classification_violations(m: PlaneMap) -> list[str]:
     the map conforms.
     """
     out = []
-    odd = [i for i in range(1, m.n_faces + 1) if m.degree(i) % 2]
+    odd = [i for i, a in enumerate(m.degrees, start=1) if a % 2]
+    quasi = bool(odd)
     for v in range(m.n_vertices):
-        dist = distances(m, v)
-        for i in range(1, m.n_faces + 1):
-            toward = away = par = 0
-            for d in m.contour(i):
-                c = classify_dart(m, d, v, dist)
-                toward += c == "toward"
-                away += c == "away"
-                par += c == "parallel"
-            a = m.degree(i)
-            if i in odd:
-                want = ((a - 1) // 2, (a - 1) // 2, 1)
-                if (toward, away, par) != want:
-                    out.append(
-                        f"odd face {i} at vertex {v}: "
-                        f"({toward}, {away}, {par}) != {want}"
-                    )
-            else:
-                if par not in ((0,) if not odd else (0, 2)) or toward != away:
-                    out.append(
-                        f"even face {i} at vertex {v}: "
-                        f"({toward}, {away}, {par})"
-                    )
+        for i, counts in enumerate(direction_census(m, v), start=1):
+            if not census_fits(counts, quasi):
+                parity = "odd" if sum(counts) % 2 else "even"
+                out.append(f"{parity} face {i} at vertex {v}: {counts}")
     if len(odd) == 2:
         fa, fb = odd
         for cycle in simple_cycles(m):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from planemaps import cli
 from planemaps.cli import admissible_types, run, to_dot
 from planemaps.counting import tutte_count
 from planemaps.enumerator import enumerate_maps
@@ -123,6 +124,28 @@ class TestVerify:
             invoke([command, "--max-edges", bound])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    def test_skewed_census_fails(self, monkeypatch, capsys):
+        # a census that miscounts one face at one vertex must not pass
+        true_census = cli.direction_census
+        calls = []
+
+        def skewed(m, v):
+            census = true_census(m, v)
+            calls.append(v)
+            if len(calls) == 5:
+                toward, away, par = census[0]
+                census[0] = (toward + 1, away, par)
+            return census
+
+        monkeypatch.setattr(cli, "direction_census", skewed)
+        status, text = invoke(["verify-props", "--max-edges", "3"])
+        assert status == 1
+        fails = [ln for ln in text.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL direction census ")
+        assert "all direction censuses passed" not in text
+        assert "error: 1 censuses failed" in capsys.readouterr().err
 
     def test_sweep_counts(self):
         _, text = invoke(["verify-roundtrip", "--max-edges", "1"])

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import planemaps.maps as maps_module
+from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
+    BadFace,
     BadMark,
     Disconnected,
     FaceMismatch,
@@ -107,6 +110,20 @@ class TestCorners:
         assert m.contour(2) == (3, 1)
 
 
+class TestFaceIndex:
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_out_of_range(self, i):
+        m = enumerate_maps((4, 2))[0]
+        with pytest.raises(BadFace):
+            m.degree(i)
+        with pytest.raises(BadFace):
+            m.contour(i)
+        with pytest.raises(BadFace):
+            m.slot_anchor(i, 1)
+        with pytest.raises(BadFace):
+            m.with_marked(i, m.marked[-1])
+
+
 class TestValidation:
     def test_not_permutation(self):
         with pytest.raises(NotPermutation):
@@ -149,6 +166,94 @@ class TestValidation:
     def test_wrong_genus(self):
         with pytest.raises(WrongGenus):
             PlaneMap((2, 3, 0, 1), (1, 2, 3, 0), (1, 1, 1, 1), (0,))
+
+
+class TestFaceValidationSlot:
+    """The constructor validates next, face and marked once per distinct input."""
+
+    DOUBLE_EDGE = ((1, 0, 3, 2), (2, 3, 0, 1), (1, 2, 1, 2), (0, 3))
+
+    def test_bad_twin_after_valid_map(self):
+        twin, next_, face, marked = self.DOUBLE_EDGE
+        for _ in range(2):
+            assert PlaneMap(twin, next_, face, marked) == double_edge()
+            with pytest.raises(NotInvolution):
+                PlaneMap((1, 0, 2, 3), next_, face, marked)
+            with pytest.raises(NotInvolution):
+                PlaneMap((0, 1, 3, 2), next_, face, marked)
+            with pytest.raises(Disconnected):
+                PlaneMap((2, 3, 0, 1), next_, face, marked)
+        square = ((1, 2, 3, 0), (1, 1, 1, 1), (0,))
+        for _ in range(2):
+            assert PlaneMap((1, 0, 3, 2), *square).n_vertices == 3
+            with pytest.raises(WrongGenus):
+                PlaneMap((2, 3, 0, 1), *square)
+
+    def test_bad_face_or_mark_raises_every_time(self):
+        twin, next_, face, marked = self.DOUBLE_EDGE
+        for _ in range(3):
+            PlaneMap(twin, next_, face, marked)
+            with pytest.raises(FaceMismatch):
+                PlaneMap(twin, next_, (1, 1, 1, 2), marked)
+            with pytest.raises(FaceMismatch):
+                PlaneMap(twin, next_, (1, 1, 1, 2), marked)
+            with pytest.raises(BadMark):
+                PlaneMap(twin, next_, face, (1, 3))
+            with pytest.raises(BadMark):
+                PlaneMap(twin, next_, face, (1, 3))
+            with pytest.raises(NotPermutation):
+                PlaneMap(twin, (2, 2, 0, 1), face, marked)
+            with pytest.raises(NotPermutation):
+                PlaneMap(twin, (2, 2, 0, 1), face, marked)
+
+    def test_caller_lists_not_shared(self):
+        twin, next_, face, marked = map(list, self.DOUBLE_EDGE)
+        m = PlaneMap(twin, next_, face, marked)
+        next_[0], next_[2] = next_[2], next_[0]
+        face[0] = 2
+        marked[0] = 2
+        assert m == double_edge()
+        assert m.contour(1) == (0, 2) and m.contour(2) == (3, 1)
+        with pytest.raises(FaceMismatch):
+            PlaneMap(twin, next_, face, marked)
+        assert PlaneMap(*self.DOUBLE_EDGE) == double_edge()
+
+    def test_enumeration_validates_faces_once_per_type(self, monkeypatch):
+        calls = []
+        real = maps_module._faces
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(maps_module, "_faces", counting)
+        monkeypatch.setattr(maps_module, "_last_faces", None)
+        assert len(enumerate_maps((2, 2, 2))) == 8
+        assert len(enumerate_maps((3, 3))) == 12
+        assert len(calls) == 2
+
+    def test_interleaved_types_equal_fresh(self):
+        types = [(4, 2), (3, 1), (2, 2, 2), (6,), (3, 3)]
+        fresh = {}
+        for t in types:
+            maps_module._last_faces = None
+            fresh[t] = [
+                (m.twin, m.next, m.face, m.marked, m._contours, m._prev,
+                 m._vertices, m._vertex_of)
+                for m in enumerate_maps(t)
+            ]
+        # rebuild them one map of each type at a time, so every call misses
+        rows = {t: [row[:4] for row in fresh[t]] for t in types}
+        built = {t: [] for t in types}
+        for k in range(max(map(len, rows.values()))):
+            for t in types:
+                if k < len(rows[t]):
+                    m = PlaneMap(*rows[t][k])
+                    built[t].append(
+                        (m.twin, m.next, m.face, m.marked, m._contours,
+                         m._prev, m._vertices, m._vertex_of)
+                    )
+        assert built == fresh
 
 
 class TestSerialization:

@@ -2,11 +2,15 @@
 
 import pytest
 
+from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
+import planemaps.metric as metric
 from planemaps.metric import (
+    census_fits,
     classification_violations,
     classify_dart,
     cycle_separates,
+    direction_census,
     distances,
     leftmost_geodesic,
     rightmost_geodesic,
@@ -137,6 +141,47 @@ class TestCycles:
         assert simple_cycles(path_map()) == []
 
 
+class TestDirectionCensus:
+    def test_equals_classify_dart_tally(self):
+        # every map with E <= 4, bipartite and quasibipartite, every vertex
+        kinds = ("toward", "away", "parallel")
+        n_maps = n_quasi = 0
+        for t in admissible_types(4):
+            for m in enumerate_maps(t):
+                n_maps += 1
+                n_quasi += any(a % 2 for a in t)
+                for v in range(m.n_vertices):
+                    dist = distances(m, v)
+                    tally = [
+                        tuple(
+                            sum(classify_dart(m, d, v, dist) == k for d in m.contour(i))
+                            for k in kinds
+                        )
+                        for i in range(1, m.n_faces + 1)
+                    ]
+                    assert direction_census(m, v) == tally
+        assert n_quasi and n_maps > n_quasi
+
+    @pytest.mark.parametrize(
+        "counts, quasi, fits",
+        [
+            ((2, 2, 0), False, True),
+            ((1, 1, 2), False, False),
+            ((1, 1, 2), True, True),
+            ((0, 0, 4), True, False),
+            ((2, 1, 1), True, False),
+            ((2, 2, 1), True, True),
+            ((1, 1, 3), True, False),
+            ((3, 2, 0), False, False),
+            ((3, 1, 0), False, False),
+            ((2, 0, 1), True, False),
+            ((0, 0, 1), True, True),
+        ],
+    )
+    def test_census_fits(self, counts, quasi, fits):
+        assert census_fits(counts, quasi) is fits
+
+
 class TestDirectionStatistics:
     @pytest.mark.parametrize(
         "a",
@@ -146,3 +191,19 @@ class TestDirectionStatistics:
     def test_sweep(self, a):
         for m in enumerate_maps(a):
             assert classification_violations(m) == []
+
+    def test_skewed_census_reported(self, monkeypatch):
+        true_census = metric.direction_census
+
+        def skewed(m, v):
+            # face 2 is the loop's one-dart face: (0, 0, 1) becomes (0, 1, 0)
+            census = true_census(m, v)
+            toward, away, par = census[-1]
+            census[-1] = (toward, away + 1, par - 1)
+            return census
+
+        m = enumerate_maps((3, 1))[0]
+        monkeypatch.setattr(metric, "direction_census", skewed)
+        found = classification_violations(m)
+        assert len(found) == m.n_vertices
+        assert all(line.startswith("odd face 2 at vertex") for line in found)
