@@ -237,16 +237,16 @@ def cmd_verify_identities(args, out) -> int:
     return 0
 
 
-def _roundtrip_same(t, report) -> int:
+def _roundtrip_same(t, report, maps) -> int:
     bad = 0
-    for m in enumerate_maps(t):
+    for m in maps(t):
         for (e, c, c2) in enumerate_decorations(m, Identity.TWO_CORNERS_SAME_FACE, "lhs"):
             m2, v, h, h2, case, _ = grow_same(m, e, c, c2)
             m3, e3, c3, c23, case3, _ = shrink_same(m2, v, h, h2)
             if _lhs_key(m3, e3, c3, c23) != _lhs_key(m, e, c, c2) or case3 != case:
                 bad += report(f"grow_same/shrink_same at {t} {(e, c, c2)}")
     tt = identity_target(Identity.TWO_CORNERS_SAME_FACE, t)
-    for m in enumerate_maps(tt, max_edges=edge_count(tt)):
+    for m in maps(tt, edge_count(tt)):
         for (v, h, h2) in enumerate_decorations(m, Identity.TWO_CORNERS_SAME_FACE, "rhs"):
             m2, e, c, c2, case, _ = shrink_same(m, v, h, h2)
             m3, v3, h3, h23, case3, _ = grow_same(m2, e, c, c2)
@@ -255,16 +255,16 @@ def _roundtrip_same(t, report) -> int:
     return bad
 
 
-def _roundtrip_two(t, report) -> int:
+def _roundtrip_two(t, report, maps) -> int:
     bad = 0
-    for m in enumerate_maps(t):
+    for m in maps(t):
         for (e, c, c2) in enumerate_decorations(m, Identity.CORNER_EACH_TWO_FACES, "lhs"):
             m2, v, h, h2, case, _ = grow_two(m, e, c, c2)
             m3, e3, c3, c23, case3, _ = shrink_two(m2, v, h, h2)
             if _lhs_key(m3, e3, c3, c23) != _lhs_key(m, e, c, c2) or case3 != case:
                 bad += report(f"grow_two/shrink_two at {t} {(e, c, c2)}")
     tt = identity_target(Identity.CORNER_EACH_TWO_FACES, t)
-    for m in enumerate_maps(tt, max_edges=edge_count(tt)):
+    for m in maps(tt, edge_count(tt)):
         for (v, h, h2) in enumerate_decorations(m, Identity.CORNER_EACH_TWO_FACES, "rhs"):
             m2, e, c, c2, case, _ = shrink_two(m, v, h, h2)
             m3, v3, h3, h23, case3, _ = grow_two(m2, e, c, c2)
@@ -273,17 +273,17 @@ def _roundtrip_two(t, report) -> int:
     return bad
 
 
-def _roundtrip_transfer(t, report) -> int:
+def _roundtrip_transfer(t, report, maps) -> int:
     bad = 0
     r = len(t)
-    for m in enumerate_maps(t):
+    for m in maps(t):
         for (c, h2) in enumerate_decorations(m, Identity.FACE_TO_FACE, "lhs"):
             m2, s2, d2, _ = transfer_left(m, 1, r, c, h2)
             m3, c3, h3, _ = transfer_right(m2, r, 1, s2, d2)
             if _transfer_key(m3, c3, h3) != _transfer_key(m, c, h2):
                 bad += report(f"transfer_left/right at {t} {(c, h2)}")
     tt = identity_target(Identity.FACE_TO_FACE, t)
-    for m in enumerate_maps(tt, max_edges=edge_count(tt)):
+    for m in maps(tt, edge_count(tt)):
         for (c2, h) in enumerate_decorations(m, Identity.FACE_TO_FACE, "rhs"):
             m2, c, h2, _ = transfer_right(m, r, 1, c2, h)
             m3, s3, d3, _ = transfer_left(m2, 1, r, c, h2)
@@ -292,17 +292,17 @@ def _roundtrip_transfer(t, report) -> int:
     return bad
 
 
-def _roundtrip_unit(t, report) -> int:
+def _roundtrip_unit(t, report, maps) -> int:
     bad = 0
     r = len(t)
-    for m in enumerate_maps(t):
+    for m in maps(t):
         for (c,) in enumerate_decorations(m, Identity.UNIT_FACE, "lhs"):
             m2, v, h, _ = transfer1_right(m, 1, r, c)
             m3, c3, _ = transfer1_left(m2, 1, r, v, h)
             if (m3.canonical_code(), c3) != (m.canonical_code(), c):
                 bad += report(f"transfer1_right/left at {t} {(c,)}")
     tt = identity_target(Identity.UNIT_FACE, t)
-    for m in enumerate_maps(tt, max_edges=edge_count(tt)):
+    for m in maps(tt, edge_count(tt)):
         for (v, h) in enumerate_decorations(m, Identity.UNIT_FACE, "rhs"):
             m2, c, _ = transfer1_left(m, 1, r, v, h)
             m3, v3, h3, _ = transfer1_right(m2, 1, r, c)
@@ -325,21 +325,30 @@ def cmd_verify_roundtrip(args, out) -> int:
         print(f"FAIL {msg}", file=out)
         return 1
 
+    # each type is enumerated once per sweep, as source and as target
+    cache: dict[tuple[int, ...], list[PlaneMap]] = {}
+
+    def maps(t, max_edges=DEFAULT_MAX_EDGES) -> list[PlaneMap]:
+        # a type above the bound still raises TooManyEdges, as uncached
+        if t not in cache or edge_count(t) > max_edges:
+            cache[t] = enumerate_maps(t, max_edges=max_edges)
+        return cache[t]
+
     trips = 0
     for t in admissible_types(k):
         odd = odd_positions(t)
         if not odd:
             trips += 1
-            failures += _roundtrip_same(t, report)
+            failures += _roundtrip_same(t, report, maps)
             if len(t) >= 2:
                 trips += 1
-                failures += _roundtrip_two(t, report)
+                failures += _roundtrip_two(t, report, maps)
         if _transfer_applicable(t):
             trips += 1
-            failures += _roundtrip_transfer(t, report)
+            failures += _roundtrip_transfer(t, report, maps)
         if len(t) >= 2 and t[-1] == 1 and len(odd) == 2:
             trips += 1
-            failures += _roundtrip_unit(t, report)
+            failures += _roundtrip_unit(t, report, maps)
     print(f"round trips: {trips} family sweeps", file=out)
     if failures:
         print(f"error: {failures} round trips failed", file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 from collections import deque
 from typing import Iterable, NamedTuple
 
@@ -41,15 +42,61 @@ class CornerSlot(NamedTuple):
     slot: int
 
 
-def _as_perm(data: Iterable[int], name: str) -> tuple[int, ...]:
+def _ints(data: Iterable[int], error: type, what: str) -> tuple[int, ...]:
+    """The entries of data as a tuple of ints, or error when one is not.
+
+    Strict: floats, strings and None are refused rather than truncated
+    or parsed; ints, bools and objects with __index__ pass.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        data = list(data)  # array() would read them as raw machine words
     try:
-        seq = tuple(map(int, data))
-    except (TypeError, ValueError):
-        raise NotPermutation(f"{name} is not a sequence of integers")
+        return tuple(array("q", data))
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} not 64-bit integers") from None
+
+
+def _as_perm(data: Iterable[int], name: str) -> tuple[int, ...]:
+    seq = _ints(data, NotPermutation, f"entries of {name} are")
     n = len(seq)
     if sorted(seq) != list(range(n)):
         raise NotPermutation(f"{name} is not a permutation of 0..{n - 1}")
     return seq
+
+
+def _pairs_darts(twin: tuple[int, ...]) -> bool:
+    """Whether twin is a fixed-point-free involution of 0..n-1, n > 0.
+
+    One pass: twin(twin(d)) = d with no fixed point already makes twin
+    a permutation.  A value above n - 1 raises IndexError, and a
+    negative value e at d, which indexes from the end, would need
+    twin(e + n) = d and so twin(twin(e + n)) = e, not e + n.
+    """
+    try:
+        for d, e in enumerate(twin):
+            if twin[e] != d or e == d:
+                return False
+    except IndexError:
+        return False
+    return len(twin) > 0
+
+
+def _inverse(perm: tuple[int, ...]) -> list[int] | None:
+    """perm^-1, or None unless perm is a permutation of 0..n-1.
+
+    One pass: a value above n - 1 raises IndexError and a repeated one
+    leaves a -1 behind; negative values index from the end, so they
+    are refused on their own.
+    """
+    inv = [-1] * len(perm)
+    try:
+        for d, e in enumerate(perm):
+            inv[e] = d
+    except IndexError:
+        return None
+    if -1 in inv or min(perm, default=0) < 0:
+        return None
+    return inv
 
 
 def _faces(
@@ -63,7 +110,8 @@ def _faces(
     first, each rotated to start at its marked dart, and prev as a tuple.
     """
     n = len(next_t)
-    if sorted(next_t) != list(range(n)):
+    prev_t = _inverse(next_t)
+    if prev_t is None:
         raise NotPermutation(f"next is not a permutation of 0..{n - 1}")
     if len(face_t) != n:
         raise FaceMismatch("face labelling does not cover the dart set")
@@ -98,10 +146,6 @@ def _faces(
         orbit = contours[i]
         k = orbit.index(d)
         normed.append(tuple(orbit[k:] + orbit[:k]))
-
-    prev_t = [0] * n
-    for d in range(n):
-        prev_t[next_t[d]] = d
     return tuple(normed), tuple(prev_t)
 
 
@@ -135,27 +179,18 @@ class PlaneMap:
         marked: Iterable[int],
     ) -> None:
         global _last_faces
-        twin_t = _as_perm(twin, "twin")
+        twin_t = _ints(twin, NotPermutation, "entries of twin are")
         n = len(twin_t)
-        if n == 0 or n % 2:
-            raise NotInvolution("twin must pair an even, positive number of darts")
-        for d, e in enumerate(twin_t):
-            if twin_t[e] != d or e == d:
-                raise NotInvolution("twin is not a fixed-point-free involution")
-        try:
-            next_t = tuple(map(int, next_))
-        except (TypeError, ValueError):
-            raise NotPermutation("next is not a sequence of integers")
+        if not _pairs_darts(twin_t):
+            _as_perm(twin_t, "twin")  # a non-permutation raises NotPermutation
+            if n == 0 or n % 2:
+                raise NotInvolution("twin must pair an even, positive number of darts")
+            raise NotInvolution("twin is not a fixed-point-free involution")
+        next_t = _ints(next_, NotPermutation, "entries of next are")
         if len(next_t) != n:
             raise NotPermutation("twin and next act on different dart sets")
-        try:
-            face_t = tuple(map(int, face))
-        except (TypeError, ValueError):
-            raise FaceMismatch("face labels are not integers")
-        try:
-            marked_t = tuple(map(int, marked))
-        except (TypeError, ValueError):
-            raise BadMark("marked darts are not integers")
+        face_t = _ints(face, FaceMismatch, "face labels are")
+        marked_t = _ints(marked, BadMark, "marked darts are")
         key = (next_t, face_t, marked_t)
         last = _last_faces
         if last is not None and last[0] == key:
@@ -276,7 +311,7 @@ class PlaneMap:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (d, twin(d)) with d < twin(d), sorted by d."""
-        return tuple((d, t) for d, t in enumerate(self.twin) if d < t)
+        return tuple([(d, t) for d, t in enumerate(self.twin) if d < t])
 
     # corners and slots
 

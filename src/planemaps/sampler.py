@@ -37,8 +37,8 @@ def _even_type(a) -> tuple[int, ...]:
     return t
 
 
-def _one_edge_map() -> PlaneMap:
-    return PlaneMap((1, 0), (1, 0), (1, 1), (0,))
+# every growth starts here; PlaneMap is immutable, so one copy serves all
+_ONE_EDGE = PlaneMap((1, 0), (1, 0), (1, 1), (0,))
 
 
 def _as_rng(rng) -> random.Random:
@@ -117,7 +117,7 @@ def sample_bipartite(a, rng, schedule=None, initial=None) -> PlaneMap:
     t = _even_type(a)
     r = _as_rng(rng)
     if initial is None:
-        m, start = _one_edge_map(), (2,)
+        m, start = _ONE_EDGE, (2,)
     else:
         m, start = initial
         start = _even_type(start)

@@ -5,7 +5,8 @@ permutations that is allowed to pass through states that are not valid
 plane maps (disconnected pieces, wrong Euler characteristic) between a
 slit and the sewing that closes it.  The workspace also keeps prev, the
 inverse of next; every write to next goes through Workspace.link, which
-updates both.
+updates both.  All three are lists indexed by dart: fresh darts are
+appended and a deleted dart reads None, so a stale read fails loudly.
 
 Corners can carry ordered lists of marker tokens.  A marker anchored
 to dart d sits in the corner before d; the list is ordered across the
@@ -33,6 +34,7 @@ from .errors import (
     LengthMismatch,
     NotDangling,
     NotDigon,
+    NotPermutation,
 )
 from .maps import PlaneMap
 
@@ -41,16 +43,21 @@ class Workspace:
     """Mutable dart structure with marker transport."""
 
     def __init__(self, m: PlaneMap) -> None:
-        self.twin: dict[int, int] = dict(enumerate(m.twin))
-        self.next: dict[int, int] = dict(enumerate(m.next))
-        self.prev: dict[int, int] = dict(enumerate(m._prev))
+        self.twin: list[int | None] = list(m.twin)
+        self.next: list[int | None] = list(m.next)
+        self.prev: list[int | None] = list(m._prev)
         self.markers: dict[int, list] = {}
-        self._fresh = m.n_darts
 
     def new_dart(self) -> int:
-        d = self._fresh
-        self._fresh += 1
+        d = len(self.twin)
+        self.twin.append(None)
+        self.next.append(None)
+        self.prev.append(None)
         return d
+
+    def alive(self, d: int) -> bool:
+        """Whether d is a dart of the workspace that has a twin."""
+        return 0 <= d < len(self.twin) and self.twin[d] is not None
 
     def sigma(self, d: int) -> int:
         return self.next[self.twin[d]]
@@ -85,10 +92,9 @@ class Workspace:
         return self.markers.setdefault(d, [])
 
     def delete(self, d: int) -> None:
+        assert self.twin[d] is not None, f"dart {d} is already deleted"
         assert not self.markers.get(d), f"dart {d} dies carrying markers"
-        del self.twin[d]
-        del self.next[d]
-        del self.prev[d]
+        self.twin[d] = self.next[d] = self.prev[d] = None
         self.markers.pop(d, None)
 
     def add_marker(self, d: int, token, rank: int | None = None) -> None:
@@ -147,7 +153,7 @@ def _walk_rotations(ws: Workspace, p) -> list[list[int]]:
     """Rotation at the origin of each walk dart; checks the walk chains."""
     rotations = []
     for k, dart in enumerate(p):
-        if dart not in ws.twin:
+        if not ws.alive(dart):
             raise InvalidWalk(f"unknown dart {dart}")
         rot = ws.rotation_from(dart)
         if k and ws.twin[p[k - 1]] not in rot:
@@ -575,7 +581,7 @@ def suppress_pendant(ws: Workspace, beta: int, out_marker=None) -> int:
     occupied, followed by out_marker when given.  Returns the dart
     whose preceding corner receives them.
     """
-    if beta not in ws.twin or ws.sigma(beta) != beta:
+    if not ws.alive(beta) or ws.sigma(beta) != beta:
         raise NotDangling(f"dart {beta} does not leave a leaf")
     alpha = ws.twin[beta]
     assert ws.next[alpha] == beta
@@ -611,18 +617,26 @@ def workspace_with_arrows(m: PlaneMap) -> Workspace:
     return ws
 
 
-def finish(ws: Workspace) -> tuple[PlaneMap, dict[int, int], dict[int, list]]:
+def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
     """Rebuild a plane map from the workspace.
 
-    Faces are labelled by the arrow markers found on their contours;
-    every contour must carry exactly one.  Returns the map, the dart
-    renaming, and the surviving corner token lists (arrows included,
-    in corner order) keyed by new dart id.
+    Surviving darts keep their order and are numbered from 0.  Faces
+    are labelled by the arrow markers found on their contours; every
+    contour must carry exactly one.  Returns the map, the dart renaming
+    as a list (rename[d] is the new id of d, None for a deleted dart),
+    and the surviving corner token lists (arrows included, in corner
+    order) keyed by new dart id.
     """
-    old = sorted(ws.twin)
-    rename = {d: k for k, d in enumerate(old)}
-    twin = [rename[ws.twin[d]] for d in old]
-    next_ = [rename[ws.next[d]] for d in old]
+    old = [d for d, t in enumerate(ws.twin) if t is not None]
+    rename: list[int | None] = [None] * len(ws.twin)
+    for k, d in enumerate(old):
+        rename[d] = k
+    new_id = rename.__getitem__
+    twin = list(map(new_id, map(ws.twin.__getitem__, old)))
+    next_ = list(map(new_id, map(ws.next.__getitem__, old)))
+    # a None in twin makes the constructor raise NotPermutation
+    if None in next_:
+        raise NotPermutation("a surviving dart is followed by a deleted one")
 
     # label each contour from its arrow; a contour reached twice
     # carries two arrows, a dart left at 0 lies on a contour with none

@@ -225,6 +225,21 @@ def test_sampled_round_trip(a, seed, data):
 P4_TYPES = [(3, 1), (1, 1), (1, 2, 1), (3, 2, 1)]
 
 
+@pytest.mark.parametrize("a", [(39, 1), (20, 19, 1), (99, 1), (50, 49, 1)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_unit_round_trip(a, seed, data):
+    # transfer1_left undoes transfer1_right on sampled maps with E = 20
+    # and 50: the unit face r is absorbed at a slot of face 1 and split
+    # off again
+    m = sample(a, seed)
+    r = len(a)
+    slot = data.draw(st.integers(0, m.degree(1)), label="slot")
+    m2, v, h, _ = transfer1_right(m, 1, r, slot)
+    m3, slot3, _ = transfer1_left(m2, 1, r, v, h)
+    assert keyed(m3, slot=slot3) == keyed(m, slot=slot)
+
+
 def tilde_p4(a):
     return (a[0] + 1,) + tuple(a[1:-1])
 

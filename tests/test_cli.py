@@ -147,6 +147,22 @@ class TestVerify:
         assert "all direction censuses passed" not in text
         assert "error: 1 censuses failed" in capsys.readouterr().err
 
+    def test_roundtrip_enumerates_each_type_once(self, monkeypatch):
+        # the four families share one enumeration per source and target
+        # type; the report stays as it was with one call per family side
+        calls = []
+        real = cli.enumerate_maps
+
+        def counting(t, **kwargs):
+            calls.append(tuple(t))
+            return real(t, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_maps", counting)
+        status, text = invoke(["verify-roundtrip", "--max-edges", "3"])
+        assert status == 0
+        assert text == "round trips: 32 family sweeps\nall round trips passed\n"
+        assert len(calls) == len(set(calls)) == 32
+
     def test_sweep_counts(self):
         _, text = invoke(["verify-roundtrip", "--max-edges", "1"])
         assert text == "round trips: 2 family sweeps\nall round trips passed\n"

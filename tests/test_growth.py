@@ -182,6 +182,38 @@ def test_sampled_round_trip(a, seed, data):
     assert case_b == case
 
 
+@pytest.mark.parametrize("a", [(20, 20), (50, 50)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_round_trip_two(a, seed, data):
+    # shrink_two undoes grow_two on sampled maps with E = 20 and 50
+    m = sample(a, seed)
+    e = data.draw(st.integers(0, m.n_edges - 1), label="e")
+    c = data.draw(st.integers(0, m.degree(1)), label="c")
+    c2 = data.draw(st.integers(0, m.degree(2)), label="c2")
+    m2, v, h, h2, case, _ = grow_two(m, e, c, c2)
+    mb, eb, cb, c2b, case_b, _ = shrink_two(m2, v, h, h2)
+    assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
+    assert case_b == case
+
+
+@pytest.mark.parametrize("a", [(40,), (20, 20), (100,), (50, 50)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_via_transfers_matches_direct(a, seed, data):
+    # the digon detour through two transfers lands where grow_same does
+    m = sample(a, seed)
+    deg = m.degree(1)
+    e = data.draw(st.integers(0, m.n_edges - 1), label="e")
+    c = data.draw(st.integers(0, deg), label="c")
+    c2 = data.draw(st.integers(0, deg + 1), label="c2")
+    side = data.draw(st.integers(0, 1), label="mark_side")
+    m2, v, h, h2, case, _ = grow_same(m, e, c, c2)
+    out = grow_via_transfers(m, e, c, c2, mark_side=side)
+    assert rhs_key(out[0], out[1], out[2], out[3]) == rhs_key(m2, v, h, h2)
+    assert out[4] == case
+
+
 def test_grow_other_face():
     # growing within face 2 of the double edge: outputs land on face 2
     # and shrink with the same face restores the decoration

@@ -157,6 +157,50 @@ class TestValidation:
         with pytest.raises(BadMark):
             PlaneMap((1, 0, 3, 2), (2, 3, 0, 1), (1, 2, 1, 2), (1, 0))
 
+    def test_negative_entries(self):
+        # negative darts would index from the end of the arrays
+        with pytest.raises(NotPermutation):
+            PlaneMap((1, 0, -1, 2), (1, 0, 3, 2), (1, 1, 2, 2), (0, 2))
+        with pytest.raises(NotPermutation):
+            PlaneMap((1, 0), (-1, 0), (1, 1), (0,))
+        with pytest.raises(NotPermutation):
+            PlaneMap((1, 0), (-2, 1), (1, 1), (0,))
+
+    @pytest.mark.parametrize(
+        "pos,error",
+        [(0, NotPermutation), (1, NotPermutation), (2, FaceMismatch), (3, BadMark)],
+        ids=["twin", "next", "face", "marked"],
+    )
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda seq: [x + 0.0 for x in seq],
+            lambda seq: [x + 0.5 for x in seq],
+            lambda seq: [str(x) for x in seq],
+            lambda seq: list(seq[:-1]) + [None],
+            lambda seq: [x + 2**64 for x in seq],
+        ],
+        ids=["integral-float", "float", "str", "None", "overflow"],
+    )
+    def test_non_integers_refused(self, pos, error, spoil):
+        # int() would truncate the floats and parse the strings
+        args = [(1, 0), (1, 0), (1, 1), (0,)]
+        args[pos] = spoil(args[pos])
+        with pytest.raises(error):
+            PlaneMap(*args)
+
+    def test_integer_likes_accepted(self):
+        class Dart:
+            def __init__(self, d):
+                self.d = d
+
+            def __index__(self):
+                return self.d
+
+        m = PlaneMap([Dart(1), Dart(0)], bytes([1, 0]), (True, True), bytearray([0]))
+        assert m == digon()
+        assert m.twin == (1, 0) and type(m.face[0]) is int
+
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             PlaneMap(

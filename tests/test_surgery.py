@@ -16,6 +16,7 @@ from planemaps.errors import (
     LengthMismatch,
     NotDangling,
     NotDigon,
+    PlaneMapError,
 )
 from planemaps.surgery import (
     Workspace,
@@ -37,12 +38,17 @@ from planemaps.surgery import (
 from common import ALL_EXAMPLES, digon, double_edge, loop_map, loop_pendant, path_map
 
 
+def live(seq):
+    """The set entries of a workspace list (twin, next or prev) by dart."""
+    return {d: x for d, x in enumerate(seq) if x is not None}
+
+
 class TestWorkspace:
     def test_copies_map(self):
         m = double_edge()
         ws = Workspace(m)
-        assert ws.twin == {0: 1, 1: 0, 2: 3, 3: 2}
-        assert ws.next == {0: 2, 1: 3, 2: 0, 3: 1}
+        assert live(ws.twin) == {0: 1, 1: 0, 2: 3, 3: 2}
+        assert live(ws.next) == {0: 2, 1: 3, 2: 0, 3: 1}
         assert ws.new_dart() == 4
         assert ws.new_dart() == 5
 
@@ -54,7 +60,22 @@ class TestWorkspace:
         assert ws.contour_from(3) == [3, 1]
         assert ws.prev_of(0) == 2
         assert ws.sigma_inv(3) == 0
-        assert ws.prev == {0: 2, 1: 3, 2: 0, 3: 1}
+        assert live(ws.prev) == {0: 2, 1: 3, 2: 0, 3: 1}
+
+    def test_fresh_and_deleted_darts(self):
+        ws = Workspace(double_edge())
+        assert not ws.alive(-1) and not ws.alive(4)  # no wrapping round
+        d = ws.new_dart()
+        assert (d, ws.twin[d], ws.next[d], ws.prev[d]) == (4, None, None, None)
+        ws.delete(1)
+        assert (ws.twin[1], ws.next[1], ws.prev[1]) == (None, None, None)
+        alive = [ws.alive(x) for x in range(6)]
+        assert alive == [True, False, True, True, False, False]
+        # a read through a deleted dart fails instead of wrapping round
+        with pytest.raises(TypeError):
+            ws.sigma(1)
+        with pytest.raises(AssertionError):
+            ws.delete(1)
 
     def test_markers(self):
         ws = Workspace(digon())
@@ -83,6 +104,15 @@ class TestSlitValidation:
     def test_unknown_dart(self):
         with pytest.raises(InvalidWalk):
             slit(Workspace(digon()), [7], (0, 0), (1, 0))
+
+    @pytest.mark.parametrize("dart", [-1, 1])
+    def test_negative_or_deleted_dart(self, dart):
+        # -1 must not wrap round to the live dart 3
+        ws = Workspace(path_map())
+        ws.delete(1)
+        assert not ws.alive(dart)
+        with pytest.raises(InvalidWalk):
+            slit(ws, [dart], (dart % 4, 0), None)
 
     def test_broken_chain(self):
         # head of 0 is the center, dart 3 leaves the far leaf
@@ -122,8 +152,8 @@ class TestSlitDigon:
 
     def test_wiring_splits_in_two(self):
         ws, s = self.run()
-        assert ws.twin == {0: 2, 1: 3, 2: 0, 3: 1}
-        assert ws.next == {0: 2, 1: 3, 2: 0, 3: 1}
+        assert live(ws.twin) == {0: 2, 1: 3, 2: 0, 3: 1}
+        assert live(ws.next) == {0: 2, 1: 3, 2: 0, 3: 1}
         # two floating single-edge pieces
         assert ws.contour_from(0) == [0, 2]
         assert ws.contour_from(1) == [1, 3]
@@ -131,7 +161,7 @@ class TestSlitDigon:
     def test_forward_sew_gives_path(self):
         ws, s = self.run()
         sew_forward(ws, s)
-        assert ws.next == {0: 2, 1: 3, 2: 1, 3: 0}
+        assert live(ws.next) == {0: 2, 1: 3, 2: 1, 3: 0}
         m, rename, corners = finish(ws)
         assert m.twin == (2, 3, 0, 1)
         assert m.next == (2, 3, 1, 0)
@@ -207,15 +237,15 @@ class TestSlitPath:
 
     def test_wiring_splits_in_two(self):
         ws, s = self.run()
-        assert ws.next == {0: 2, 1: 6, 2: 5, 3: 1, 4: 0, 5: 4, 6: 7, 7: 3}
+        assert live(ws.next) == {0: 2, 1: 6, 2: 5, 3: 1, 4: 0, 5: 4, 6: 7, 7: 3}
         assert ws.contour_from(0) == [0, 2, 5, 4]
         assert ws.contour_from(1) == [1, 6, 7, 3]
 
     def test_backward_sew(self):
         ws, s = self.run()
         sew_backward(ws, s)
-        assert ws.twin == {0: 4, 4: 0, 1: 2, 2: 1, 3: 7, 7: 3}
-        assert ws.next == {0: 2, 1: 4, 2: 7, 3: 1, 4: 0, 7: 3}
+        assert live(ws.twin) == {0: 4, 4: 0, 1: 2, 2: 1, 3: 7, 7: 3}
+        assert live(ws.next) == {0: 2, 1: 4, 2: 7, 3: 1, 4: 0, 7: 3}
         m, rename, corners = finish(ws)
         assert m.degrees == (6,)
         assert m.n_vertices == 4
@@ -224,8 +254,8 @@ class TestSlitPath:
     def test_forward_sew(self):
         ws, s = self.run()
         sew_forward(ws, s)
-        assert ws.twin == {0: 3, 3: 0, 1: 6, 6: 1, 2: 5, 5: 2}
-        assert ws.next == {0: 2, 1: 6, 2: 5, 3: 1, 5: 3, 6: 0}
+        assert live(ws.twin) == {0: 3, 3: 0, 1: 6, 6: 1, 2: 5, 5: 2}
+        assert live(ws.next) == {0: 2, 1: 6, 2: 5, 3: 1, 5: 3, 6: 0}
         m, rename, corners = finish(ws)
         assert m.degrees == (6,)
         assert m.n_vertices == 4
@@ -248,7 +278,7 @@ class TestBlindSlit:
 
     def test_wiring(self):
         ws, s = self.run()
-        assert ws.next == {0: 2, 1: 5, 2: 3, 3: 1, 4: 0, 5: 4}
+        assert live(ws.next) == {0: 2, 1: 5, 2: 3, 3: 1, 4: 0, 5: 4}
         assert ws.contour_from(0) == [0, 2, 3, 1, 5, 4]
         assert ws.rotation_from(4) == [4, 2, 1]
 
@@ -295,8 +325,8 @@ class TestGlueWeld:
         ws.add_marker(s.nl[0], "left")
         ws.add_marker(s.nr[0], "right")
         glue(ws, s.nl[0], s.nr[0])
-        assert ws.twin == dict(enumerate(m.twin))
-        assert ws.next == dict(enumerate(m.next))
+        assert live(ws.twin) == dict(enumerate(m.twin))
+        assert live(ws.next) == dict(enumerate(m.next))
         assert ws.marks_of(2) == ["left"]
         assert ws.marks_of(0) == ["right"]
 
@@ -319,6 +349,12 @@ class TestSuppress:
         ws = Workspace(loop_pendant())
         with pytest.raises(NotDangling):
             suppress_pendant(ws, 2)
+
+    def test_deleted_dart(self):
+        ws = Workspace(path_map())
+        ws.delete(3)
+        with pytest.raises(NotDangling):
+            suppress_pendant(ws, 3)
 
     def test_whole_component(self):
         ws = Workspace(digon())
@@ -399,6 +435,22 @@ class TestDigonConversions:
             edge_to_digon(digon(), 5, 0)
 
 
+class TestFinishDeadLinks:
+    @pytest.mark.parametrize("link", ["twin-and-next", "twin", "next"])
+    def test_live_dart_linked_to_deleted(self, link):
+        # path_map: darts 2 and 3 form one edge, next = (2, 0, 3, 1)
+        ws = workspace_with_arrows(path_map())
+        ws.delete(3)  # dart 2 keeps 3 as its twin and its successor
+        if link == "twin":
+            ws.link(2, 1)
+        elif link == "next":
+            f = ws.new_dart()
+            ws.twin[2], ws.twin[f] = f, 2
+            ws.link(f, 1)
+        with pytest.raises(PlaneMapError):
+            finish(ws)
+
+
 class TestSewOnto:
     def test_replaces_edge(self):
         # slit the face-1 edge of the double edge, then sew the channel
@@ -407,15 +459,16 @@ class TestSewOnto:
         ws = Workspace(double_edge())
         s = slit(ws, [0], (0, 0), (2, 0))
         sew_onto(ws, s, 1)
-        assert ws.twin == {0: 4, 4: 0, 2: 3, 3: 2}
-        assert ws.next == {0: 4, 4: 0, 2: 3, 3: 2}
+        assert live(ws.twin) == {0: 4, 4: 0, 2: 3, 3: 2}
+        assert live(ws.next) == {0: 4, 4: 0, 2: 3, 3: 2}
         assert ws.contour_from(0) == [0, 4]
         assert ws.contour_from(2) == [2, 3]
 
 
 def assert_prev_in_step(ws, after):
-    assert set(ws.prev) == set(ws.next), f"prev and next differ in darts after {after}"
-    for d, e in ws.next.items():
+    nxt = live(ws.next)
+    assert live(ws.prev).keys() == nxt.keys(), f"prev and next differ in darts after {after}"
+    for d, e in nxt.items():
         assert ws.prev[e] == d, f"prev[next[{d}]] != {d} after {after}"
 
 
