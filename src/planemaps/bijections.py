@@ -436,7 +436,7 @@ def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: 
     anchor_2 = m.slot_anchor(j if same else k, u2)
     cv = m.vertex_of(anchor_c)
     cv2 = m.vertex_of(anchor_2)
-    lo, hi = m.edges()[e]
+    lo, hi = m.edge(e)
     dist = distances(m, cv)
     toward = [d for d in (lo, hi) if classify_dart(m, d, cv, dist) == "toward"]
     assert len(toward) == 1, "one dart of a bipartite edge points toward any vertex"
@@ -646,9 +646,7 @@ def _shrink(
         suppress_pendant(ws, beta[0], out_marker=token)
     m2, rename, corners = finish(ws)
 
-    d2 = rename[e_dart]
-    lo = min(d2, m2.twin[d2])
-    e_out = m2.edges().index((lo, m2.twin[lo]))
+    e_out = m2.edge_index(rename[e_dart])
     fa, ca = _token_slot(m2, corners, _CUT_A)
     fb, cb = _token_slot(m2, corners, _CUT_B)
     kk = j if same else k

@@ -42,7 +42,7 @@ from .sampler import sample
 
 def parse_type(text: str) -> tuple[int, ...]:
     try:
-        return check_type(text.split(","))
+        return check_type([int(x) for x in text.split(",")])
     except (ValueError, PlaneMapError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -167,7 +167,7 @@ def cmd_export(args, out) -> int:
 
 def _lhs_key(m: PlaneMap, e: int, c: int, c2: int) -> tuple:
     p, code = m._canonical()
-    d, t = m.edges()[e]
+    d, t = m.edge(e)
     return (code, min(p[d], p[t]), c, c2)
 
 

@@ -19,19 +19,25 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import factorial
+from operator import index
 from typing import Iterable
 
-from .errors import BadParity, NonPositiveV, OddSum, TooManyOddFaces
+from .errors import BadParity, BadType, NonPositiveV, OddSum, TooManyOddFaces
 
 
 def check_type(a: Iterable[int]) -> tuple[int, ...]:
-    """Normalise a degree tuple, rejecting junk."""
+    """Normalise a degree tuple, rejecting junk.
+
+    Strict like the map constructor: ints, bools and objects with
+    __index__ pass, while floats and strings raise BadType rather than
+    being truncated or parsed.
+    """
     try:
-        t = tuple(int(x) for x in a)
-    except (TypeError, ValueError):
-        raise ValueError("degree tuple must consist of integers")
-    if not t or any(x < 1 for x in t):
-        raise ValueError("degrees must be positive and at least one face given")
+        t = tuple(map(index, a))
+    except TypeError:
+        raise BadType("degree tuple must consist of integers") from None
+    if not t or min(t) < 1:
+        raise BadType("degrees must be positive and at least one face given")
     return t
 
 

@@ -105,6 +105,10 @@ class BadDecoration(PlaneMapError):
 
 # counting
 
+class BadType(PlaneMapError, ValueError):
+    """A degree tuple that is empty or has an entry that is not a positive int."""
+
+
 class OddSum(PlaneMapError):
     pass
 

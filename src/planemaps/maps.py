@@ -21,8 +21,11 @@ import json
 import struct
 from array import array
 from collections import deque
+from itertools import islice
+from operator import lt
 from typing import Iterable, NamedTuple
 
+from .counting import check_type
 from .errors import (
     BadFace,
     BadMark,
@@ -108,6 +111,63 @@ def _faces(
     face label, that the labels are exactly 1..r and that face i is
     marked at a dart of its own contour.  Returns the contours, face 1
     first, each rotated to start at its marked dart, and prev as a tuple.
+    When _walk_marks refuses, _walk_all names the error.
+    """
+    return _walk_marks(next_t, face_t, marked_t) or _walk_all(
+        next_t, face_t, marked_t
+    )
+
+
+def _walk_marks(
+    next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """_faces in one walk per contour from its mark, or None to refuse.
+
+    Walk i starts at marked[i-1] and follows next until it returns
+    there, filling prev on the way.  It refuses a negative successor
+    or mark (they would index from the end), one beyond n - 1
+    (IndexError), a dart reached twice, a dart whose label is not i
+    and a mark off face i.  Accepting needs the walks to cover all n
+    darts: then next is one-to-one on them, so a permutation, every
+    orbit is the walk of its own label and the labels are exactly 1..r.
+    """
+    n = len(next_t)
+    if len(face_t) != n or min(next_t, default=0) < 0:
+        return None
+    prev = [-1] * n
+    contours = []
+    total = 0
+    try:
+        for i, m in enumerate(marked_t, start=1):
+            if m < 0 or face_t[m] != i:
+                return None
+            orbit = [m]
+            e = m
+            while (f := next_t[e]) != m:
+                if prev[f] >= 0 or face_t[f] != i:
+                    return None
+                prev[f] = e
+                orbit.append(f)
+                e = f
+            prev[m] = e
+            total += len(orbit)
+            contours.append(tuple(orbit))
+    except IndexError:
+        return None
+    if total != n:
+        return None
+    return tuple(contours), tuple(prev)
+
+
+def _walk_all(
+    next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """_faces by walking every dart: the reference, and its error messages.
+
+    Checks that next is a permutation, that each next-orbit carries one
+    face label, that the labels are exactly 1..r and that face i is
+    marked at a dart of its own contour, raising the error class of the
+    first check that fails.
     """
     n = len(next_t)
     prev_t = _inverse(next_t)
@@ -313,6 +373,21 @@ class PlaneMap:
         """Edges as (d, twin(d)) with d < twin(d), sorted by d."""
         return tuple([(d, t) for d, t in enumerate(self.twin) if d < t])
 
+    def edge(self, e: int) -> tuple[int, int]:
+        """edges()[e] without building the others; e must lie in 0..E-1."""
+        if not 0 <= e < len(self.twin) // 2:
+            raise ValueError(f"no edge {e}")
+        lows = (d for d, t in enumerate(self.twin) if d < t)
+        d = next(islice(lows, e, None))
+        return d, self.twin[d]
+
+    def edge_index(self, d: int) -> int:
+        """Index in edges() of the edge that carries dart d."""
+        if not 0 <= d < len(self.twin):
+            raise ValueError(f"no dart {d}")
+        twin = self.twin
+        return sum(map(lt, range(min(d, twin[d])), twin))
+
     # corners and slots
 
     def corner_slot(self, d: int) -> CornerSlot:
@@ -468,8 +543,8 @@ def build(
     marked: Iterable[int],
 ) -> PlaneMap:
     """Construct a map and check it against a prescribed degree tuple."""
+    want = check_type(map_type)
     m = PlaneMap(twin, next_, face, marked)
-    want = tuple(int(x) for x in map_type)
     if m.degrees != want:
         raise FaceMismatch(f"contours have degrees {m.degrees}, wanted {want}")
     return m

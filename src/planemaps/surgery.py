@@ -4,9 +4,10 @@ Operations run on a Workspace, a mutable copy of the twin and next
 permutations that is allowed to pass through states that are not valid
 plane maps (disconnected pieces, wrong Euler characteristic) between a
 slit and the sewing that closes it.  The workspace also keeps prev, the
-inverse of next; every write to next goes through Workspace.link, which
-updates both.  All three are lists indexed by dart: fresh darts are
-appended and a deleted dart reads None, so a stale read fails loudly.
+inverse of next; every write to next goes through Workspace.link or,
+for a whole vertex cycle, Workspace.set_rotation, which update both.
+All three are lists indexed by dart: fresh darts are appended and a
+deleted dart reads None, so a stale read fails loudly.
 
 Corners can carry ordered lists of marker tokens.  A marker anchored
 to dart d sits in the corner before d; the list is ordered across the
@@ -49,11 +50,16 @@ class Workspace:
         self.markers: dict[int, list] = {}
 
     def new_dart(self) -> int:
+        return self.new_darts(1)[0]
+
+    def new_darts(self, k: int) -> list[int]:
+        """Append k fresh darts, all links unset; returns their ids."""
         d = len(self.twin)
-        self.twin.append(None)
-        self.next.append(None)
-        self.prev.append(None)
-        return d
+        fresh = [None] * k
+        self.twin += fresh
+        self.next += fresh
+        self.prev += fresh
+        return list(range(d, d + k))
 
     def alive(self, d: int) -> bool:
         """Whether d is a dart of the workspace that has a twin."""
@@ -66,6 +72,20 @@ class Workspace:
         """Make b follow a in its contour; every write to next goes here."""
         self.next[a] = b
         self.prev[b] = a
+
+    def set_rotation(self, cycle: list[int]) -> None:
+        """Make cycle the clockwise rotation at its vertex.
+
+        sigma(cycle[q]) becomes cycle[q + 1], cyclically; each write to
+        next goes with its write to prev, as in link.
+        """
+        twin, nxt, prv = self.twin, self.next, self.prev
+        a = cycle[-1]
+        for b in cycle:
+            t = twin[a]
+            nxt[t] = b
+            prv[b] = t
+            a = b
 
     def prev_of(self, d: int) -> int:
         return self.prev[d]
@@ -141,11 +161,12 @@ class Slit:
 
 def _arc(ws: Workspace, start: int, stop: int) -> list[int]:
     """Clockwise rays from start up to but not including stop."""
+    nxt, twin = ws.next, ws.twin
     out = []
     d = start
     while d != stop:
         out.append(d)
-        d = ws.sigma(d)
+        d = nxt[twin[d]]
     return out
 
 
@@ -195,8 +216,8 @@ def slit(
 
     l = len(p)
     twin_old = tuple(ws.twin[d] for d in p)
-    nl = tuple(ws.new_dart() for _ in p)
-    nr = tuple(ws.new_dart() for _ in p)
+    nl = tuple(ws.new_darts(l))
+    nr = tuple(ws.new_darts(l))
 
     # capture the vertex cycles of the banks before mutating
     banks_left: list[list[int]] = []
@@ -326,13 +347,13 @@ def slit_pinched(
         assert ordered, "corner split order contradicts the pinch side"
 
     told = tuple(ws.twin[d] for d in p)
-    x_new = [ws.new_dart() for _ in ch]
-    y_new = [ws.new_dart() for _ in ch]
-    mdn = [ws.new_dart() for _ in ch]
-    mup = [ws.new_dart() for _ in ch]
+    x_new = ws.new_darts(n_ch)
+    y_new = ws.new_darts(n_ch)
+    mdn = ws.new_darts(n_ch)
+    mup = ws.new_darts(n_ch)
     spine_pos = list(range(a)) + list(range(a + 2 * n_ch, length))
-    snl = {s: ws.new_dart() for s in spine_pos}
-    snr = {s: ws.new_dart() for s in spine_pos}
+    snl = dict(zip(spine_pos, ws.new_darts(len(spine_pos))))
+    snr = dict(zip(spine_pos, ws.new_darts(len(spine_pos))))
 
     nl = [0] * length
     nr = [0] * length
@@ -437,8 +458,7 @@ def slit_pinched(
         ws.twin[p[s]], ws.twin[snl[s]] = snl[s], p[s]
         ws.twin[told[s]], ws.twin[snr[s]] = snr[s], told[s]
     for cyc in cycles:
-        for q, ray in enumerate(cyc):
-            ws.link(ws.twin[ray], cyc[(q + 1) % len(cyc)])
+        ws.set_rotation(cyc)
 
     if same_corner:
         marks = ws.markers.get(d_c, [])
@@ -631,9 +651,9 @@ def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
     rename: list[int | None] = [None] * len(ws.twin)
     for k, d in enumerate(old):
         rename[d] = k
-    new_id = rename.__getitem__
-    twin = list(map(new_id, map(ws.twin.__getitem__, old)))
-    next_ = list(map(new_id, map(ws.next.__getitem__, old)))
+    ws_twin, ws_next = ws.twin, ws.next
+    twin = [rename[ws_twin[d]] for d in old]
+    next_ = [rename[ws_next[d]] for d in old]
     # a None in twin makes the constructor raise NotPermutation
     if None in next_:
         raise NotPermutation("a surviving dart is followed by a deleted one")
@@ -674,10 +694,7 @@ def edge_to_digon(m: PlaneMap, edge_index: int, mark_side: int) -> PlaneMap:
     """
     if mark_side not in (0, 1):
         raise ValueError("mark_side must be 0 or 1")
-    edges = m.edges()
-    if not 0 <= edge_index < len(edges):
-        raise ValueError(f"no edge {edge_index}")
-    d, t = edges[edge_index]
+    d, t = m.edge(edge_index)  # raises ValueError outside 0..E-1
     n = m.n_darts
     nl, nt = n, n + 1
     twin = list(m.twin) + [0, 0]
@@ -716,7 +733,7 @@ def digon_to_edge(m: PlaneMap, i: int) -> tuple[PlaneMap, int, int]:
     ]
     m2 = PlaneMap(twin, next_, face, marked)
     lo = min(rename[ta], rename[tb])
-    edge_index = m2.edges().index((lo, m2.twin[lo]))
+    edge_index = m2.edge_index(lo)
     # contours start at the marked dart, so a is the marked corner's
     # dart and its twin ta must become the lower copy for side 0
     side = 0 if rename[ta] == lo else 1

@@ -40,6 +40,13 @@ class TestCount:
         with pytest.raises(SystemExit):
             invoke(["count", "--type", "4,x"])
 
+    @pytest.mark.parametrize("text", ["4.7,4", "4,,4", "0,2", ""])
+    def test_bad_type_exits_2(self, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke(["count", "--type", text])
+        assert exc.value.code == 2
+        assert "argument --type" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_stream_and_trailing_count(self):

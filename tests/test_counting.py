@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from planemaps.counting import (
     Identity,
     alpha,
+    check_type,
     classify,
     edge_count,
     identity_sides,
@@ -16,12 +17,16 @@ from planemaps.counting import (
     tutte_count,
     vertex_count,
 )
+from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadParity,
+    BadType,
     NonPositiveV,
     OddSum,
     TooManyOddFaces,
 )
+from planemaps.maps import build
+from planemaps.sampler import sample
 
 
 def all_types(max_edges):
@@ -62,6 +67,40 @@ class TestBasics:
             tutte_count(())
         with pytest.raises(ValueError):
             tutte_count((0, 2))
+
+
+class TestStrictTypes:
+    # int() used to truncate these, so (4.7, 4) counted and sampled as (4, 4)
+    @pytest.mark.parametrize(
+        "a",
+        [(4.7, 4), (4.0, 4), (4, 2.5), ("4", "4"), "44", (4, None), (), (0, 2), 4],
+        ids=repr,
+    )
+    def test_refused(self, a):
+        with pytest.raises(BadType):
+            check_type(a)
+
+    def test_every_entry_point(self):
+        assert issubclass(BadType, ValueError)
+        with pytest.raises(BadType):
+            sample((4.7, 4), 1)
+        with pytest.raises(BadType):
+            tutte_count((4.9, 4))
+        with pytest.raises(BadType):
+            enumerate_maps((2.5, 2))
+        m = enumerate_maps((4, 4))[0]
+        with pytest.raises(BadType):
+            build((4.6, 4.2), m.twin, m.next, m.face, m.marked)
+        assert build((4, 4), m.twin, m.next, m.face, m.marked) == m
+
+    def test_integer_likes_accepted(self):
+        class Degree:
+            def __index__(self):
+                return 3
+
+        t = check_type([4, True, Degree()])
+        assert t == (4, 1, 3) and all(type(x) is int for x in t)
+        assert check_type(x for x in (2, 2)) == (2, 2)
 
 
 class TestTutteCount:

@@ -165,12 +165,7 @@ def test_via_transfers_matches_direct(types, ident, faces):
                 assert out[4] == case
 
 
-@pytest.mark.parametrize("a", [(40,), (20, 20), (100,), (50, 50)], ids=str)
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_sampled_round_trip(a, seed, data):
-    # shrink_same undoes grow_same on sampled maps with E = 20 and 50,
-    # where contours and geodesics are far longer than in the families
+def check_sampled_round_trip(a, seed, data):
     m = sample(a, seed)
     deg = m.degree(1)
     e = data.draw(st.integers(0, m.n_edges - 1), label="e")
@@ -180,6 +175,23 @@ def test_sampled_round_trip(a, seed, data):
     mb, eb, cb, c2b, case_b, _ = shrink_same(m2, v, h, h2)
     assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
     assert case_b == case
+
+
+@pytest.mark.parametrize("a", [(40,), (20, 20), (100,), (50, 50)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_round_trip(a, seed, data):
+    # shrink_same undoes grow_same on sampled maps with E = 20 and 50,
+    # where contours and geodesics are far longer than in the families
+    check_sampled_round_trip(a, seed, data)
+
+
+@pytest.mark.parametrize("a", [(400,), (200, 200)], ids=str)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_round_trip_e200(a, seed, data):
+    # the same at E = 200, ten examples each to keep the suite quick
+    check_sampled_round_trip(a, seed, data)
 
 
 @pytest.mark.parametrize("a", [(20, 20), (50, 50)], ids=str)

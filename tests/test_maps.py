@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import planemaps.maps as maps_module
+from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadFace,
@@ -13,9 +14,11 @@ from planemaps.errors import (
     NotInvolution,
     NotPermutation,
     ParseError,
+    PlaneMapError,
     WrongGenus,
 )
 from planemaps.maps import CornerSlot, PlaneMap, build
+from planemaps.sampler import sample
 
 from common import ALL_EXAMPLES, digon, double_edge, loop_map, loop_pendant, path_map
 
@@ -75,6 +78,26 @@ class TestBasics:
 
     def test_edges(self):
         assert double_edge().edges() == ((0, 1), (2, 3))
+
+    def test_edge_lookups_match_edges(self):
+        # every map with E <= 4, and sampled maps at E = 50
+        maps = [m for t in admissible_types(4) for m in enumerate_maps(t)]
+        for t in ((100,), (50, 50), (4,) * 25, (51, 49)):
+            maps += [sample(t, seed) for seed in range(3)]
+        for m in maps:
+            edges = m.edges()
+            assert tuple(m.edge(e) for e in range(m.n_edges)) == edges
+            for d, t in enumerate(m.twin):
+                assert m.edge_index(d) == edges.index((min(d, t), max(d, t)))
+
+    def test_edge_lookups_out_of_range(self):
+        m = double_edge()
+        for e in (-1, 2):
+            with pytest.raises(ValueError):
+                m.edge(e)
+        for d in (-1, 4):
+            with pytest.raises(ValueError):
+                m.edge_index(d)
 
     def test_immutable(self):
         m = digon()
@@ -298,6 +321,70 @@ class TestFaceValidationSlot:
                          m._prev, m._vertices, m._vertex_of)
                     )
         assert built == fresh
+
+
+class BoundedReads(tuple):
+    """A tuple that fails the test once indexed more often than a walk may."""
+
+    def __new__(cls, seq):
+        self = super().__new__(cls, seq)
+        self.reads_left = 2 * len(self) + 2
+        return self
+
+    def __getitem__(self, i):
+        self.reads_left -= 1
+        assert self.reads_left >= 0, "the contour walk does not stop"
+        return tuple.__getitem__(self, i)
+
+
+def single_changes(m):
+    """(next, face, marked) of m with one entry set to another value in -1..n."""
+    base = (m.next, m.face, m.marked)
+    for which, seq in enumerate(base):
+        for pos, old in enumerate(seq):
+            for value in range(-1, m.n_darts + 1):
+                if value != old:
+                    args = list(base)
+                    args[which] = seq[:pos] + (value,) + seq[pos + 1 :]
+                    yield tuple(args)
+
+
+class TestContourWalk:
+    """_walk_marks (one walk per contour) against _walk_all (every dart).
+
+    _walk_all is the contour validation the constructor ran before the
+    one-walk version, kept as the reference and to name the error.
+    """
+
+    def test_walks_agree_on_single_changes(self):
+        # every map with E <= 3: 690 changed inputs pass, 22878 do not
+        accepted = 0
+        errors = set()
+        for t in admissible_types(3):
+            for m in enumerate_maps(t):
+                for args in single_changes(m):
+                    try:
+                        want = maps_module._walk_all(*args)
+                    except PlaneMapError as exc:
+                        want = type(exc)
+                    got = maps_module._walk_marks(BoundedReads(args[0]), *args[1:])
+                    if isinstance(want, type):
+                        errors.add(want)
+                        assert got is None, args
+                        with pytest.raises(want):
+                            PlaneMap(m.twin, *args)
+                    else:
+                        accepted += 1
+                        assert got == want, args
+        assert accepted == 690
+        assert errors == {NotPermutation, FaceMismatch, BadMark}
+
+    def test_walks_agree_on_valid_maps(self):
+        for t in admissible_types(4):
+            for m in enumerate_maps(t):
+                args = (m.next, m.face, m.marked)
+                want = maps_module._walk_all(*args)
+                assert maps_module._walk_marks(*args) == want == (m._contours, m._prev)
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """Distances, directions, extremal geodesics and direction statistics."""
 
+import random
+
 import pytest
 
 from planemaps.cli import admissible_types
@@ -161,6 +163,20 @@ class TestDirectionCensus:
                     ]
                     assert direction_census(m, v) == tally
         assert n_quasi and n_maps > n_quasi
+
+    @pytest.mark.parametrize("e", [20, 50, 200])
+    def test_fits_on_sampled_maps(self, e):
+        # beyond the enumerator: trees, quadrangulations and quasibipartite
+        # maps; classification_violations would also enumerate simple
+        # cycles, which is exponential at these sizes
+        rng = random.Random(e)
+        for a in ((2 * e,), (4,) * (e // 2), (e + 1, e - 1)):
+            m = sample(a, e)
+            quasi = any(x % 2 for x in a)
+            for v in rng.sample(range(m.n_vertices), 5):
+                census = direction_census(m, v)
+                assert [sum(c) for c in census] == list(m.degrees)
+                assert all(census_fits(c, quasi) for c in census), (a, v)
 
     @pytest.mark.parametrize(
         "counts, quasi, fits",
