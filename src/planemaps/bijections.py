@@ -29,6 +29,8 @@ from .errors import (
 )
 from .maps import PlaneMap
 from .metric import (
+    _ball,
+    _rightmost,
     classify_dart,
     distances,
     leftmost_geodesic,
@@ -430,6 +432,9 @@ def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: 
     Returns (kind, parts, anchor_c, anchor_2, u2, ebar): kind is
     "simple" and parts the plain cut walk, or a pinch side and the
     three walk sections; ebar is the dart of e toward the first slot.
+
+    Both distance tables are balls that stop at the endpoints of e: the
+    geodesics from e only read vertices closer than its far endpoint.
     """
     u2 = c2 - 1 if same and c2 > c else c2
     anchor_c = m.slot_anchor(j, c)
@@ -437,18 +442,17 @@ def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: 
     cv = m.vertex_of(anchor_c)
     cv2 = m.vertex_of(anchor_2)
     lo, hi = m.edge(e)
-    dist = distances(m, cv)
-    toward = [d for d in (lo, hi) if classify_dart(m, d, cv, dist) == "toward"]
-    assert len(toward) == 1, "one dart of a bipartite edge points toward any vertex"
-    ebar = toward[0]
-    tw = m.twin[ebar]
-    geo_c = rightmost_geodesic(m, cv, from_dart=ebar, dist=dist)
-    dist2 = distances(m, cv2)
-    if classify_dart(m, tw, cv2, dist2) == "toward":
+    a, b = m.vertex_of(lo), m.vertex_of(hi)
+    dist = _ball(m, cv, (a, b))
+    assert dist[a] != dist[b], "one dart of a bipartite edge points toward any vertex"
+    ebar, tw = (lo, hi) if dist[b] < dist[a] else (hi, lo)
+    geo_c = _rightmost(m, ebar, dist)
+    dist2 = _ball(m, cv2, (a, b))
+    if dist2[m.vertex_of(ebar)] < dist2[m.vertex_of(tw)]:
         walk = [m.twin[x] for x in reversed(geo_c)] + [tw]
-        walk += rightmost_geodesic(m, cv2, from_dart=tw, dist=dist2)
+        walk += _rightmost(m, tw, dist2)
         return "simple", walk, anchor_c, anchor_2, u2, ebar
-    geo_2 = rightmost_geodesic(m, cv2, from_dart=ebar, dist=dist2)
+    geo_2 = _rightmost(m, ebar, dist2)
     idx = 0
     while idx < min(len(geo_c), len(geo_2)) and geo_c[idx] == geo_2[idx]:
         idx += 1
@@ -488,9 +492,11 @@ def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool, carr
     case = kind if kind == "simple" else f"{kind}-pinched"
     assert h != h2
     assert m2.face_of(h) == j and m2.face_of(h2) == kk
-    dv = distances(m2, v)
-    assert classify_dart(m2, h, v, dv) == "toward"
-    assert classify_dart(m2, h2, v, dv) == "toward"
+    ends = [m2.vertex_of(d) for d in (h, m2.twin[h], h2, m2.twin[h2])]
+    dv = _ball(m2, v, ends)
+    assert dv[ends[1]] < dv[ends[0]] and dv[ends[3]] < dv[ends[2]], (
+        "h and h2 must point toward v"
+    )
     return m2, v, h, h2, case, _carry_out(corners, carry)
 
 

@@ -129,3 +129,7 @@ class OddCoordinate(PlaneMapError):
 
 class BadSchedule(PlaneMapError):
     pass
+
+
+class BadSeed(PlaneMapError, ValueError):
+    """A seed that is neither an int nor a random.Random instance."""

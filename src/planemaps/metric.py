@@ -32,6 +32,35 @@ def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
+def _ball(m: PlaneMap, v: int, stop) -> list[int]:
+    """distances(m, v) cut short once every vertex in stop is labelled.
+
+    The stop vertices and every vertex closer to v than the farthest
+    of them carry their true distance; the rest carry it or -1.  Only
+    the growth step reads such a table, and only through _rightmost.
+    """
+    vertices, vertex_of, twin = m._vertices, m._vertex_of, m.twin
+    dist = [-1] * len(vertices)
+    dist[v] = 0
+    left = set(stop)
+    left.discard(v)
+    if not left:
+        return dist
+    queue = [v]
+    for u in queue:
+        du = dist[u] + 1
+        for d in vertices[u]:
+            w = vertex_of[twin[d]]
+            if dist[w] < 0:
+                dist[w] = du
+                queue.append(w)
+                if w in left:
+                    left.discard(w)
+                    if not left:
+                        return dist
+    return dist
+
+
 def classify_dart(m: PlaneMap, d: int, v: int, dist=None) -> str:
     """'toward', 'away' or 'parallel' relative to vertex index v."""
     if dist is None:
@@ -154,12 +183,20 @@ def rightmost_geodesic(
     Takes the same arguments, dist included.
     """
     dist = _target_dist(m, target, from_dart, from_corner, dist)
-    step = lambda u: _counterclockwise_from(m, m.twin[u])
     if from_dart is not None:
-        cands = step(from_dart)
-    else:
-        cands = _counterclockwise_from(m, from_corner)
-    return _walk(m, cands, step, dist)
+        return _rightmost(m, from_dart, dist)
+    step = lambda u: _counterclockwise_from(m, m.twin[u])
+    return _walk(m, _counterclockwise_from(m, from_corner), step, dist)
+
+
+def _rightmost(m: PlaneMap, d: int, dist) -> tuple[int, ...]:
+    """Rightmost geodesic continuing past dart d, on an unchecked table.
+
+    The walk only reads vertices closer to the target than the head of
+    d, so a table from _ball that labels the tail of d will do.
+    """
+    step = lambda u: _counterclockwise_from(m, m.twin[u])
+    return _walk(m, step(d), step, dist)
 
 
 def edge_id(m: PlaneMap, d: int) -> int:

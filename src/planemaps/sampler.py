@@ -15,11 +15,12 @@ degree transfer at a uniformly chosen decoration.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .bijections import grow_same, transfer1_left, transfer_right
 from .counting import check_type, classify, odd_positions
-from .errors import BadParity, BadSchedule, OddCoordinate
+from .errors import BadParity, BadSchedule, BadSeed, OddCoordinate
 from .maps import PlaneMap
 from .metric import classify_dart, distances
 from .surgery import edge_to_digon
@@ -42,10 +43,21 @@ _ONE_EDGE = PlaneMap((1, 0), (1, 0), (1, 1), (0,))
 
 
 def _as_rng(rng) -> random.Random:
-    """Accept a seed or a ready random.Random."""
+    """Accept an int seed, taken modulo 2**64, or a ready random.Random.
+
+    Strict like the degree tuples: ints, bools and objects with
+    __index__ pass, while floats, strings and None raise BadSeed
+    instead of being truncated or parsed.
+    """
     if isinstance(rng, random.Random):
         return rng
-    return random.Random(int(rng) & _SEED_MASK)
+    try:
+        seed = operator.index(rng)
+    except TypeError:
+        raise BadSeed(
+            f"seed must be an int or a random.Random, not {type(rng).__name__}"
+        ) from None
+    return random.Random(seed & _SEED_MASK)
 
 
 def default_schedule(a) -> Schedule:

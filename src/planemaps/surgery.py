@@ -48,6 +48,8 @@ class Workspace:
         self.next: list[int | None] = list(m.next)
         self.prev: list[int | None] = list(m._prev)
         self.markers: dict[int, list] = {}
+        # every dart below intact is a dart of m that is still alive
+        self.intact = len(m.twin)
 
     def new_dart(self) -> int:
         return self.new_darts(1)[0]
@@ -116,6 +118,8 @@ class Workspace:
         assert not self.markers.get(d), f"dart {d} dies carrying markers"
         self.twin[d] = self.next[d] = self.prev[d] = None
         self.markers.pop(d, None)
+        if d < self.intact:
+            self.intact = d
 
     def add_marker(self, d: int, token, rank: int | None = None) -> None:
         lst = self.marks_of(d)
@@ -512,18 +516,21 @@ def glue(ws: Workspace, a: int, b: int) -> None:
     assert na != a and nb != b, "cannot glue onto a degree-one contour"
     pa, pb = ws.prev_of(a), ws.prev_of(b)
     ta, tb = ws.twin[a], ws.twin[b]
+    # a marker list is touched only when a dying dart carries one;
+    # delete drops the empty ones
+    markers = ws.markers
     if nb != a:
-        ws.markers[nb] = ws.markers.pop(a, []) + ws.markers.get(nb, [])
+        if markers.get(a):
+            markers[nb] = markers.pop(a) + markers.get(nb, [])
         ws.link(pa, nb)
     else:
-        assert not ws.markers.get(a), "markers stranded on a glued hairpin"
-        ws.markers.pop(a, None)
+        assert not markers.get(a), "markers stranded on a glued hairpin"
     if na != b:
-        ws.markers[na] = ws.markers.pop(b, []) + ws.markers.get(na, [])
+        if markers.get(b):
+            markers[na] = markers.pop(b) + markers.get(na, [])
         ws.link(pb, na)
     else:
-        assert not ws.markers.get(b), "markers stranded on a glued hairpin"
-        ws.markers.pop(b, None)
+        assert not markers.get(b), "markers stranded on a glued hairpin"
     ws.twin[ta] = tb
     ws.twin[tb] = ta
     ws.delete(a)
@@ -631,49 +638,72 @@ def is_arrow(token) -> bool:
 
 
 def workspace_with_arrows(m: PlaneMap) -> Workspace:
+    """Workspace of m with arrow(i) in the corner before marked[i-1]."""
     ws = Workspace(m)
-    for i, d in enumerate(m.marked, start=1):
-        ws.add_marker(d, arrow(i))
+    # one dict build: the marks are distinct and every list is fresh
+    ws.markers = {d: [(ARROW_KIND, i)] for i, d in enumerate(m.marked, start=1)}
     return ws
 
 
 def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
     """Rebuild a plane map from the workspace.
 
-    Surviving darts keep their order and are numbered from 0.  Faces
-    are labelled by the arrow markers found on their contours; every
-    contour must carry exactly one.  Returns the map, the dart renaming
-    as a list (rename[d] is the new id of d, None for a deleted dart),
-    and the surviving corner token lists (arrows included, in corner
-    order) keyed by new dart id.
+    Surviving darts keep their order and are numbered from 0, so the
+    darts below the first deleted one keep their ids and only the tail
+    is renumbered.  Faces are labelled by the arrow markers found on
+    their contours; every contour must carry exactly one.  Returns the
+    map, the dart renaming as a list (rename[d] is the new id of d,
+    None for a deleted dart), and the surviving corner token lists
+    (arrows included, in corner order) keyed by new dart id.
     """
-    old = [d for d, t in enumerate(ws.twin) if t is not None]
-    rename: list[int | None] = [None] * len(ws.twin)
-    for k, d in enumerate(old):
-        rename[d] = k
-    ws_twin, ws_next = ws.twin, ws.next
-    twin = [rename[ws_twin[d]] for d in old]
-    next_ = [rename[ws_next[d]] for d in old]
-    # a None in twin makes the constructor raise NotPermutation
-    if None in next_:
-        raise NotPermutation("a surviving dart is followed by a deleted one")
+    ws_twin, ws_next, ws_prev = ws.twin, ws.next, ws.prev
+    k = ws.intact
+    rename: list[int | None] = list(range(k))
+    rename += [None] * (len(ws_twin) - k)
+    twin = ws_twin[:k]
+    next_ = ws_next[:k]
+    tail = [d for d in range(k, len(ws_twin)) if ws_twin[d] is not None]
+    for r, d in enumerate(tail, k):
+        rename[d] = r
+    # entries below k that name a tail survivor are found through its
+    # twin and prev, which must name it back; an entry below k that
+    # names a deleted dart is then left out of range or repeated, and
+    # the constructor refuses it
+    for d in tail:
+        t, p, e = ws_twin[d], ws_prev[d], ws_next[d]
+        if p is None or e is None or ws_next[p] != d or ws_twin[t] != d:
+            raise NotPermutation(f"dart {d} is linked to a deleted one")
+        twin.append(rename[t])
+        next_.append(rename[e])
+        if t < k:
+            twin[t] = rename[d]
+        if p < k:
+            next_[p] = rename[d]
 
     # label each contour from its arrow; a contour reached twice
-    # carries two arrows, a dart left at 0 lies on a contour with none
-    face = [0] * len(old)
+    # carries two arrows, a dart left at 0 lies on a contour with none.
+    # These checks presume next_ is a permutation: when an entry below
+    # k names a deleted dart it is not, the walks can stop early or run
+    # off the end, and the fault is named as what it is
+    face = [0] * len(next_)
     marked_at: dict[int, int] = {}
-    for d, toks in ws.markers.items():
-        for tok in toks:
-            if not is_arrow(tok):
-                continue
-            i = tok[1]
-            assert i >= 1 and i not in marked_at, f"face label {i} reused or below 1"
-            e = marked_at[i] = rename[d]
-            assert not face[e], f"the contour of {d} carries two arrows"
-            while not face[e]:
-                face[e] = i
-                e = next_[e]
-    assert all(face), "a contour carries no arrow"
+    try:
+        for d, toks in ws.markers.items():
+            for tok in toks:
+                if not is_arrow(tok):
+                    continue
+                i = tok[1]
+                assert i >= 1 and i not in marked_at, f"face label {i} reused or below 1"
+                e = marked_at[i] = rename[d]
+                assert not face[e], f"the contour of {d} carries two arrows"
+                while not face[e]:
+                    face[e] = i
+                    e = next_[e]
+        assert all(face), "a contour carries no arrow"
+    except (AssertionError, IndexError, TypeError):
+        if None in next_ or sorted(next_) != list(range(len(next_))):
+            raise NotPermutation("a surviving dart names a deleted one") from None
+        raise
     r = len(marked_at)
     assert sorted(marked_at) == list(range(1, r + 1)), (
         f"face labels are {sorted(marked_at)}"

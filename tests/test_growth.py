@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planemaps import bijections
 from planemaps.bijections import (
     grow_same,
     grow_two,
@@ -11,6 +12,7 @@ from planemaps.bijections import (
     shrink_two,
     transfer_left,
 )
+from planemaps.cli import admissible_types
 from planemaps.counting import Identity
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.errors import (
@@ -243,6 +245,48 @@ def test_grow_other_face():
                 assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
                 assert case_b == case
     assert len(seen) == m.n_edges * (deg + 1) * (deg + 2)
+
+
+def all_growth_calls(max_edges):
+    """Every grow_same and grow_two call on the even types with E <= max_edges.
+
+    All faces, every edge and every pair of cut points; grow_two takes
+    every ordered pair of distinct faces.
+    """
+    for t in admissible_types(max_edges):
+        if any(a % 2 for a in t):
+            continue
+        for m in enumerate_maps(t):
+            faces = range(1, m.n_faces + 1)
+            for e in range(m.n_edges):
+                for j in faces:
+                    for c in range(m.degree(j) + 1):
+                        for c2 in range(m.degree(j) + 2):
+                            yield grow_same, m, (e, c, c2), {"face": j}
+                        for k in faces:
+                            if k != j:
+                                for c2 in range(m.degree(k) + 1):
+                                    yield grow_two, m, (e, c, c2), {"faces": (j, k)}
+
+
+def test_ball_gives_what_the_full_table_gives(monkeypatch):
+    # the growth step reads only the part of each distance table that
+    # _ball guarantees, so the full table must change nothing
+    calls = list(all_growth_calls(3))
+    want = [f(m, *args, **kw) for f, m, args, kw in calls]
+    n_full = 0
+
+    def full_table(m, v, stop):
+        nonlocal n_full
+        n_full += 1
+        return list(distances(m, v))
+
+    monkeypatch.setattr(bijections, "_ball", full_table)
+    got = [f(m, *args, **kw) for f, m, args, kw in calls]
+    assert n_full == 3 * len(calls)
+    assert got == want
+    assert {out[4] for out in want} == {"simple", "left-pinched", "right-pinched"}
+    assert {f for f, *_ in calls} == {grow_same, grow_two}
 
 
 def test_carry_round_trip():

@@ -223,3 +223,58 @@ class TestDirectionStatistics:
         found = classification_violations(m)
         assert len(found) == m.n_vertices
         assert all(line.startswith("odd face 2 at vertex") for line in found)
+
+
+def assert_ball_matches(m, v, stop):
+    """_ball agrees with distances wherever its contract says it must.
+
+    That is every stop vertex and every vertex closer to v than the
+    farthest stop; anywhere else it reads the true distance or -1.
+    """
+    full = distances(m, v)
+    ball = metric._ball(m, v, stop)
+    assert len(ball) == m.n_vertices
+    reach = max(full[s] for s in stop)
+    for u, (got, want) in enumerate(zip(ball, full)):
+        if want < reach or u in stop:
+            assert got == want, (m.to_json(), v, stop, u)
+        else:
+            assert got in (want, -1), (m.to_json(), v, stop, u)
+
+
+class TestBall:
+    def test_small_maps(self):
+        # every map with E <= 4, every vertex, the endpoints of every
+        # edge as the growth step passes them, and every single vertex
+        n_maps = 0
+        for t in admissible_types(4):
+            for m in enumerate_maps(t):
+                n_maps += 1
+                for v in range(m.n_vertices):
+                    for d, e in m.edges():
+                        assert_ball_matches(m, v, (m.vertex_of(d), m.vertex_of(e)))
+                    for u in range(m.n_vertices):
+                        assert_ball_matches(m, v, (u,))
+        assert n_maps == 4093
+
+    @pytest.mark.parametrize("e", [50, 200])
+    def test_sampled_maps(self, e):
+        rng = random.Random(e)
+        for a in ((2 * e,), (4,) * (e // 2), (e + 1, e - 1)):
+            m = sample(a, e)
+            for _ in range(10):
+                v = rng.randrange(m.n_vertices)
+                stop = rng.sample(range(m.n_vertices), rng.randint(1, 4))
+                assert_ball_matches(m, v, stop)
+            d, t = m.edge(rng.randrange(m.n_edges))
+            assert_ball_matches(m, v, (m.vertex_of(d), m.vertex_of(t)))
+
+    def test_cut_short(self):
+        # the search stops as soon as the stops are labelled: a neighbour
+        # of v leaves most of a tree unlabelled, v alone leaves all else
+        m = sample((200,), 3)
+        v = m.vertex_of(m.marked[0])
+        ball = metric._ball(m, v, (m.head_of(m.marked[0]),))
+        assert ball.count(-1) > m.n_vertices // 2
+        only = metric._ball(m, v, (v,))
+        assert only[v] == 0 and only.count(-1) == m.n_vertices - 1

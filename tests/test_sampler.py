@@ -7,7 +7,14 @@ import pytest
 from scipy.stats import chisquare
 
 from planemaps.enumerator import enumerate_maps
-from planemaps.errors import BadParity, BadSchedule, OddCoordinate, TooManyOddFaces
+from planemaps.errors import (
+    BadParity,
+    BadSchedule,
+    BadSeed,
+    OddCoordinate,
+    PlaneMapError,
+    TooManyOddFaces,
+)
 from planemaps.sampler import (
     check_schedule,
     default_schedule,
@@ -59,6 +66,39 @@ class TestDeterminism:
             sample((4, 2), 9).canonical_code()
             == sample((4, 2), random.Random(9)).canonical_code()
         )
+
+    @pytest.mark.parametrize("a", [(4, 2), (3, 3)])
+    def test_int_seeds_as_before(self, a):
+        # ints are taken modulo 2**64 and bools as 0 and 1, so the seed
+        # reaches random.Random exactly as int(seed) & mask did
+        def code(rng):
+            return sample(a, rng).canonical_code()
+
+        mask = (1 << 64) - 1
+        for seed in (0, 1, 9, -1, -12345, 1 << 64, (1 << 70) + 9, True, False):
+            assert code(seed) == code(random.Random(int(seed) & mask)), seed
+        assert code(-1) == code(mask)
+        assert code((1 << 64) + 9) == code(9)
+
+        class Index:
+            def __index__(self):
+                return 9
+
+        assert code(Index()) == code(9)
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, "12", None, b"1", [1]])
+    @pytest.mark.parametrize("a", [(4, 2), (3, 3), (2, 1, 1)])
+    def test_bad_seed(self, a, seed):
+        with pytest.raises(BadSeed) as info:
+            sample(a, seed)
+        assert isinstance(info.value, PlaneMapError)
+        assert isinstance(info.value, ValueError)
+
+    def test_bad_seed_in_both_samplers(self):
+        with pytest.raises(BadSeed):
+            sample_bipartite((4, 2), 1.7)
+        with pytest.raises(BadSeed):
+            sample_quasibipartite((3, 3), "12")
 
     def test_trivial_types(self):
         digon = enumerate_maps((2,))[0]

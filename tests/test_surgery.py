@@ -5,9 +5,11 @@ small example maps; they pin down the bank layout, the marker flow,
 and the exact dart wiring after each operation.
 """
 
+import io
+
 import pytest
 
-from planemaps import PlaneMap, bijections, surgery
+from planemaps import PlaneMap, bijections, cli, surgery
 from planemaps.counting import Identity
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.errors import (
@@ -16,6 +18,7 @@ from planemaps.errors import (
     LengthMismatch,
     NotDangling,
     NotDigon,
+    NotPermutation,
     PlaneMapError,
 )
 from planemaps.surgery import (
@@ -449,6 +452,121 @@ class TestFinishDeadLinks:
             ws.link(f, 1)
         with pytest.raises(PlaneMapError):
             finish(ws)
+
+    def test_kept_dart_names_deleted_dart_below_survivor_count(self):
+        # dart 0 keeps the deleted dart 2 as its successor while the
+        # fresh dart 4 takes the place of 2 (1 -> 4 -> 3 -> 1).  The four
+        # survivors are numbered 0..3 and 2 is one of those numbers, so
+        # next stays in range and a check of max(next) alone passes
+        ws = workspace_with_arrows(path_map())
+        f = ws.new_dart()
+        ws.delete(2)
+        ws.twin[3], ws.twin[f] = f, 3
+        ws.link(1, f)
+        ws.link(f, 3)
+        assert ws.next[0] == 2 and ws.twin[2] is None
+        with pytest.raises(PlaneMapError):
+            full_renumbering_finish(ws)
+        with pytest.raises(PlaneMapError):
+            finish(ws)
+        # the arrow on the closed cycle 1 -> 4 -> 3 leaves dart 0 unlabelled
+        ws.markers = {1: [arrow(1)]}
+        with pytest.raises(PlaneMapError):
+            finish(ws)
+
+    @pytest.mark.parametrize("link", ["prev", "twin"])
+    def test_survivor_not_named_back(self, link):
+        # a fresh dart that claims a kept dart as its predecessor or twin
+        # while that dart names another one; taking the claim on trust
+        # would patch the kept dart and hide the fault
+        ws = workspace_with_arrows(path_map())
+        if link == "prev":
+            # 0 -> 4 -> 5 -> 2 meant, but 0 still runs to 2, as 5 does
+            f, g = ws.new_darts(2)
+            ws.twin[f], ws.twin[g] = g, f
+            ws.link(f, g)
+            ws.link(g, 2)
+            ws.prev[f] = 0
+        else:
+            # 4 takes the place of the deleted 3, but 2 still has 3 as twin
+            f = ws.new_dart()
+            ws.delete(3)
+            ws.twin[f] = 2
+            ws.link(2, f)
+            ws.link(f, 1)
+        with pytest.raises(PlaneMapError):
+            full_renumbering_finish(ws)
+        with pytest.raises(PlaneMapError):
+            finish(ws)
+
+
+def full_renumbering_finish(ws):
+    """Reference for finish: renumber every surviving dart in index order."""
+    old = [d for d, t in enumerate(ws.twin) if t is not None]
+    rename = [None] * len(ws.twin)
+    for k, d in enumerate(old):
+        rename[d] = k
+    twin = [rename[ws.twin[d]] for d in old]
+    next_ = [rename[ws.next[d]] for d in old]
+    if None in next_:
+        raise NotPermutation("a surviving dart is followed by a deleted one")
+    face = [0] * len(old)
+    marked_at = {}
+    for d, toks in ws.markers.items():
+        for tok in toks:
+            if is_arrow(tok):
+                e = marked_at[tok[1]] = rename[d]
+                while not face[e]:
+                    face[e] = tok[1]
+                    e = next_[e]
+    marked = [marked_at[i] for i in range(1, len(marked_at) + 1)]
+    corners = {rename[d]: list(toks) for d, toks in ws.markers.items() if toks}
+    return PlaneMap(twin, next_, face, marked), rename, corners
+
+
+BIJECTIONS = (
+    "grow_same",
+    "shrink_same",
+    "grow_two",
+    "shrink_two",
+    "transfer_left",
+    "transfer_right",
+    "transfer1_left",
+    "transfer1_right",
+)
+
+
+def test_finish_equals_full_renumbering(monkeypatch):
+    # every workspace the eight bijections finish over the families of
+    # verify-roundtrip --max-edges 3, both directions
+    real = surgery.finish
+    n_finish = 0
+
+    def checked(ws):
+        nonlocal n_finish
+        want = full_renumbering_finish(ws)
+        got = real(ws)
+        assert got == want
+        n_finish += 1
+        return got
+
+    calls = dict.fromkeys(BIJECTIONS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(bijections, "finish", checked)
+    for name in BIJECTIONS:
+        monkeypatch.setattr(cli, name, counted(name, getattr(bijections, name)))
+    out = io.StringIO()
+    assert cli.run(["verify-roundtrip", "--max-edges", "3"], out) == 0
+    assert "round trips: 32 family sweeps" in out.getvalue()
+    assert all(calls.values()), calls
+    assert n_finish == sum(calls.values())
 
 
 class TestSewOnto:
