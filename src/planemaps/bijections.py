@@ -27,7 +27,7 @@ from .errors import (
     SameFace,
     SameSlot,
 )
-from .maps import PlaneMap
+from .maps import PlaneMap, _decoration
 from .metric import (
     _ball,
     _rightmost,
@@ -131,6 +131,25 @@ def _shift_arrows(ws, removed: int | None = None, inserted: int | None = None) -
                     toks[j] = arrow(i + 1)
 
 
+def _check_transfer(m: PlaneMap, gain, lose, slot, dart) -> tuple[int, ...]:
+    """The checks transfer_left and transfer_right share; returns ints.
+
+    The dart is left to the callers, which need opposite directions.
+    """
+    gain, lose, slot, dart = _decoration(gain, lose, slot, dart)
+    _check_face(m, gain)
+    _check_face(m, lose)
+    if gain == lose:
+        raise SameFace("a transfer needs two distinct faces")
+    if m.degree(lose) < 2:
+        raise DegreeTooSmall("the losing face needs degree at least 2")
+    odd = _odd_faces(m)
+    if odd and not (len(odd) == 2 and lose in odd):
+        raise BadParity("needs all degrees even, or two odd ones with lose odd")
+    _check_slot(m, gain, slot)
+    return gain, lose, slot, dart
+
+
 def transfer_left(
     m: PlaneMap, gain: int, lose: int, slot: int, dart: int, *, carry=None
 ):
@@ -146,16 +165,7 @@ def transfer_left(
     and a dart of the gaining face pointing away from its vertex, the
     decoration consumed by the inverse transfer_right.
     """
-    _check_face(m, gain)
-    _check_face(m, lose)
-    if gain == lose:
-        raise SameFace("a transfer needs two distinct faces")
-    if m.degree(lose) < 2:
-        raise DegreeTooSmall("the losing face needs degree at least 2")
-    odd = _odd_faces(m)
-    if odd and not (len(odd) == 2 and lose in odd):
-        raise BadParity("needs all degrees even, or two odd ones with lose odd")
-    _check_slot(m, gain, slot)
+    gain, lose, slot, dart = _check_transfer(m, gain, lose, slot, dart)
     _check_dart(m, dart, lose)
     anchor = m.slot_anchor(gain, slot)
     cv = m.vertex_of(anchor)
@@ -237,16 +247,7 @@ def transfer_right(
     the gaining face pointing toward its vertex.  With the face roles
     swapped, transfer_right undoes transfer_left and vice versa.
     """
-    _check_face(m, gain)
-    _check_face(m, lose)
-    if gain == lose:
-        raise SameFace("a transfer needs two distinct faces")
-    if m.degree(lose) < 2:
-        raise DegreeTooSmall("the losing face needs degree at least 2")
-    odd = _odd_faces(m)
-    if odd and not (len(odd) == 2 and lose in odd):
-        raise BadParity("needs all degrees even, or two odd ones with lose odd")
-    _check_slot(m, gain, slot)
+    gain, lose, slot, dart = _check_transfer(m, gain, lose, slot, dart)
     m2, slot2, dart2, carried, _, _ = _transfer_right_impl(
         m, gain, lose, slot, dart, carry=carry
     )
@@ -326,6 +327,7 @@ def transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None)
     gaining face pointing toward it, the decoration consumed by the
     inverse transfer1_left.
     """
+    gain, lose, slot = _decoration(gain, lose, slot)
     _check_face(m, gain)
     _check_face(m, lose)
     if gain == lose:
@@ -356,6 +358,7 @@ def transfer1_left(
     Returns (map, slot, carry): the corner slot of the losing face
     consumed by the inverse transfer1_right.
     """
+    lose, insert_at, vertex, dart = _decoration(lose, insert_at, vertex, dart)
     _check_face(m, lose)
     if not 1 <= insert_at <= m.n_faces + 1:
         raise BadFace(f"insertion index {insert_at} out of range")
@@ -516,6 +519,7 @@ def grow_same(m: PlaneMap, e: int, c: int, c2: int, *, face: int = 1, carry=None
     "left-pinched" or "right-pinched"), and the carried marker
     positions.  The decoration (v, h, h2) is consumed by shrink_same.
     """
+    e, c, c2, face = _decoration(e, c, c2, face)
     _validate_grow(m, e, face, face, c, c2, True)
     return _grow(m, e, face, face, c, c2, True, carry)
 
@@ -531,6 +535,7 @@ def grow_two(m: PlaneMap, e: int, c: int, c2: int, *, faces=(1, 2), carry=None):
     h2 on the second, both pointing toward v; consumed by shrink_two.
     """
     j, k = faces
+    e, c, c2, j, k = _decoration(e, c, c2, j, k)
     _validate_grow(m, e, j, k, c, c2, False)
     return _grow(m, e, j, k, c, c2, False, carry)
 
@@ -547,6 +552,7 @@ def grow_via_transfers(
     exactly, independent of mark_side.
     """
     j, k = faces
+    e, c, c2, j, k, mark_side = _decoration(e, c, c2, j, k, mark_side)
     same = j == k
     _validate_grow(m, e, j, k, c, c2, same)
     kind = _growth_channel(m, e, j, k, c, c2, same)[0]
@@ -680,6 +686,7 @@ def shrink_same(m: PlaneMap, v: int, h: int, h2: int, *, face: int = 1, carry=No
 
     Returns (map, e, c, c2, case, carry), the grow_same decoration.
     """
+    v, h, h2, face = _decoration(v, h, h2, face)
     _check_face(m, face)
     if _odd_faces(m):
         raise NotBipartite("shrinking within one face needs every degree even")
@@ -696,6 +703,7 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
     Returns (map, e, c, c2, case, carry), the grow_two decoration.
     """
     j, k = faces
+    v, h, h2, j, k = _decoration(v, h, h2, j, k)
     _check_face(m, j)
     _check_face(m, k)
     if j == k:

@@ -171,21 +171,18 @@ def _lhs_key(m: PlaneMap, e: int, c: int, c2: int) -> tuple:
     return (code, min(p[d], p[t]), c, c2)
 
 
-def _rhs_key(m: PlaneMap, v: int, h: int, h2: int) -> tuple:
+def _vertex_key(m: PlaneMap, v: int, *darts: int) -> tuple:
     p, code = m._canonical()
     vid = min(p[d] for d in m.vertex_darts(v))
-    return (code, vid, p[h], p[h2])
+    return (code, vid, *(p[d] for d in darts))
+
+
+_rhs_key = _vertex_key  # (m, v, h, h2)
 
 
 def _transfer_key(m: PlaneMap, slot: int, dart: int) -> tuple:
     p, code = m._canonical()
     return (code, slot, p[dart])
-
-
-def _vertex_key(m: PlaneMap, v: int, dart: int) -> tuple:
-    p, code = m._canonical()
-    vid = min(p[d] for d in m.vertex_darts(v))
-    return (code, vid, p[dart])
 
 
 def cmd_verify_identities(args, out) -> int:
@@ -237,39 +234,21 @@ def cmd_verify_identities(args, out) -> int:
     return 0
 
 
-def _roundtrip_same(t, report, maps) -> int:
+def _roundtrip_growth(t, report, maps, ident, grow, shrink, name) -> int:
     bad = 0
     for m in maps(t):
-        for (e, c, c2) in enumerate_decorations(m, Identity.TWO_CORNERS_SAME_FACE, "lhs"):
-            m2, v, h, h2, case, _ = grow_same(m, e, c, c2)
-            m3, e3, c3, c23, case3, _ = shrink_same(m2, v, h, h2)
+        for (e, c, c2) in enumerate_decorations(m, ident, "lhs"):
+            m2, v, h, h2, case, _ = grow(m, e, c, c2)
+            m3, e3, c3, c23, case3, _ = shrink(m2, v, h, h2)
             if _lhs_key(m3, e3, c3, c23) != _lhs_key(m, e, c, c2) or case3 != case:
-                bad += report(f"grow_same/shrink_same at {t} {(e, c, c2)}")
-    tt = identity_target(Identity.TWO_CORNERS_SAME_FACE, t)
+                bad += report(f"grow_{name}/shrink_{name} at {t} {(e, c, c2)}")
+    tt = identity_target(ident, t)
     for m in maps(tt, edge_count(tt)):
-        for (v, h, h2) in enumerate_decorations(m, Identity.TWO_CORNERS_SAME_FACE, "rhs"):
-            m2, e, c, c2, case, _ = shrink_same(m, v, h, h2)
-            m3, v3, h3, h23, case3, _ = grow_same(m2, e, c, c2)
+        for (v, h, h2) in enumerate_decorations(m, ident, "rhs"):
+            m2, e, c, c2, case, _ = shrink(m, v, h, h2)
+            m3, v3, h3, h23, case3, _ = grow(m2, e, c, c2)
             if _rhs_key(m3, v3, h3, h23) != _rhs_key(m, v, h, h2) or case3 != case:
-                bad += report(f"shrink_same/grow_same at {tt} {(v, h, h2)}")
-    return bad
-
-
-def _roundtrip_two(t, report, maps) -> int:
-    bad = 0
-    for m in maps(t):
-        for (e, c, c2) in enumerate_decorations(m, Identity.CORNER_EACH_TWO_FACES, "lhs"):
-            m2, v, h, h2, case, _ = grow_two(m, e, c, c2)
-            m3, e3, c3, c23, case3, _ = shrink_two(m2, v, h, h2)
-            if _lhs_key(m3, e3, c3, c23) != _lhs_key(m, e, c, c2) or case3 != case:
-                bad += report(f"grow_two/shrink_two at {t} {(e, c, c2)}")
-    tt = identity_target(Identity.CORNER_EACH_TWO_FACES, t)
-    for m in maps(tt, edge_count(tt)):
-        for (v, h, h2) in enumerate_decorations(m, Identity.CORNER_EACH_TWO_FACES, "rhs"):
-            m2, e, c, c2, case, _ = shrink_two(m, v, h, h2)
-            m3, v3, h3, h23, case3, _ = grow_two(m2, e, c, c2)
-            if _rhs_key(m3, v3, h3, h23) != _rhs_key(m, v, h, h2) or case3 != case:
-                bad += report(f"shrink_two/grow_two at {tt} {(v, h, h2)}")
+                bad += report(f"shrink_{name}/grow_{name} at {tt} {(v, h, h2)}")
     return bad
 
 
@@ -339,10 +318,14 @@ def cmd_verify_roundtrip(args, out) -> int:
         odd = odd_positions(t)
         if not odd:
             trips += 1
-            failures += _roundtrip_same(t, report, maps)
+            failures += _roundtrip_growth(
+                t, report, maps, Identity.TWO_CORNERS_SAME_FACE, grow_same, shrink_same, "same"
+            )
             if len(t) >= 2:
                 trips += 1
-                failures += _roundtrip_two(t, report, maps)
+                failures += _roundtrip_growth(
+                    t, report, maps, Identity.CORNER_EACH_TWO_FACES, grow_two, shrink_two, "two"
+                )
         if _transfer_applicable(t):
             trips += 1
             failures += _roundtrip_transfer(t, report, maps)

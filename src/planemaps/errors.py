@@ -99,8 +99,8 @@ class NoDegreeOneFace(PlaneMapError):
     pass
 
 
-class BadDecoration(PlaneMapError):
-    pass
+class BadDecoration(PlaneMapError, ValueError):
+    """A decoration that is not an integer or lies outside its range."""
 
 
 # counting

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 import struct
-from array import array
 from collections import deque
 from itertools import islice
-from operator import lt
-from typing import Iterable, NamedTuple
+from operator import index, lt
+from typing import Iterable, NamedTuple, Sequence
 
 from .counting import check_type
 from .errors import (
+    BadDecoration,
     BadFace,
     BadMark,
     Disconnected,
@@ -49,14 +49,20 @@ def _ints(data: Iterable[int], error: type, what: str) -> tuple[int, ...]:
     """The entries of data as a tuple of ints, or error when one is not.
 
     Strict: floats, strings and None are refused rather than truncated
-    or parsed; ints, bools and objects with __index__ pass.
+    or parsed; ints of any width, bools, bytes and objects with
+    __index__ pass.
     """
-    if isinstance(data, (bytes, bytearray)):
-        data = list(data)  # array() would read them as raw machine words
     try:
-        return tuple(array("q", data))
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} not 64-bit integers") from None
+        # through a list: tuple() would grow a map object by resizing,
+        # which leaves the heap measurably larger
+        return tuple([*map(index, data)])
+    except TypeError:
+        raise error(f"{what} not integers") from None
+
+
+def _decoration(*values: int) -> tuple[int, ...]:
+    """Decoration values (edges, slots, faces, darts) as ints, strictly."""
+    return _ints(values, BadDecoration, "decorations are")
 
 
 def _as_perm(data: Iterable[int], name: str) -> tuple[int, ...]:
@@ -119,7 +125,7 @@ def _faces(
 
 
 def _walk_marks(
-    next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
+    next_t: tuple[int, ...], face_t: Sequence[int], marked_t: tuple[int, ...], fill=False
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
     """_faces in one walk per contour from its mark, or None to refuse.
 
@@ -130,6 +136,9 @@ def _walk_marks(
     and a mark off face i.  Accepting needs the walks to cover all n
     darts: then next is one-to-one on them, so a permutation, every
     orbit is the walk of its own label and the labels are exactly 1..r.
+
+    With fill, face_t is a list of n zeros and walk i writes label i
+    where it would compare; a dart found labelled was reached twice.
     """
     n = len(next_t)
     if len(face_t) != n or min(next_t, default=0) < 0:
@@ -139,16 +148,26 @@ def _walk_marks(
     total = 0
     try:
         for i, m in enumerate(marked_t, start=1):
-            if m < 0 or face_t[m] != i:
+            if m < 0 or face_t[m] != (0 if fill else i):
                 return None
             orbit = [m]
             e = m
-            while (f := next_t[e]) != m:
-                if prev[f] >= 0 or face_t[f] != i:
-                    return None
-                prev[f] = e
-                orbit.append(f)
-                e = f
+            if fill:
+                face_t[m] = i
+                while (f := next_t[e]) != m:
+                    if face_t[f]:
+                        return None
+                    face_t[f] = i
+                    prev[f] = e
+                    orbit.append(f)
+                    e = f
+            else:
+                while (f := next_t[e]) != m:
+                    if prev[f] >= 0 or face_t[f] != i:
+                        return None
+                    prev[f] = e
+                    orbit.append(f)
+                    e = f
             prev[m] = e
             total += len(orbit)
             contours.append(tuple(orbit))
@@ -229,13 +248,14 @@ class PlaneMap:
         "_contours",
         "_vertices",
         "_vertex_of",
+        "_degrees",
     )
 
     def __init__(
         self,
         twin: Iterable[int],
         next_: Iterable[int],
-        face: Iterable[int],
+        face: Iterable[int] | None,
         marked: Iterable[int],
     ) -> None:
         global _last_faces
@@ -249,13 +269,25 @@ class PlaneMap:
         next_t = _ints(next_, NotPermutation, "entries of next are")
         if len(next_t) != n:
             raise NotPermutation("twin and next act on different dart sets")
-        face_t = _ints(face, FaceMismatch, "face labels are")
+        if face is not None:
+            face = _ints(face, FaceMismatch, "face labels are")
         marked_t = _ints(marked, BadMark, "marked darts are")
-        key = (next_t, face_t, marked_t)
+        key = (next_t, face, marked_t)
         last = _last_faces
-        if last is not None and last[0] == key:
+        if face is None:
+            # labels from the marks: the walk from marked[i-1] writes i
+            face_l = [0] * n
+            found = _walk_marks(next_t, face_l, marked_t, fill=True)
+            if found is None:
+                if _inverse(next_t) is None:
+                    raise NotPermutation(f"next is not a permutation of 0..{n - 1}")
+                raise BadMark("need exactly one marked dart per contour")
+            contours, prev_t = found
+            face_t = tuple(face_l)
+        elif last is not None and last[0] == key:
             (next_t, face_t, marked_t), contours, prev_t = last
         else:
+            face_t = face
             contours, prev_t = _faces(next_t, face_t, marked_t)
             _last_faces = (key, contours, prev_t)
         r = len(contours)
@@ -321,7 +353,12 @@ class PlaneMap:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self._contours)
+        try:  # filled on first use, so computed at most once per map
+            return self._degrees
+        except AttributeError:
+            degrees = tuple(map(len, self._contours))
+            object.__setattr__(self, "_degrees", degrees)
+            return degrees
 
     def degree(self, i: int) -> int:
         # the check of contour(), inlined: degree is called per growth step
@@ -424,13 +461,11 @@ class PlaneMap:
             raise NotPermutation("perm acts on the wrong dart set")
         twin = [0] * n
         next_ = [0] * n
-        face = [0] * n
         for d in range(n):
             twin[p[d]] = p[self.twin[d]]
             next_[p[d]] = p[self.next[d]]
-            face[p[d]] = self.face[d]
         marked = [p[d] for d in self.marked]
-        return PlaneMap(twin, next_, face, marked)
+        return PlaneMap(twin, next_, None, marked)
 
     # canonical form and serialization
 

@@ -37,7 +37,7 @@ from .errors import (
     NotDigon,
     NotPermutation,
 )
-from .maps import PlaneMap
+from .maps import PlaneMap, _decoration
 
 
 class Workspace:
@@ -163,15 +163,41 @@ class Slit:
         return len(self.walk)
 
 
-def _arc(ws: Workspace, start: int, stop: int) -> list[int]:
-    """Clockwise rays from start up to but not including stop."""
-    nxt, twin = ws.next, ws.twin
-    out = []
-    d = start
-    while d != stop:
-        out.append(d)
-        d = nxt[twin[d]]
-    return out
+def _between(rot: list[int], after: int, stop: int, whole: bool = False) -> list[int]:
+    """Rays strictly between after and stop, clockwise around their vertex.
+
+    rot is the rotation of that vertex from any start.  When after is
+    stop the result is empty, or with whole every other ray.
+    """
+    i = rot.index(after)
+    j = rot.index(stop)
+    if i < j:
+        return rot[i + 1 : j]
+    if i == j and not whole:
+        return []
+    return rot[i + 1 :] + rot[:j]
+
+
+def _split(rot: list[int], arrive: int, new_l: int, new_r: int) -> list[list[int]]:
+    """Left and right copy of a walk vertex, as ray cycles from the mouth.
+
+    rot is the rotation of the vertex from the departing walk dart and
+    arrive is the twin of the arriving one: the rays after arrive go
+    left behind new_l, those before it right behind new_r.
+    """
+    q = rot.index(arrive)
+    return [[new_l, *rot[q + 1 :], rot[0]], [new_r, *rot[1:q], arrive]]
+
+
+def _mouth(rot: list[int], corner: int, dart: int, new: int) -> list[list[int]]:
+    """Both copies of a walk end cut through the corner before corner.
+
+    dart is the walk dart at that end, leaving or arriving reversed.
+    The first copy runs clockwise from corner to dart, the second is
+    new followed by the rays after dart up to corner.
+    """
+    near = [dart] if corner == dart else [corner, *_between(rot, corner, dart), dart]
+    return [near, [new, *_between(rot, dart, corner, True)]]
 
 
 def _walk_rotations(ws: Workspace, p) -> list[list[int]]:
@@ -205,8 +231,9 @@ def slit(
     if not p:
         raise InvalidWalk("empty walk")
     d_c, entry_split = entry
-    vertex_keys = [frozenset(rot) for rot in _walk_rotations(ws, p)]
-    vertex_keys.append(frozenset(ws.rotation_from(ws.twin[p[-1]])))
+    rots = _walk_rotations(ws, p)
+    rots.append(ws.rotation_from(ws.twin[p[-1]]))
+    vertex_keys = [frozenset(rot) for rot in rots]
     if len(set(vertex_keys)) != len(vertex_keys):
         raise InvalidWalk("walk revisits a vertex")
     if d_c not in vertex_keys[0]:
@@ -220,38 +247,22 @@ def slit(
 
     l = len(p)
     twin_old = tuple(ws.twin[d] for d in p)
-    nl = tuple(ws.new_darts(l))
-    nr = tuple(ws.new_darts(l))
+    fresh = ws.new_darts(2 * l)
+    nl, nr = tuple(fresh[:l]), tuple(fresh[l:])
 
-    # capture the vertex cycles of the banks before mutating
-    banks_left: list[list[int]] = []
-    banks_right: list[list[int]] = []
-    banks_left.append(
-        [d_c] + _arc(ws, ws.sigma(d_c), p[0]) + [p[0]]
-        if d_c != p[0]
-        else [p[0]]
-    )
-    banks_right.append([nr[0]] + _arc(ws, ws.sigma(p[0]), d_c))
+    # cut the vertex cycles of the banks from the rotations taken above
+    left, right = _mouth(rots[0], d_c, p[0], nr[0])
+    banks_left, banks_right = [left], [right]
     for k in range(l - 1):
-        left = [nl[k]] + _arc(ws, ws.sigma(twin_old[k]), p[k + 1]) + [p[k + 1]]
-        right = [nr[k + 1]] + _arc(ws, ws.sigma(p[k + 1]), twin_old[k])
-        right.append(twin_old[k])
+        left, right = _split(rots[k + 1], twin_old[k], nl[k], nr[k + 1])
         banks_left.append(left)
         banks_right.append(right)
     if d_ex is not None:
-        far_left = [nl[-1]] + _arc(ws, ws.sigma(twin_old[-1]), d_ex)
-        if d_ex == twin_old[-1]:
-            far_right = [d_ex]
-        else:
-            far_right = [d_ex] + _arc(ws, ws.sigma(d_ex), twin_old[-1])
-            far_right.append(twin_old[-1])
-        banks_left.append(far_left)
-        banks_right.append(far_right)
-    else:
-        tip = [nl[-1]] + _arc(ws, ws.sigma(twin_old[-1]), twin_old[-1])
-        tip.append(twin_old[-1])
-        banks_left.append(tip)
-        banks_right.append([])
+        right, left = _mouth(rots[l], d_ex, twin_old[-1], nl[-1])
+    else:  # rots[l] starts at twin_old[-1]
+        left, right = [nl[-1], *rots[l][1:], twin_old[-1]], []
+    banks_left.append(left)
+    banks_right.append(right)
 
     y = ws.prev_of(d_c)
     x = ws.prev_of(d_ex) if d_ex is not None else None
@@ -327,9 +338,10 @@ def slit_pinched(
     length = len(p)
     # the walk chains, so the head of each dart is the origin of the
     # next one: only the final head needs a rotation of its own
-    keys = [frozenset(rot) for rot in _walk_rotations(ws, p)]
+    rots = _walk_rotations(ws, p)
     if sb:
-        keys.append(frozenset(ws.rotation_from(ws.twin[sb[-1]])))
+        rots.append(ws.rotation_from(ws.twin[sb[-1]]))
+    keys = [frozenset(rot) for rot in rots]
     down_keys = keys[: a + n_ch + 1]
     side_keys = keys[a + 2 * n_ch + 1 :]
     if len(set(down_keys)) != len(down_keys):
@@ -351,18 +363,15 @@ def slit_pinched(
         assert ordered, "corner split order contradicts the pinch side"
 
     told = tuple(ws.twin[d] for d in p)
-    x_new = ws.new_darts(n_ch)
-    y_new = ws.new_darts(n_ch)
-    mdn = ws.new_darts(n_ch)
-    mup = ws.new_darts(n_ch)
+    # one allocation, in the id order x, y, mdn, mup, then the left and
+    # the right copies of the spine darts
     spine_pos = list(range(a)) + list(range(a + 2 * n_ch, length))
-    snl = dict(zip(spine_pos, ws.new_darts(len(spine_pos))))
-    snr = dict(zip(spine_pos, ws.new_darts(len(spine_pos))))
-
-    nl = [0] * length
-    nr = [0] * length
-    for s in spine_pos:
-        nl[s], nr[s] = snl[s], snr[s]
+    n_sp = len(spine_pos)
+    fresh = ws.new_darts(4 * n_ch + 2 * n_sp)
+    x_new, y_new, mdn, mup = (fresh[q * n_ch : (q + 1) * n_ch] for q in range(4))
+    snl, snr = fresh[4 * n_ch : 4 * n_ch + n_sp], fresh[4 * n_ch + n_sp :]
+    nl = snl[:a] + [0] * (2 * n_ch) + snl[a:]
+    nr = snr[:a] + [0] * (2 * n_ch) + snr[a:]
     for t in range(n_ch):
         pdn, pup = a + t, a + 2 * n_ch - 1 - t
         if side == "left":
@@ -372,85 +381,64 @@ def slit_pinched(
             nl[pdn], nr[pdn] = mup[t], y_new[t]
             nl[pup], nr[pup] = mdn[t], x_new[t]
 
-    def gap(after: int, stop: int) -> list[int]:
-        # original rays strictly between two cut points; empty when the
-        # points coincide, unlike the wrapping _arc
-        return [] if after == stop else _arc(ws, ws.sigma(after), stop)
-
-    # capture every vertex copy as a ray cycle before mutating
+    # cut every vertex copy from the rotations taken above
     cycles: list[list[int]] = []
     if a:
-        cycles.append(
-            [d_c] + gap(d_c, p[0]) + [p[0]] if d_c != p[0] else [p[0]]
-        )
-        cycles.append([nr[0]] + _arc(ws, ws.sigma(p[0]), d_c))
+        cycles += _mouth(rots[0], d_c, p[0], nr[0])
     for s in range(a - 1):
-        cycles.append([nl[s]] + gap(told[s], p[s + 1]) + [p[s + 1]])
-        cycles.append([nr[s + 1]] + gap(p[s + 1], told[s]) + [told[s]])
+        cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
     for t in range(n_ch - 1):
-        et = told[a + t]
-        cycles.append([x_new[t]] + gap(et, ch[t + 1]) + [ch[t + 1]])
-        cycles.append([y_new[t + 1]] + gap(ch[t + 1], et) + [et])
+        cycles += _split(rots[a + t + 1], told[a + t], x_new[t], y_new[t + 1])
         cycles.append([mup[t], mdn[t + 1]])
     e_last = told[a + n_ch - 1]
-    cycles.append([x_new[-1]] + _arc(ws, ws.sigma(e_last), e_last) + [e_last])
+    cycles.append([x_new[-1], *rots[a + n_ch][1:], e_last])
     cycles.append([mup[-1]])
 
+    # the attachment vertex, where the chain hangs
+    rot = rots[a]
     d1 = ch[0]
     dep = sb[0] if b else None
     base_in = told[a - 1] if a else d_c
+    lead = nl[a - 1] if a else d_c
     out_anchor = dep if b else d_ex
     nr_b = nr[a + 2 * n_ch] if b else None
     if same_corner:
-        cycles.append(
-            [d_c] + gap(d_c, d1) + [d1] if d_c != d1 else [d1]
-        )
-        cycles.append([y_new[0]] + _arc(ws, ws.sigma(d1), d_c))
+        cycles += _mouth(rot, d_c, d1, y_new[0])
         cycles.append([mdn[0]])
     elif side == "left":
-        if a:
-            cycles.append([nl[a - 1]] + gap(base_in, d1) + [d1])
-        else:
-            cycles.append(
-                [d_c] + gap(d_c, d1) + [d1] if d_c != d1 else [d1]
-            )
+        cycles.append([d1] if lead == d1 else [lead, *_between(rot, base_in, d1), d1])
         cycles.append(
-            [y_new[0]] + gap(d1, out_anchor) + ([dep] if b else [])
+            [y_new[0]] + _between(rot, d1, out_anchor) + ([dep] if b else [])
         )
         fused = [mdn[0], nr_b if b else d_ex]
-        fused += gap(out_anchor, base_in)
+        fused += _between(rot, out_anchor, base_in)
         if a and not (b == 0 and d_ex == base_in):
             fused.append(base_in)
         cycles.append(fused)
     elif b == 0 and a and d_ex == base_in:
         # exit corner right where the walk first arrives: the arrival
         # ray sits alone between the two cuts, next to the middle
-        cycles.append([nl[a - 1]] + gap(base_in, d1) + [d1])
-        cycles.append([y_new[0]] + gap(d1, base_in))
+        cycles.append([nl[a - 1]] + _between(rot, base_in, d1) + [d1])
+        cycles.append([y_new[0]] + _between(rot, d1, base_in))
         cycles.append([mdn[0], d_ex])
     else:
-        lead = nl[a - 1] if a else d_c
-        fused = [lead] + gap(base_in, out_anchor)
+        fused = [lead] + _between(rot, base_in, out_anchor)
         if b and dep != lead:
             fused.append(dep)
         fused.append(mdn[0])
         cycles.append(fused)
         head = [nr_b] if b else ([d_ex] if d_ex != d1 else [])
-        cycles.append(head + gap(out_anchor, d1) + [d1])
-        cap = [y_new[0]] + gap(d1, base_in)
+        cycles.append(head + _between(rot, out_anchor, d1) + [d1])
+        cap = [y_new[0]] + _between(rot, d1, base_in)
         if a:
             cap.append(base_in)
         cycles.append(cap)
 
     for s in range(a + 2 * n_ch, length - 1):
-        cycles.append([nl[s]] + gap(told[s], p[s + 1]) + [p[s + 1]])
-        cycles.append([nr[s + 1]] + gap(p[s + 1], told[s]) + [told[s]])
+        cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
     if b:
-        cycles.append([nl[-1]] + _arc(ws, ws.sigma(told[-1]), d_ex))
-        if d_ex == told[-1]:
-            cycles.append([d_ex])
-        else:
-            cycles.append([d_ex] + gap(d_ex, told[-1]) + [told[-1]])
+        near, far = _mouth(rots[length], d_ex, told[-1], nl[-1])
+        cycles += [far, near]
 
     # triple the chain, double the spines
     for t in range(n_ch):
@@ -459,8 +447,8 @@ def slit_pinched(
         ws.twin[et], ws.twin[y_new[t]] = y_new[t], et
         ws.twin[mdn[t]], ws.twin[mup[t]] = mup[t], mdn[t]
     for s in spine_pos:
-        ws.twin[p[s]], ws.twin[snl[s]] = snl[s], p[s]
-        ws.twin[told[s]], ws.twin[snr[s]] = snr[s], told[s]
+        ws.twin[p[s]], ws.twin[nl[s]] = nl[s], p[s]
+        ws.twin[told[s]], ws.twin[nr[s]] = nr[s], told[s]
     for cyc in cycles:
         ws.set_rotation(cyc)
 
@@ -650,11 +638,11 @@ def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
 
     Surviving darts keep their order and are numbered from 0, so the
     darts below the first deleted one keep their ids and only the tail
-    is renumbered.  Faces are labelled by the arrow markers found on
-    their contours; every contour must carry exactly one.  Returns the
-    map, the dart renaming as a list (rename[d] is the new id of d,
-    None for a deleted dart), and the surviving corner token lists
-    (arrows included, in corner order) keyed by new dart id.
+    is renumbered.  Face i is the contour that carries arrow(i); every
+    contour must carry exactly one.  Returns the map, the dart renaming
+    as a list (rename[d] is the new id of d, None for a deleted dart),
+    and the surviving corner token lists (arrows included, in corner
+    order) keyed by new dart id.
     """
     ws_twin, ws_next, ws_prev = ws.twin, ws.next, ws.prev
     k = ws.intact
@@ -680,36 +668,21 @@ def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
         if p < k:
             next_[p] = rename[d]
 
-    # label each contour from its arrow; a contour reached twice
-    # carries two arrows, a dart left at 0 lies on a contour with none.
-    # These checks presume next_ is a permutation: when an entry below
-    # k names a deleted dart it is not, the walks can stop early or run
-    # off the end, and the fault is named as what it is
-    face = [0] * len(next_)
+    # the arrows give the marks; the constructor labels contour i by
+    # walking from mark i, and refuses a contour with two arrows or none
     marked_at: dict[int, int] = {}
-    try:
-        for d, toks in ws.markers.items():
-            for tok in toks:
-                if not is_arrow(tok):
-                    continue
+    for d, toks in ws.markers.items():
+        for tok in toks:
+            if is_arrow(tok):
                 i = tok[1]
                 assert i >= 1 and i not in marked_at, f"face label {i} reused or below 1"
-                e = marked_at[i] = rename[d]
-                assert not face[e], f"the contour of {d} carries two arrows"
-                while not face[e]:
-                    face[e] = i
-                    e = next_[e]
-        assert all(face), "a contour carries no arrow"
-    except (AssertionError, IndexError, TypeError):
-        if None in next_ or sorted(next_) != list(range(len(next_))):
-            raise NotPermutation("a surviving dart names a deleted one") from None
-        raise
+                marked_at[i] = rename[d]
     r = len(marked_at)
     assert sorted(marked_at) == list(range(1, r + 1)), (
         f"face labels are {sorted(marked_at)}"
     )
     marked = [marked_at[i] for i in range(1, r + 1)]
-    m = PlaneMap(twin, next_, face, marked)
+    m = PlaneMap(twin, next_, None, marked)
     corners = {
         rename[d]: list(toks) for d, toks in ws.markers.items() if toks
     }
@@ -722,6 +695,7 @@ def edge_to_digon(m: PlaneMap, edge_index: int, mark_side: int) -> PlaneMap:
     The new face gets the next free label; mark_side 0 marks its
     corner on the side of the lower dart of the edge, 1 the other.
     """
+    edge_index, mark_side = _decoration(edge_index, mark_side)
     if mark_side not in (0, 1):
         raise ValueError("mark_side must be 0 or 1")
     d, t = m.edge(edge_index)  # raises ValueError outside 0..E-1
@@ -729,12 +703,11 @@ def edge_to_digon(m: PlaneMap, edge_index: int, mark_side: int) -> PlaneMap:
     nl, nt = n, n + 1
     twin = list(m.twin) + [0, 0]
     next_ = list(m.next) + [0, 0]
-    face = list(m.face) + [m.n_faces + 1] * 2
     twin[d], twin[nl] = nl, d
     twin[t], twin[nt] = nt, t
     next_[nl], next_[nt] = nt, nl
     marked = list(m.marked) + [nl if mark_side == 0 else nt]
-    return PlaneMap(twin, next_, face, marked)
+    return PlaneMap(twin, next_, None, marked)
 
 
 def digon_to_edge(m: PlaneMap, i: int) -> tuple[PlaneMap, int, int]:
@@ -744,6 +717,7 @@ def digon_to_edge(m: PlaneMap, i: int) -> tuple[PlaneMap, int, int]:
     index of the merged edge, and the mark side that edge_to_digon
     would need to restore the digon.
     """
+    (i,) = _decoration(i)
     if not 1 <= i <= m.n_faces or m.degree(i) != 2:
         raise NotDigon(f"face {i} is not a digon")
     a, b = m.contour(i)
@@ -757,11 +731,10 @@ def digon_to_edge(m: PlaneMap, i: int) -> tuple[PlaneMap, int, int]:
         rename[{ta: tb, tb: ta}.get(d, m.twin[d])] for d in old
     ]
     next_ = [rename[m.next[d]] for d in old]
-    face = [m.face[d] - (m.face[d] > i) for d in old]
     marked = [
         rename[d] for j, d in enumerate(m.marked, start=1) if j != i
     ]
-    m2 = PlaneMap(twin, next_, face, marked)
+    m2 = PlaneMap(twin, next_, None, marked)
     lo = min(rename[ta], rename[tb])
     edge_index = m2.edge_index(lo)
     # contours start at the marked dart, so a is the marked corner's

@@ -10,7 +10,10 @@ from planemaps.bijections import (
     grow_via_transfers,
     shrink_same,
     shrink_two,
+    transfer1_left,
+    transfer1_right,
     transfer_left,
+    transfer_right,
 )
 from planemaps.cli import admissible_types
 from planemaps.counting import Identity
@@ -25,6 +28,7 @@ from planemaps.errors import (
 )
 from planemaps.metric import classify_dart, distances
 from planemaps.sampler import sample
+from planemaps.surgery import digon_to_edge, edge_to_digon
 
 from common import digon, double_edge
 
@@ -359,3 +363,51 @@ class TestErrors:
             dart = m.contour(3)[0]
             with pytest.raises(BadParity):
                 transfer_left(m, 1, 3, 0, dart)
+
+
+class TestStrictDecorations:
+    """Every integer decoration goes through operator.index at the entry."""
+
+    TREE = sample((6,), 0)
+    TWO = sample((4, 2), 0)
+    UNIT = sample((3, 1), 0)
+    ODD = sample((3, 3), 0)
+
+    @pytest.mark.parametrize("spoil", [0.5, 1.0, "1", None], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, x: grow_same(m.TREE, x, 0, 0),
+            lambda m, x: grow_same(m.TREE, 0, x, 0),
+            lambda m, x: grow_same(m.TREE, 0, 0, x),
+            lambda m, x: grow_same(m.TREE, 0, 0, 0, face=x),
+            lambda m, x: grow_two(m.TWO, 0, 0, 0, faces=(1, x)),
+            lambda m, x: grow_via_transfers(m.TREE, 0, 0, 0, mark_side=x),
+            lambda m, x: shrink_same(m.TREE, x, 0, 1),
+            lambda m, x: shrink_same(m.TREE, 0, 0, x),
+            lambda m, x: shrink_two(m.ODD, 0, x, 1),
+            lambda m, x: transfer_left(m.TWO, 1, 2, 0, x),
+            lambda m, x: transfer_right(m.TWO, 2, 1, x, 0),
+            lambda m, x: transfer1_right(m.UNIT, 1, x, 0),
+            lambda m, x: transfer1_left(m.TWO, 1, 2, x, 0),
+            lambda m, x: edge_to_digon(m.TREE, 0, x),
+            lambda m, x: edge_to_digon(m.TREE, x, 0),
+            lambda m, x: digon_to_edge(m.TWO, x),
+        ],
+    )
+    def test_non_integers_refused(self, call, spoil):
+        # the parent raised bare TypeError or ValueError from deep inside
+        with pytest.raises(BadDecoration) as info:
+            call(self, spoil)
+        assert isinstance(info.value, ValueError)
+
+    def test_bools_and_index_objects_pass(self):
+        class One:
+            def __index__(self):
+                return 1
+
+        m = self.TREE
+        want = grow_same(m, 1, 0, 1)
+        assert grow_same(m, True, False, One()) == want
+        assert grow_same(m, One(), 0, True, face=One()) == want
+        assert edge_to_digon(m, True, False) == edge_to_digon(m, 1, 0)

@@ -387,6 +387,54 @@ class TestContourWalk:
                 assert maps_module._walk_marks(*args) == want == (m._contours, m._prev)
 
 
+class TestLabelsFromMarks:
+    """face=None: the walk from marked[i-1] writes label i."""
+
+    def test_equals_true_labels(self):
+        for t in admissible_types(4):
+            for m in enumerate_maps(t):
+                got = PlaneMap(m.twin, m.next, None, m.marked)
+                assert got == m
+                assert (got._contours, got._prev, got._vertex_of) == (
+                    m._contours,
+                    m._prev,
+                    m._vertex_of,
+                )
+
+    def test_refusals_are_typed(self):
+        twin, next_, _, marked = TestFaceValidationSlot.DOUBLE_EDGE
+        assert PlaneMap(twin, next_, None, marked) == double_edge()
+        with pytest.raises(BadMark):  # two marks on the contour (0, 2)
+            PlaneMap(twin, next_, None, (0, 2))
+        with pytest.raises(BadMark):  # the contour (1, 3) has no mark
+            PlaneMap(twin, next_, None, (0,))
+        with pytest.raises(BadMark):  # a mark on no dart
+            PlaneMap(twin, next_, None, (0, 4))
+        with pytest.raises(NotPermutation):
+            PlaneMap(twin, (2, 3, 0, 0), None, marked)
+        with pytest.raises(NotPermutation):
+            PlaneMap(twin, (2, 3, 0, -1), None, marked)
+
+    def test_single_changes(self):
+        # every one-entry change of next or marked on the maps with E <= 3
+        # is refused with a typed error or labelled by its own marks
+        for t in admissible_types(3):
+            for m in enumerate_maps(t):
+                for next_, face, marked in single_changes(m):
+                    if face != m.face:
+                        continue
+                    try:
+                        got = PlaneMap(m.twin, next_, None, marked)
+                    except PlaneMapError:
+                        continue
+                    labels = [0] * m.n_darts
+                    for i, d in enumerate(marked, start=1):
+                        for e in got.contour(i):
+                            assert labels[e] == 0
+                            labels[e] = i
+                    assert got == PlaneMap(m.twin, next_, labels, marked)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("make", ALL_EXAMPLES)
     def test_round_trip(self, make):

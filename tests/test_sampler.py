@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from scipy.stats import chisquare
@@ -122,6 +123,66 @@ class TestUniformity:
             support = {m.canonical_code() for m in enumerate_maps(a)}
             seen = {sample(a, s).canonical_code() for s in range(800)}
             assert seen == support
+
+
+def binned_chisquare(observed, law):
+    """chisquare of observed counts against law, a count per value.
+
+    Neighbouring values are merged from the smallest up until each bin
+    expects at least 5 draws; the remainder joins the last bin.
+    """
+    n = sum(observed.values())
+    total = sum(law.values())
+    obs, exp = [], []
+    o = e = 0
+    for k in sorted(law):
+        o += observed.get(k, 0)
+        e += n * law[k] / total
+        if e >= 5:
+            obs.append(o)
+            exp.append(e)
+            o = e = 0
+    obs[-1] += o
+    exp[-1] += e
+    assert sum(obs) == n, "a draw outside the support of the law"
+    return chisquare(obs, exp)[1]
+
+
+class TestOneFaceLaws:
+    """Exact laws of uniform plane trees, far beyond the enumerator.
+
+    A map of type (2E,) is a plane tree with E edges rooted at its
+    marked corner.  Growing it runs grow_same on one face only, so all
+    three cases, the pinched slits among them, are exercised at E=30.
+    """
+
+    E, N = 30, 2000
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return [sample((2 * self.E,), s) for s in range(self.N)]
+
+    def test_non_root_leaves_follow_narayana(self, trees):
+        e = self.E
+        narayana = {k: comb(e, k) * comb(e, k - 1) // e for k in range(1, e + 1)}
+        leaves, with_root = Counter(), Counter()
+        for m in trees:
+            root = m.vertex_of(m.marked[0])
+            degrees = [len(ds) for ds in m.vertices()]
+            k = sum(d == 1 for d in degrees) - (degrees[root] == 1)
+            leaves[k] += 1
+            with_root[k + (degrees[root] == 1)] += 1
+        assert binned_chisquare(leaves, narayana) > 0.001
+        # counting a root of degree one as a leaf is the wrong statistic,
+        # and the test has the power to see it
+        assert binned_chisquare(with_root, narayana) < 1e-4
+
+    def test_root_children_follow_ballot_counts(self, trees):
+        e = self.E
+        ballot = {k: k * comb(2 * e - k, e) // (2 * e - k) for k in range(1, e + 1)}
+        assert sum(ballot.values()) == comb(2 * e, e) // (e + 1)
+        children = Counter(len(m.vertex_darts(m.vertex_of(m.marked[0]))) for m in trees)
+        assert binned_chisquare(children, ballot) > 0.001
 
 
 class TestResume:

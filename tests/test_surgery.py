@@ -5,7 +5,9 @@ small example maps; they pin down the bank layout, the marker flow,
 and the exact dart wiring after each operation.
 """
 
+import copy
 import io
+import random
 
 import pytest
 
@@ -21,6 +23,7 @@ from planemaps.errors import (
     NotPermutation,
     PlaneMapError,
 )
+from planemaps.sampler import sample
 from planemaps.surgery import (
     Workspace,
     arrow,
@@ -38,6 +41,7 @@ from planemaps.surgery import (
     workspace_with_arrows,
 )
 
+import slit_reference
 from common import ALL_EXAMPLES, digon, double_edge, loop_map, loop_pendant, path_map
 
 
@@ -646,3 +650,57 @@ def test_prev_in_step_after_every_primitive(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     _sweep_bijections()
     assert all(calls.values()), calls
+
+
+def test_slits_equal_reference(monkeypatch):
+    # each slit and pinched slit the bijections make runs once more, on
+    # a copy of its workspace, through the slits as they were before
+    # they cut the banks from the walk rotations; both must leave the
+    # same workspace and return the same Slit
+    seen = {"slit": 0, "left": 0, "right": 0}
+
+    def checked(new, old):
+        def wrapper(ws, *args):
+            ref = copy.deepcopy(ws)
+            try:
+                want = old(ref, *args)
+            except PlaneMapError as exc:
+                with pytest.raises(type(exc)):
+                    new(ws, *args)
+                raise
+            got = new(ws, *args)
+            assert got == want
+            assert (ws.twin, ws.next, ws.prev, ws.markers, ws.intact) == (
+                ref.twin,
+                ref.next,
+                ref.prev,
+                ref.markers,
+                ref.intact,
+            )
+            seen[got.side or "slit"] += 1
+            return got
+
+        return wrapper
+
+    for name in ("slit", "slit_pinched"):
+        wrapper = checked(getattr(surgery, name), getattr(slit_reference, name))
+        monkeypatch.setattr(surgery, name, wrapper)
+        monkeypatch.setattr(bijections, name, wrapper)
+    # every bijection over the families of verify-roundtrip --max-edges 3
+    assert cli.run(["verify-roundtrip", "--max-edges", "3"], io.StringIO()) == 0
+    small = dict(seen)
+    assert all(small.values()), small
+    # growth up to E=50, then grow and shrink steps on the sampled maps
+    rng = random.Random(7)
+    for a in ((100,), (4,) * 25, (51, 49)):
+        for seed in range(2):
+            m = sample(a, seed)
+            if len(a) == 2:
+                continue
+            for _ in range(10):
+                e = rng.randrange(m.n_edges)
+                c = rng.randrange(m.degree(1) + 1)
+                c2 = rng.randrange(m.degree(1) + 2)
+                m2, v, h, h2, _, _ = bijections.grow_same(m, e, c, c2)
+                assert bijections.shrink_same(m2, v, h, h2)[1:4] == (e, c, c2)
+    assert all(seen[k] > small[k] for k in seen), (small, seen)
