@@ -177,9 +177,6 @@ def _vertex_key(m: PlaneMap, v: int, *darts: int) -> tuple:
     return (code, vid, *(p[d] for d in darts))
 
 
-_rhs_key = _vertex_key  # (m, v, h, h2)
-
-
 def _transfer_key(m: PlaneMap, slot: int, dart: int) -> tuple:
     p, code = m._canonical()
     return (code, slot, p[dart])
@@ -247,7 +244,7 @@ def _roundtrip_growth(t, report, maps, ident, grow, shrink, name) -> int:
         for (v, h, h2) in enumerate_decorations(m, ident, "rhs"):
             m2, e, c, c2, case, _ = shrink(m, v, h, h2)
             m3, v3, h3, h23, case3, _ = grow(m2, e, c, c2)
-            if _rhs_key(m3, v3, h3, h23) != _rhs_key(m, v, h, h2) or case3 != case:
+            if case3 != case or _vertex_key(m3, v3, h3, h23) != _vertex_key(m, v, h, h2):
                 bad += report(f"shrink_{name}/grow_{name} at {tt} {(v, h, h2)}")
     return bad
 

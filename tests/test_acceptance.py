@@ -20,7 +20,6 @@ from planemaps.bijections import (
     transfer_left,
 )
 from planemaps.cli import (
-    _rhs_key,
     _transfer_key,
     _vertex_key,
     admissible_types,
@@ -129,8 +128,6 @@ def _family_bijective(t, ident, forward):
 
 
 def _out_key(ident, m, dec):
-    if ident in (Identity.TWO_CORNERS_SAME_FACE, Identity.CORNER_EACH_TWO_FACES):
-        return _rhs_key(m, *dec)
     if ident is Identity.FACE_TO_FACE:
         return _transfer_key(m, *dec)
     return _vertex_key(m, *dec)
@@ -145,13 +142,13 @@ def test_criterion_5_cardinality_bijectivity():
             done += _family_bijective(
                 t,
                 Identity.TWO_CORNERS_SAME_FACE,
-                lambda m, dec: _rhs_key(*grow_same(m, *dec)[:4]),
+                lambda m, dec: _vertex_key(*grow_same(m, *dec)[:4]),
             )
             if r >= 2:
                 done += _family_bijective(
                     t,
                     Identity.CORNER_EACH_TWO_FACES,
-                    lambda m, dec: _rhs_key(*grow_two(m, *dec)[:4]),
+                    lambda m, dec: _vertex_key(*grow_two(m, *dec)[:4]),
                 )
         if r >= 2 and t[-1] >= 2 and (not odd or r in odd):
             done += _family_bijective(
@@ -189,12 +186,12 @@ def test_criterion_6_decomposition():
                             direct = grow_same(m, e, c, c2, face=j)
                         else:
                             direct = grow_two(m, e, c, c2, faces=ff)
-                        want = (_rhs_key(*direct[:4]), direct[4])
+                        want = (_vertex_key(*direct[:4]), direct[4])
                         for side in (0, 1):
                             via = grow_via_transfers(
                                 m, e, c, c2, faces=ff, mark_side=side
                             )
-                            assert (_rhs_key(*via[:4]), via[4]) == want, (
+                            assert (_vertex_key(*via[:4]), via[4]) == want, (
                                 t, ff, e, c, c2, side,
                             )
                             compared += 1

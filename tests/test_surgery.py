@@ -23,6 +23,7 @@ from planemaps.errors import (
     NotPermutation,
     PlaneMapError,
 )
+from planemaps.metric import classify_dart, distances
 from planemaps.sampler import sample
 from planemaps.surgery import (
     Workspace,
@@ -690,14 +691,28 @@ def test_slits_equal_reference(monkeypatch):
     assert cli.run(["verify-roundtrip", "--max-edges", "3"], io.StringIO()) == 0
     small = dict(seen)
     assert all(small.values()), small
-    # growth up to E=50, then grow and shrink steps on the sampled maps
+    # growth up to E=50, then round trips on the sampled maps: grow and
+    # shrink within face 1 on the all-even types, shrink from faces 1
+    # and 2 and grow back on the odd two-face type
     rng = random.Random(7)
     for a in ((100,), (4,) * 25, (51, 49)):
         for seed in range(2):
             m = sample(a, seed)
-            if len(a) == 2:
-                continue
             for _ in range(10):
+                if a == (51, 49):
+                    v = rng.randrange(m.n_vertices)
+                    dist = distances(m, v)
+                    h, h2 = (
+                        rng.choice([
+                            d for d in m.contour(i)
+                            if classify_dart(m, d, v, dist) == "toward"
+                        ])
+                        for i in (1, 2)
+                    )
+                    m2, e, c, c2, _, _ = bijections.shrink_two(m, v, h, h2)
+                    got = bijections.grow_two(m2, e, c, c2)
+                    assert cli._vertex_key(*got[:4]) == cli._vertex_key(m, v, h, h2)
+                    continue
                 e = rng.randrange(m.n_edges)
                 c = rng.randrange(m.degree(1) + 1)
                 c2 = rng.randrange(m.degree(1) + 2)
