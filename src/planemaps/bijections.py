@@ -17,6 +17,9 @@ corner's tokens.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
+from .counting import Identity
 from .errors import (
     BadDecoration,
     BadFace,
@@ -27,7 +30,7 @@ from .errors import (
     SameFace,
     SameSlot,
 )
-from .maps import PlaneMap, _decoration
+from .maps import PlaneMap, _decoration, _ints
 from .metric import (
     _ball,
     _rightmost,
@@ -67,6 +70,14 @@ def _check_slot(m: PlaneMap, i: int, slot: int) -> None:
         raise BadDecoration(
             f"slot {slot} out of range for face {i} of degree {m.degree(i)}"
         )
+
+
+def _face_pair(faces) -> tuple[int, ...]:
+    """faces as two ints; BadDecoration for any other length or entry."""
+    pair = _ints(faces, BadDecoration, f"faces {faces!r} are")
+    if len(pair) != 2:
+        raise BadDecoration(f"faces {faces!r} are not two face indices")
+    return pair
 
 
 def _check_dart(m: PlaneMap, dart: int, i: int) -> None:
@@ -534,8 +545,8 @@ def grow_two(m: PlaneMap, e: int, c: int, c2: int, *, faces=(1, 2), carry=None):
     Returns (map, v, h, h2, case, carry) with h on the first face and
     h2 on the second, both pointing toward v; consumed by shrink_two.
     """
-    j, k = faces
-    e, c, c2, j, k = _decoration(e, c, c2, j, k)
+    j, k = _face_pair(faces)
+    e, c, c2 = _decoration(e, c, c2)
     _validate_grow(m, e, j, k, c, c2, False)
     return _grow(m, e, j, k, c, c2, False, carry)
 
@@ -551,8 +562,8 @@ def grow_via_transfers(
     matches grow_same (faces equal) or grow_two (faces distinct)
     exactly, independent of mark_side.
     """
-    j, k = faces
-    e, c, c2, j, k, mark_side = _decoration(e, c, c2, j, k, mark_side)
+    j, k = _face_pair(faces)
+    e, c, c2, mark_side = _decoration(e, c, c2, mark_side)
     same = j == k
     _validate_grow(m, e, j, k, c, c2, same)
     kind = _growth_channel(m, e, j, k, c, c2, same)[0]
@@ -702,8 +713,8 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
 
     Returns (map, e, c, c2, case, carry), the grow_two decoration.
     """
-    j, k = faces
-    v, h, h2, j, k = _decoration(v, h, h2, j, k)
+    j, k = _face_pair(faces)
+    v, h, h2 = _decoration(v, h, h2)
     _check_face(m, j)
     _check_face(m, k)
     if j == k:
@@ -712,3 +723,75 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
         raise BadParity("the two shrink faces must be exactly the odd ones")
     dist = _validate_shrink(m, v, h, h2, j, k)
     return _shrink(m, v, h, h2, j, k, False, carry, dist)
+
+
+# ------------------------------------------------------- the four identities
+
+
+class Row(NamedTuple):
+    """One counting identity as a pair of mutually inverse bijections.
+
+    forward(m, dec) and inverse(m, dec) return (map, decoration, case),
+    case None for the transfers.  Faces follow enumerate_decorations:
+    the first role is face 1, the last is face m.n_faces.  lhs_key and
+    rhs_key turn a map and a decoration of either side into a value
+    that ignores dart names, so a round trip can be compared.
+    """
+
+    forward: Callable
+    inverse: Callable
+    lhs_key: Callable
+    rhs_key: Callable
+
+
+def _edge_key(m: PlaneMap, dec) -> tuple:
+    e, c, c2 = dec
+    p, code = m._canonical()
+    d, t = m.edge(e)
+    return (code, min(p[d], p[t]), c, c2)
+
+
+def _vertex_key(m: PlaneMap, dec) -> tuple:
+    v, *darts = dec
+    p, code = m._canonical()
+    return (code, min(p[d] for d in m.vertex_darts(v)), *(p[d] for d in darts))
+
+
+def _slot_key(m: PlaneMap, dec) -> tuple:
+    slot, *darts = dec
+    p, code = m._canonical()
+    return (code, slot, *(p[d] for d in darts))
+
+
+def _cased(out) -> tuple:
+    return out[0], out[1:4], out[4]
+
+
+def _uncased(out) -> tuple:
+    return out[0], out[1:-1], None
+
+
+# the bijections are looked up by name at call time, so a wrapper
+# installed on this module is seen through the table as well
+IDENTITIES = {
+    Identity.TWO_CORNERS_SAME_FACE: Row(
+        lambda m, dec: _cased(grow_same(m, *dec)),
+        lambda m, dec: _cased(shrink_same(m, *dec)),
+        _edge_key, _vertex_key,
+    ),
+    Identity.CORNER_EACH_TWO_FACES: Row(
+        lambda m, dec: _cased(grow_two(m, *dec)),
+        lambda m, dec: _cased(shrink_two(m, *dec)),
+        _edge_key, _vertex_key,
+    ),
+    Identity.FACE_TO_FACE: Row(
+        lambda m, dec: _uncased(transfer_left(m, 1, m.n_faces, *dec)),
+        lambda m, dec: _uncased(transfer_right(m, m.n_faces, 1, *dec)),
+        _slot_key, _slot_key,
+    ),
+    Identity.UNIT_FACE: Row(
+        lambda m, dec: _uncased(transfer1_right(m, 1, m.n_faces, *dec)),
+        lambda m, dec: _uncased(transfer1_left(m, 1, m.n_faces + 1, *dec)),
+        _slot_key, _vertex_key,
+    ),
+}

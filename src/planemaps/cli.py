@@ -12,16 +12,7 @@ import random
 import sys
 from typing import Iterator
 
-from .bijections import (
-    grow_same,
-    grow_two,
-    shrink_same,
-    shrink_two,
-    transfer1_left,
-    transfer1_right,
-    transfer_left,
-    transfer_right,
-)
+from .bijections import IDENTITIES
 from .counting import (
     Identity,
     check_type,
@@ -80,6 +71,20 @@ def admissible_types(max_edges: int) -> Iterator[tuple[int, ...]]:
         for t in compositions(2 * e, ()):
             if sum(x % 2 for x in t) in (0, 2):
                 yield t
+
+
+def identity_families(max_edges: int) -> Iterator[tuple]:
+    """(t, identity, target) for every identity that applies to an admissible type.
+
+    Types come as admissible_types lists them and, per type, the
+    identities in Identity order; the rest raise BadParity.
+    """
+    for t in admissible_types(max_edges):
+        for ident in Identity:
+            try:
+                yield t, ident, identity_target(ident, t)
+            except BadParity:
+                continue
 
 
 def to_dot(m: PlaneMap, name: str = "map") -> str:
@@ -165,176 +170,70 @@ def cmd_export(args, out) -> int:
     return 0
 
 
-def _lhs_key(m: PlaneMap, e: int, c: int, c2: int) -> tuple:
-    p, code = m._canonical()
-    d, t = m.edge(e)
-    return (code, min(p[d], p[t]), c, c2)
-
-
-def _vertex_key(m: PlaneMap, v: int, *darts: int) -> tuple:
-    p, code = m._canonical()
-    vid = min(p[d] for d in m.vertex_darts(v))
-    return (code, vid, *(p[d] for d in darts))
-
-
-def _transfer_key(m: PlaneMap, slot: int, dart: int) -> tuple:
-    p, code = m._canonical()
-    return (code, slot, p[dart])
+def _verdict(failures: int, out, what: str, passed: str | None = None) -> int:
+    """Exit status 1 and an error line when anything failed, else 0."""
+    if failures:
+        print(f"error: {failures} {what} failed", file=sys.stderr)
+        return 1
+    print(f"all {passed or what} passed", file=out)
+    return 0
 
 
 def cmd_verify_identities(args, out) -> int:
     k = args.max_edges
     failures = 0
-    checked = 0
-    for t in admissible_types(k):
-        for ident in Identity:
-            try:
-                identity_target(ident, t)
-            except BadParity:
-                continue
-            lhs, rhs = identity_sides(ident, t)
-            checked += 1
-            if lhs != rhs:
-                failures += 1
-                print(f"FAIL {ident.value} {t}: {lhs} != {rhs}", file=out)
-    print(f"identity arithmetic: {checked} instances checked", file=out)
+    sides = [(t, i, tt, *identity_sides(i, t)) for t, i, tt in identity_families(k)]
+    for t, ident, _, lhs, rhs in sides:
+        if lhs != rhs:
+            failures += 1
+            print(f"FAIL {ident.value} {t}: {lhs} != {rhs}", file=out)
+    print(f"identity arithmetic: {len(sides)} instances checked", file=out)
     if k <= DEFAULT_MAX_EDGES:
-        card = 0
-        for t in admissible_types(k):
-            for ident in Identity:
-                try:
-                    tt = identity_target(ident, t)
-                except BadParity:
-                    continue
-                lhs, rhs = identity_sides(ident, t)
-                nl = sum(
-                    len(enumerate_decorations(m, ident, "lhs"))
-                    for m in enumerate_maps(t, max_edges=k)
+        for t, ident, tt, lhs, rhs in sides:
+            nl, nr = (
+                sum(len(enumerate_decorations(m, ident, side))
+                    for m in enumerate_maps(a, max_edges=b))
+                for side, a, b in (("lhs", t, k), ("rhs", tt, k + 1))
+            )
+            if (nl, nr) != (lhs, rhs):
+                failures += 1
+                print(
+                    f"FAIL {ident.value} {t}: enumerated ({nl}, {nr}), "
+                    f"formula ({lhs}, {rhs})",
+                    file=out,
                 )
-                nr = sum(
-                    len(enumerate_decorations(m, ident, "rhs"))
-                    for m in enumerate_maps(tt, max_edges=k + 1)
-                )
-                card += 1
-                if (nl, nr) != (lhs, rhs):
-                    failures += 1
-                    print(
-                        f"FAIL {ident.value} {t}: enumerated ({nl}, {nr}), "
-                        f"formula ({lhs}, {rhs})",
-                        file=out,
-                    )
-        print(f"set cardinalities: {card} instances checked", file=out)
-    if failures:
-        print(f"error: {failures} identity checks failed", file=sys.stderr)
-        return 1
-    print("all identity checks passed", file=out)
-    return 0
-
-
-def _roundtrip_growth(t, report, maps, ident, grow, shrink, name) -> int:
-    bad = 0
-    for m in maps(t):
-        for (e, c, c2) in enumerate_decorations(m, ident, "lhs"):
-            m2, v, h, h2, case, _ = grow(m, e, c, c2)
-            m3, e3, c3, c23, case3, _ = shrink(m2, v, h, h2)
-            if _lhs_key(m3, e3, c3, c23) != _lhs_key(m, e, c, c2) or case3 != case:
-                bad += report(f"grow_{name}/shrink_{name} at {t} {(e, c, c2)}")
-    tt = identity_target(ident, t)
-    for m in maps(tt, edge_count(tt)):
-        for (v, h, h2) in enumerate_decorations(m, ident, "rhs"):
-            m2, e, c, c2, case, _ = shrink(m, v, h, h2)
-            m3, v3, h3, h23, case3, _ = grow(m2, e, c, c2)
-            if case3 != case or _vertex_key(m3, v3, h3, h23) != _vertex_key(m, v, h, h2):
-                bad += report(f"shrink_{name}/grow_{name} at {tt} {(v, h, h2)}")
-    return bad
-
-
-def _roundtrip_transfer(t, report, maps) -> int:
-    bad = 0
-    r = len(t)
-    for m in maps(t):
-        for (c, h2) in enumerate_decorations(m, Identity.FACE_TO_FACE, "lhs"):
-            m2, s2, d2, _ = transfer_left(m, 1, r, c, h2)
-            m3, c3, h3, _ = transfer_right(m2, r, 1, s2, d2)
-            if _transfer_key(m3, c3, h3) != _transfer_key(m, c, h2):
-                bad += report(f"transfer_left/right at {t} {(c, h2)}")
-    tt = identity_target(Identity.FACE_TO_FACE, t)
-    for m in maps(tt, edge_count(tt)):
-        for (c2, h) in enumerate_decorations(m, Identity.FACE_TO_FACE, "rhs"):
-            m2, c, h2, _ = transfer_right(m, r, 1, c2, h)
-            m3, s3, d3, _ = transfer_left(m2, 1, r, c, h2)
-            if _transfer_key(m3, s3, d3) != _transfer_key(m, c2, h):
-                bad += report(f"transfer_right/left at {tt} {(c2, h)}")
-    return bad
-
-
-def _roundtrip_unit(t, report, maps) -> int:
-    bad = 0
-    r = len(t)
-    for m in maps(t):
-        for (c,) in enumerate_decorations(m, Identity.UNIT_FACE, "lhs"):
-            m2, v, h, _ = transfer1_right(m, 1, r, c)
-            m3, c3, _ = transfer1_left(m2, 1, r, v, h)
-            if (m3.canonical_code(), c3) != (m.canonical_code(), c):
-                bad += report(f"transfer1_right/left at {t} {(c,)}")
-    tt = identity_target(Identity.UNIT_FACE, t)
-    for m in maps(tt, edge_count(tt)):
-        for (v, h) in enumerate_decorations(m, Identity.UNIT_FACE, "rhs"):
-            m2, c, _ = transfer1_left(m, 1, r, v, h)
-            m3, v3, h3, _ = transfer1_right(m2, 1, r, c)
-            if _vertex_key(m3, v3, h3) != _vertex_key(m, v, h):
-                bad += report(f"transfer1_left/right at {tt} {(v, h)}")
-    return bad
-
-
-def _transfer_applicable(t) -> bool:
-    odd = odd_positions(t)
-    return len(t) >= 2 and t[-1] >= 2 and (not odd or len(t) in odd)
+        print(f"set cardinalities: {len(sides)} instances checked", file=out)
+    return _verdict(failures, out, "identity checks")
 
 
 def cmd_verify_roundtrip(args, out) -> int:
-    k = args.max_edges
     failures = 0
-
-    def report(msg: str) -> int:
-        nonlocal failures
-        print(f"FAIL {msg}", file=out)
-        return 1
-
     # each type is enumerated once per sweep, as source and as target
     cache: dict[tuple[int, ...], list[PlaneMap]] = {}
 
-    def maps(t, max_edges=DEFAULT_MAX_EDGES) -> list[PlaneMap]:
+    def maps(t, max_edges) -> list[PlaneMap]:
         # a type above the bound still raises TooManyEdges, as uncached
         if t not in cache or edge_count(t) > max_edges:
             cache[t] = enumerate_maps(t, max_edges=max_edges)
         return cache[t]
 
-    trips = 0
-    for t in admissible_types(k):
-        odd = odd_positions(t)
-        if not odd:
-            trips += 1
-            failures += _roundtrip_growth(
-                t, report, maps, Identity.TWO_CORNERS_SAME_FACE, grow_same, shrink_same, "same"
-            )
-            if len(t) >= 2:
-                trips += 1
-                failures += _roundtrip_growth(
-                    t, report, maps, Identity.CORNER_EACH_TWO_FACES, grow_two, shrink_two, "two"
-                )
-        if _transfer_applicable(t):
-            trips += 1
-            failures += _roundtrip_transfer(t, report, maps)
-        if len(t) >= 2 and t[-1] == 1 and len(odd) == 2:
-            trips += 1
-            failures += _roundtrip_unit(t, report, maps)
-    print(f"round trips: {trips} family sweeps", file=out)
-    if failures:
-        print(f"error: {failures} round trips failed", file=sys.stderr)
-        return 1
-    print("all round trips passed", file=out)
-    return 0
+    families = list(identity_families(args.max_edges))
+    for t, ident, tt in families:
+        row = IDENTITIES[ident]
+        # every lhs decoration there and back, then every rhs one
+        for side, src, bound, there, back, key in (
+            ("lhs", t, DEFAULT_MAX_EDGES, row.forward, row.inverse, row.lhs_key),
+            ("rhs", tt, edge_count(tt), row.inverse, row.forward, row.rhs_key),
+        ):
+            for m in maps(src, bound):
+                for dec in enumerate_decorations(m, ident, side):
+                    m2, dec2, case = there(m, dec)
+                    m3, dec3, case3 = back(m2, dec2)
+                    if case3 != case or key(m3, dec3) != key(m, dec):
+                        failures += 1
+                        print(f"FAIL {ident.value} {side} at {src} {dec}", file=out)
+    print(f"round trips: {len(families)} family sweeps", file=out)
+    return _verdict(failures, out, "round trips")
 
 
 def cmd_verify_props(args, out) -> int:
@@ -355,11 +254,7 @@ def cmd_verify_props(args, out) -> int:
                             file=out,
                         )
     print(f"direction censuses: {n_maps} maps swept", file=out)
-    if failures:
-        print(f"error: {failures} censuses failed", file=sys.stderr)
-        return 1
-    print("all direction censuses passed", file=out)
-    return 0
+    return _verdict(failures, out, "censuses", "direction censuses")
 
 
 def build_parser() -> argparse.ArgumentParser:

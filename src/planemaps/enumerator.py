@@ -11,12 +11,13 @@ every marked dart and therefore every dart.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 from .counting import Identity, check_type, edge_count
 from .errors import Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap
-from .metric import classify_dart, distances
+from .metric import directed_darts, distances
 
 DEFAULT_MAX_EDGES = 6
 
@@ -82,24 +83,6 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
     return out
 
 
-def count_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> int:
-    return len(enumerate_maps(a, max_edges))
-
-
-def _toward(m, face_i, v, dist):
-    return [
-        d for d in m.contour(face_i)
-        if classify_dart(m, d, v, dist) == "toward"
-    ]
-
-
-def _away(m, face_i, v, dist):
-    return [
-        d for d in m.contour(face_i)
-        if classify_dart(m, d, v, dist) == "away"
-    ]
-
-
 def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tuple]:
     """All decorations of one side of a counting identity on one map.
 
@@ -116,52 +99,33 @@ def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tu
     out: list[tuple] = []
     if identity is Identity.TWO_CORNERS_SAME_FACE:
         if side == "lhs":
-            return [
-                (e, c, c2)
-                for e in range(m.n_edges)
-                for c in range(a1 + 1)
-                for c2 in range(a1 + 2)
-            ]
+            return list(product(range(m.n_edges), range(a1 + 1), range(a1 + 2)))
         for v in range(m.n_vertices):
-            dist = distances(m, v)
-            hs = _toward(m, 1, v, dist)
+            hs = directed_darts(m, 1, v, "toward")
             out += [(v, h, h2) for h in hs for h2 in hs if h != h2]
         return out
     if identity is Identity.CORNER_EACH_TWO_FACES:
         if side == "lhs":
-            a2 = m.degree(2)
-            return [
-                (e, c, c2)
-                for e in range(m.n_edges)
-                for c in range(a1 + 1)
-                for c2 in range(a2 + 1)
-            ]
+            return list(product(range(m.n_edges), range(a1 + 1), range(m.degree(2) + 1)))
         for v in range(m.n_vertices):
             dist = distances(m, v)
-            out += [
-                (v, h, h2)
-                for h in _toward(m, 1, v, dist)
-                for h2 in _toward(m, 2, v, dist)
-            ]
+            hs2 = directed_darts(m, 2, v, "toward", dist)
+            out += [(v, h, h2) for h in directed_darts(m, 1, v, "toward", dist) for h2 in hs2]
         return out
     if identity is Identity.FACE_TO_FACE:
         if side == "lhs":
             for c in range(a1 + 1):
                 v = m.vertex_of(m.slot_anchor(1, c))
-                dist = distances(m, v)
-                out += [(c, h2) for h2 in _toward(m, r, v, dist)]
+                out += [(c, h2) for h2 in directed_darts(m, r, v, "toward")]
             return out
-        alast = m.degree(r)
-        for c2 in range(alast + 1):
+        for c2 in range(m.degree(r) + 1):
             v = m.vertex_of(m.slot_anchor(r, c2))
-            dist = distances(m, v)
-            out += [(c2, h) for h in _away(m, 1, v, dist)]
+            out += [(c2, h) for h in directed_darts(m, 1, v, "away")]
         return out
     if identity is Identity.UNIT_FACE:
         if side == "lhs":
             return [(c,) for c in range(a1 + 1)]
         for v in range(m.n_vertices):
-            dist = distances(m, v)
-            out += [(v, h) for h in _toward(m, 1, v, dist)]
+            out += [(v, h) for h in directed_darts(m, 1, v, "toward")]
         return out
     raise TypeError(f"unknown identity {identity!r}")

@@ -391,9 +391,6 @@ class PlaneMap:
         """Clockwise neighbour of d around its origin vertex."""
         return self.next[self.twin[d]]
 
-    def sigma_inv(self, d: int) -> int:
-        return self.twin[self._prev[d]]
-
     def vertex_of(self, d: int) -> int:
         """Index of the origin vertex of d."""
         return self._vertex_of[d]
@@ -442,10 +439,6 @@ class PlaneMap:
         if not 0 <= slot <= a:
             raise ValueError(f"slot {slot} out of range for degree {a}")
         return contour[slot % a]
-
-    def corner_after(self, d: int) -> int:
-        """After-dart of the corner following d in its contour."""
-        return self.next[d]
 
     # rebuilding helpers
 

@@ -74,6 +74,26 @@ def classify_dart(m: PlaneMap, d: int, v: int, dist=None) -> str:
     return "parallel"
 
 
+_DIRECTIONS = {"toward": -1, "parallel": 0, "away": 1}
+
+
+def directed_darts(m: PlaneMap, i: int, v: int, direction: str, dist=None) -> list[int]:
+    """The contour darts of face i that point in direction relative to v.
+
+    direction is "toward", "away" or "parallel", as classify_dart names
+    it; the darts come in contour order from the marked corner.  dist,
+    when given, is ``distances(m, v)`` already at hand, checked like
+    the geodesics'.
+    """
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    want = _DIRECTIONS[direction]
+    dist = _checked_dist(m, v, dist)
+    vertex_of, twin = m._vertex_of, m.twin
+    # the two ends of an edge lie at most one step apart
+    return [d for d in m.contour(i) if dist[vertex_of[twin[d]]] - dist[vertex_of[d]] == want]
+
+
 def direction_census(m: PlaneMap, v: int) -> list[tuple[int, int, int]]:
     """(toward, away, parallel) dart counts of every face relative to vertex v.
 
@@ -144,14 +164,19 @@ def _counterclockwise_from(m, d):
     return _rotate_past(m._vertices[m._vertex_of[d]][::-1], d)
 
 
+def _checked_dist(m, v, dist):
+    """dist, or distances(m, v) when None; ValueError unless it starts at v."""
+    if dist is None:
+        return distances(m, v)
+    if len(dist) != m.n_vertices or dist[v] != 0:
+        raise ValueError(f"dist is not a distance table from vertex {v}")
+    return dist
+
+
 def _target_dist(m, target, from_dart, from_corner, dist):
     if (from_dart is None) == (from_corner is None):
         raise TypeError("need exactly one of from_dart and from_corner")
-    if dist is None:
-        return distances(m, target)
-    if len(dist) != m.n_vertices or dist[target] != 0:
-        raise ValueError(f"dist is not a distance table from vertex {target}")
-    return dist
+    return _checked_dist(m, target, dist)
 
 
 def leftmost_geodesic(

@@ -22,7 +22,7 @@ from .bijections import grow_same, transfer1_left, transfer_right
 from .counting import check_type, classify, odd_positions
 from .errors import BadParity, BadSchedule, BadSeed, OddCoordinate
 from .maps import PlaneMap
-from .metric import classify_dart, distances
+from .metric import directed_darts
 from .surgery import edge_to_digon
 
 Schedule = tuple[tuple[int, ...], ...]
@@ -177,9 +177,7 @@ def sample_quasibipartite(a, rng) -> PlaneMap:
         # decoration counts V * deg_i/2: a vertex and a dart of face i
         # toward it, uniform because the toward count per vertex is fixed
         v = r.randrange(m.n_vertices)
-        dist = distances(m, v)
-        darts = [d for d in m.contour(i) if classify_dart(m, d, v, dist) == "toward"]
-        return transfer1_left(m, i, j, v, r.choice(darts))[0]
+        return transfer1_left(m, i, j, v, r.choice(directed_darts(m, i, v, "toward")))[0]
     tt = list(t)
     tt[i - 1] += 1
     tt[j - 1] -= 1
@@ -188,9 +186,7 @@ def sample_quasibipartite(a, rng) -> PlaneMap:
     # of face i away from the slot vertex, again fixed per vertex
     slot = r.randrange(m.degree(j) + 1)
     cv = m.vertex_of(m.slot_anchor(j, slot))
-    dist = distances(m, cv)
-    darts = [d for d in m.contour(i) if classify_dart(m, d, cv, dist) == "away"]
-    return transfer_right(m, j, i, slot, r.choice(darts))[0]
+    return transfer_right(m, j, i, slot, r.choice(directed_darts(m, i, cv, "away")))[0]
 
 
 def sample(a, rng) -> PlaneMap:

@@ -92,9 +92,6 @@ class Workspace:
     def prev_of(self, d: int) -> int:
         return self.prev[d]
 
-    def sigma_inv(self, d: int) -> int:
-        return self.twin[self.prev[d]]
-
     def rotation_from(self, d: int) -> list[int]:
         nxt, twin = self.next, self.twin
         out = [d]
@@ -114,8 +111,11 @@ class Workspace:
         return self.markers.setdefault(d, [])
 
     def delete(self, d: int) -> None:
-        assert self.twin[d] is not None, f"dart {d} is already deleted"
-        assert not self.markers.get(d), f"dart {d} dies carrying markers"
+        # raised, not asserted, so python -O keeps both refusals
+        if self.twin[d] is None:
+            raise AssertionError(f"dart {d} is already deleted")
+        if self.markers.get(d):
+            raise AssertionError(f"dart {d} dies carrying markers")
         self.twin[d] = self.next[d] = self.prev[d] = None
         self.markers.pop(d, None)
         if d < self.intact:
@@ -124,13 +124,6 @@ class Workspace:
     def add_marker(self, d: int, token, rank: int | None = None) -> None:
         lst = self.marks_of(d)
         lst.insert(len(lst) if rank is None else rank, token)
-
-    def find_marker(self, token) -> tuple[int, int]:
-        """Anchor dart and rank of a token; raises KeyError when absent."""
-        for d, lst in self.markers.items():
-            if token in lst:
-                return d, lst.index(token)
-        raise KeyError(token)
 
 
 @dataclass

@@ -12,28 +12,10 @@ from math import factorial
 
 from scipy.stats import chisquare
 
-from planemaps.bijections import (
-    grow_same,
-    grow_two,
-    grow_via_transfers,
-    transfer1_right,
-    transfer_left,
-)
-from planemaps.cli import (
-    _transfer_key,
-    _vertex_key,
-    admissible_types,
-    run,
-)
-from planemaps.counting import (
-    Identity,
-    identity_sides,
-    identity_target,
-    odd_positions,
-    tutte_count,
-)
+from planemaps.bijections import IDENTITIES, grow_same, grow_two, grow_via_transfers
+from planemaps.cli import admissible_types, identity_families, run
+from planemaps.counting import Identity, identity_sides, tutte_count
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
-from planemaps.errors import BadParity
 from planemaps.maps import PlaneMap
 from planemaps.sampler import sample
 
@@ -84,15 +66,10 @@ def test_criterion_2_initial_condition():
 
 def test_criterion_3_identity_arithmetic():
     checked = 0
-    for t in admissible_types(8):
-        for ident in Identity:
-            try:
-                identity_target(ident, t)
-            except BadParity:
-                continue
-            lhs, rhs = identity_sides(ident, t)
-            assert lhs == rhs, (ident, t, lhs, rhs)
-            checked += 1
+    for t, ident, _ in identity_families(8):
+        lhs, rhs = identity_sides(ident, t)
+        assert lhs == rhs, (ident, t, lhs, rhs)
+        checked += 1
     assert checked > 2000
     verdict(3, True, f"{checked} identity instances, lhs == rhs exactly")
 
@@ -106,20 +83,21 @@ def test_criterion_4_round_trips():
     verdict(4, ok, f"exhaustive E<=4 sweep, case tags preserved, {took:.0f}s")
 
 
-def _family_bijective(t, ident, forward):
+def _family_bijective(t, ident, tt):
     """Forward images coincide with the enumerated target family."""
+    row = IDENTITIES[ident]
     lhs_v, rhs_v = identity_sides(ident, t)
-    tt = identity_target(ident, t)
     inputs = [
         (m, dec)
         for m in all_maps(t)
         for dec in enumerate_decorations(m, ident, "lhs")
     ]
-    want = set()
-    for m in all_maps(tt):
-        for dec in enumerate_decorations(m, ident, "rhs"):
-            want.add(_out_key(ident, m, dec))
-    img = {forward(m, dec) for m, dec in inputs}
+    want = {
+        row.rhs_key(m, dec)
+        for m in all_maps(tt)
+        for dec in enumerate_decorations(m, ident, "rhs")
+    }
+    img = {row.rhs_key(*row.forward(m, dec)[:2]) for m, dec in inputs}
     assert len(inputs) == lhs_v, (t, ident, len(inputs), lhs_v)
     assert len(want) == rhs_v, (t, ident, len(want), rhs_v)
     assert len(img) == len(inputs), (t, ident, "forward map not injective")
@@ -127,41 +105,8 @@ def _family_bijective(t, ident, forward):
     return len(inputs)
 
 
-def _out_key(ident, m, dec):
-    if ident is Identity.FACE_TO_FACE:
-        return _transfer_key(m, *dec)
-    return _vertex_key(m, *dec)
-
-
 def test_criterion_5_cardinality_bijectivity():
-    done = 0
-    for t in admissible_types(4):
-        odd = odd_positions(t)
-        r = len(t)
-        if not odd:
-            done += _family_bijective(
-                t,
-                Identity.TWO_CORNERS_SAME_FACE,
-                lambda m, dec: _vertex_key(*grow_same(m, *dec)[:4]),
-            )
-            if r >= 2:
-                done += _family_bijective(
-                    t,
-                    Identity.CORNER_EACH_TWO_FACES,
-                    lambda m, dec: _vertex_key(*grow_two(m, *dec)[:4]),
-                )
-        if r >= 2 and t[-1] >= 2 and (not odd or r in odd):
-            done += _family_bijective(
-                t,
-                Identity.FACE_TO_FACE,
-                lambda m, dec: _transfer_key(*transfer_left(m, 1, r, *dec)[:3]),
-            )
-        if r >= 2 and t[-1] == 1 and len(odd) == 2:
-            done += _family_bijective(
-                t,
-                Identity.UNIT_FACE,
-                lambda m, dec: _vertex_key(*transfer1_right(m, 1, r, *dec)[:3]),
-            )
+    done = sum(_family_bijective(*family) for family in identity_families(4))
     verdict(5, True, f"{done} decorated inputs, all four forward maps bijective")
 
 
@@ -172,6 +117,7 @@ def test_criterion_6_decomposition():
         ((2, 2), (1, 1)),
         ((2, 2), (1, 2)),
     ]
+    key = IDENTITIES[Identity.TWO_CORNERS_SAME_FACE].rhs_key
     compared = 0
     for t, ff in cases:
         j, k = ff
@@ -186,12 +132,12 @@ def test_criterion_6_decomposition():
                             direct = grow_same(m, e, c, c2, face=j)
                         else:
                             direct = grow_two(m, e, c, c2, faces=ff)
-                        want = (_vertex_key(*direct[:4]), direct[4])
+                        want = (key(direct[0], direct[1:4]), direct[4])
                         for side in (0, 1):
                             via = grow_via_transfers(
                                 m, e, c, c2, faces=ff, mark_side=side
                             )
-                            assert (_vertex_key(*via[:4]), via[4]) == want, (
+                            assert (key(via[0], via[1:4]), via[4]) == want, (
                                 t, ff, e, c, c2, side,
                             )
                             compared += 1

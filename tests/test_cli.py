@@ -7,8 +7,9 @@ import pytest
 
 from planemaps import cli
 from planemaps.cli import admissible_types, run, to_dot
-from planemaps.counting import tutte_count
-from planemaps.enumerator import enumerate_maps
+from planemaps.bijections import IDENTITIES
+from planemaps.counting import Identity, identity_sides, tutte_count
+from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.maps import PlaneMap
 
 from common import digon
@@ -169,6 +170,37 @@ class TestVerify:
         assert status == 0
         assert text == "round trips: 32 family sweeps\nall round trips passed\n"
         assert len(calls) == len(set(calls)) == 32
+
+    @pytest.mark.parametrize("ident", list(Identity), ids=lambda i: i.value)
+    def test_roundtrip_failure_reported(self, ident, monkeypatch, capsys):
+        # an inverse that, undoing a forward step, lands on the next lhs
+        # decoration of the right map: the case stays right, so only the
+        # key comparison can see that every lhs round trip now fails
+        row = IDENTITIES[ident]
+        made = []
+
+        def forward(m, dec):
+            out = row.forward(m, dec)
+            made.append(out[0])
+            return out
+
+        def inverse(m, dec):
+            m2, dec2, case = row.inverse(m, dec)
+            if made and m is made[-1]:
+                decs = enumerate_decorations(m2, ident, "lhs")
+                dec2 = decs[(decs.index(dec2) + 1) % len(decs)]
+            return m2, dec2, case
+
+        monkeypatch.setitem(IDENTITIES, ident, row._replace(forward=forward, inverse=inverse))
+        status, text = invoke(["verify-roundtrip", "--max-edges", "2"])
+        assert status == 1
+        fails = [ln for ln in text.splitlines() if ln.startswith("FAIL")]
+        sources = [t for t, i, _ in cli.identity_families(2) if i is ident]
+        assert len(fails) == sum(identity_sides(ident, t)[0] for t in sources) > 0
+        for ln in fails:
+            assert any(ln.startswith(f"FAIL {ident.value} lhs at {t} ") for t in sources), ln
+        assert f"error: {len(fails)} round trips failed" in capsys.readouterr().err
+        assert "all round trips passed" not in text
 
     def test_sweep_counts(self):
         _, text = invoke(["verify-roundtrip", "--max-edges", "1"])

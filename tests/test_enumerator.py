@@ -3,7 +3,7 @@
 import pytest
 
 from planemaps.counting import Identity, identity_sides, identity_target, tutte_count
-from planemaps.enumerator import count_maps, enumerate_decorations, enumerate_maps
+from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.errors import PlaneMapError, TooManyEdges
 
 SMALL_TYPES = [
@@ -33,7 +33,7 @@ SMALL_TYPES = [
 class TestEnumeration:
     @pytest.mark.parametrize("a", SMALL_TYPES)
     def test_count_matches_formula(self, a):
-        assert count_maps(a) == tutte_count(a)
+        assert len(enumerate_maps(a)) == tutte_count(a)
 
     @pytest.mark.parametrize("a", [(2, 2), (4,), (3, 1), (3, 3)])
     def test_codes_distinct(self, a):
@@ -58,7 +58,7 @@ class TestEnumeration:
             enumerate_maps((20, 2))
         with pytest.raises(TooManyEdges):
             enumerate_maps((4, 4), max_edges=3)
-        assert count_maps((2,), max_edges=1) == 1
+        assert len(enumerate_maps((2,), max_edges=1)) == 1
         assert issubclass(TooManyEdges, PlaneMapError)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from planemaps import bijections
 from planemaps.bijections import (
+    IDENTITIES,
     grow_same,
     grow_two,
     grow_via_transfers,
@@ -35,22 +36,9 @@ from common import digon, double_edge
 EDGE = digon()
 
 
-def lhs_key(m, e, c, c2):
-    """Canonical form of an input decoration (edge, two cut points)."""
-    perm = m.canonical_relabeling()
-    d, t = m.edges()[e]
-    return (m.canonical_code(), min(perm[d], perm[t]), c, c2)
-
-
-def rhs_key(m, v, h, h2):
-    """Canonical form of an output decoration (vertex, two darts)."""
-    perm = m.canonical_relabeling()
-    return (
-        m.canonical_code(),
-        min(perm[d] for d in m.vertex_darts(v)),
-        perm[h],
-        perm[h2],
-    )
+# both growth rows key their decorations alike: an edge and two cut
+# points on the left, a vertex and two darts on the right
+KEYS = IDENTITIES[Identity.TWO_CORNERS_SAME_FACE]
 
 
 def growers(faces):
@@ -115,7 +103,7 @@ class TestGrowthFamilies:
         rhs = set()
         for m in enumerate_maps(out_types):
             for v, h, h2 in enumerate_decorations(m, ident, "rhs"):
-                rhs.add(rhs_key(m, v, h, h2))
+                rhs.add(KEYS.rhs_key(m, (v, h, h2)))
         got = []
         for m in enumerate_maps(types):
             for e, c, c2 in enumerate_decorations(m, ident, "lhs"):
@@ -126,7 +114,7 @@ class TestGrowthFamilies:
                 dist = distances(m2, v)
                 assert classify_dart(m2, h, v, dist) == "toward"
                 assert classify_dart(m2, h2, v, dist) == "toward"
-                got.append(rhs_key(m2, v, h, h2))
+                got.append(KEYS.rhs_key(m2, (v, h, h2)))
         assert len(set(got)) == len(got), "growth repeated an output"
         assert set(got) == rhs
 
@@ -136,7 +124,7 @@ class TestGrowthFamilies:
             for e, c, c2 in enumerate_decorations(m, ident, "lhs"):
                 m2, v, h, h2, case, _ = grow(m, e, c, c2)
                 mb, eb, cb, c2b, case_b, _ = shrink(m2, v, h, h2)
-                assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
+                assert KEYS.lhs_key(mb, (eb, cb, c2b)) == KEYS.lhs_key(m, (e, c, c2))
                 assert case_b == case
 
     def test_reverse_round_trip(self, types, out_types, ident, faces):
@@ -146,7 +134,7 @@ class TestGrowthFamilies:
                 mb, eb, cb, c2b, case_b, _ = shrink(m2, v, h, h2)
                 assert tuple(mb.degrees) == types
                 m3, v3, h3, h23, case3, _ = grow(mb, eb, cb, c2b)
-                assert rhs_key(m3, v3, h3, h23) == rhs_key(m2, v, h, h2)
+                assert KEYS.rhs_key(m3, (v3, h3, h23)) == KEYS.rhs_key(m2, (v, h, h2))
                 assert case3 == case_b
 
 
@@ -164,10 +152,10 @@ def test_via_transfers_matches_direct(types, ident, faces):
     for m in enumerate_maps(types):
         for e, c, c2 in enumerate_decorations(m, ident, "lhs"):
             m2, v, h, h2, case, _ = grow(m, e, c, c2)
-            want = rhs_key(m2, v, h, h2)
+            want = KEYS.rhs_key(m2, (v, h, h2))
             for side in (0, 1):
                 out = grow_via_transfers(m, e, c, c2, faces=faces, mark_side=side)
-                assert rhs_key(out[0], out[1], out[2], out[3]) == want
+                assert KEYS.rhs_key(out[0], out[1:4]) == want
                 assert out[4] == case
 
 
@@ -179,7 +167,7 @@ def check_sampled_round_trip(a, seed, data):
     c2 = data.draw(st.integers(0, deg + 1), label="c2")
     m2, v, h, h2, case, _ = grow_same(m, e, c, c2)
     mb, eb, cb, c2b, case_b, _ = shrink_same(m2, v, h, h2)
-    assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
+    assert KEYS.lhs_key(mb, (eb, cb, c2b)) == KEYS.lhs_key(m, (e, c, c2))
     assert case_b == case
 
 
@@ -211,7 +199,7 @@ def test_sampled_round_trip_two(a, seed, data):
     c2 = data.draw(st.integers(0, m.degree(2)), label="c2")
     m2, v, h, h2, case, _ = grow_two(m, e, c, c2)
     mb, eb, cb, c2b, case_b, _ = shrink_two(m2, v, h, h2)
-    assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
+    assert KEYS.lhs_key(mb, (eb, cb, c2b)) == KEYS.lhs_key(m, (e, c, c2))
     assert case_b == case
 
 
@@ -228,7 +216,7 @@ def test_sampled_via_transfers_matches_direct(a, seed, data):
     side = data.draw(st.integers(0, 1), label="mark_side")
     m2, v, h, h2, case, _ = grow_same(m, e, c, c2)
     out = grow_via_transfers(m, e, c, c2, mark_side=side)
-    assert rhs_key(out[0], out[1], out[2], out[3]) == rhs_key(m2, v, h, h2)
+    assert KEYS.rhs_key(out[0], out[1:4]) == KEYS.rhs_key(m2, (v, h, h2))
     assert out[4] == case
 
 
@@ -244,9 +232,9 @@ def test_grow_other_face():
                 m2, v, h, h2, case, _ = grow_same(m, e, c, c2, face=2)
                 assert m2.degrees == (2, 4)
                 assert m2.face_of(h) == 2 and m2.face_of(h2) == 2
-                seen.add(rhs_key(m2, v, h, h2))
+                seen.add(KEYS.rhs_key(m2, (v, h, h2)))
                 mb, eb, cb, c2b, case_b, _ = shrink_same(m2, v, h, h2, face=2)
-                assert lhs_key(mb, eb, cb, c2b) == lhs_key(m, e, c, c2)
+                assert KEYS.lhs_key(mb, (eb, cb, c2b)) == KEYS.lhs_key(m, (e, c, c2))
                 assert case_b == case
     assert len(seen) == m.n_edges * (deg + 1) * (deg + 2)
 
@@ -400,6 +388,21 @@ class TestStrictDecorations:
         with pytest.raises(BadDecoration) as info:
             call(self, spoil)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("faces", [(1,), (1, 2, 3), None], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, f: grow_two(m.TWO, 0, 0, 0, faces=f),
+            lambda m, f: shrink_two(m.ODD, 0, 0, 1, faces=f),
+            lambda m, f: grow_via_transfers(m.TWO, 0, 0, 0, faces=f),
+        ],
+        ids=["grow_two", "shrink_two", "grow_via_transfers"],
+    )
+    def test_faces_not_a_pair_refused(self, call, faces):
+        # unpacked before any check, these escaped as ValueError or TypeError
+        with pytest.raises(BadDecoration):
+            call(self, faces)
 
     def test_bools_and_index_objects_pass(self):
         class One:

@@ -71,9 +71,9 @@ class TestBasics:
     def test_sigma_inverse(self):
         for make in ALL_EXAMPLES:
             m = make()
+            # sigma is a permutation, and prev undoes next
+            assert sorted(map(m.sigma, range(m.n_darts))) == list(range(m.n_darts))
             for d in range(m.n_darts):
-                assert m.sigma_inv(m.sigma(d)) == d
-                assert m.sigma(m.sigma_inv(d)) == d
                 assert m.prev(m.next[d]) == d
 
     def test_edges(self):
@@ -120,11 +120,6 @@ class TestCorners:
         assert m.slot_anchor(1, 2) == 3
         with pytest.raises(ValueError):
             m.slot_anchor(1, 5)
-
-    def test_corner_after(self):
-        m = double_edge()
-        assert m.corner_after(0) == 2
-        assert m.corner_after(2) == 0
 
     def test_with_marked(self):
         m = double_edge()

@@ -12,6 +12,7 @@ from planemaps.metric import (
     classification_violations,
     classify_dart,
     cycle_separates,
+    directed_darts,
     direction_census,
     distances,
     leftmost_geodesic,
@@ -196,6 +197,29 @@ class TestDirectionCensus:
     )
     def test_census_fits(self, counts, quasi, fits):
         assert census_fits(counts, quasi) is fits
+
+
+class TestDirectedDarts:
+    def test_equals_classify_dart_filter(self):
+        # contour order matters: the sampler draws from this list
+        maps = [m for t in admissible_types(3) for m in enumerate_maps(t)]
+        maps += [sample((40,), 1), sample((4,) * 10, 2), sample((11, 9), 3)]
+        for m in maps:
+            for v in range(m.n_vertices):
+                dist = distances(m, v)
+                for i in range(1, m.n_faces + 1):
+                    for k in ("toward", "away", "parallel"):
+                        want = [d for d in m.contour(i) if classify_dart(m, d, v, dist) == k]
+                        assert directed_darts(m, i, v, k) == want
+                        assert directed_darts(m, i, v, k, dist) == want
+
+    def test_bad_arguments_rejected(self):
+        m = path_map()
+        w, u = m.vertex_of(3), m.vertex_of(0)
+        with pytest.raises(ValueError):
+            directed_darts(m, 1, w, "toward", distances(m, u))
+        with pytest.raises(ValueError):
+            directed_darts(m, 1, w, "towards")
 
 
 class TestDirectionStatistics:
