@@ -74,7 +74,7 @@ def _check_slot(m: PlaneMap, i: int, slot: int) -> None:
 
 def _face_pair(faces) -> tuple[int, ...]:
     """faces as two ints; BadDecoration for any other length or entry."""
-    pair = _ints(faces, BadDecoration, f"faces {faces!r} are")
+    pair = _ints(faces, BadDecoration, "faces are")
     if len(pair) != 2:
         raise BadDecoration(f"faces {faces!r} are not two face indices")
     return pair

@@ -182,7 +182,7 @@ def _verdict(failures: int, out, what: str, passed: str | None = None) -> int:
 def cmd_verify_identities(args, out) -> int:
     k = args.max_edges
     failures = 0
-    sides = [(t, i, tt, *identity_sides(i, t)) for t, i, tt in identity_families(k)]
+    sides = [(t, ident, tt, *identity_sides(ident, t)) for t, ident, tt in identity_families(k)]
     for t, ident, _, lhs, rhs in sides:
         if lhs != rhs:
             failures += 1
