@@ -142,21 +142,31 @@ def _shift_arrows(ws, removed: int | None = None, inserted: int | None = None) -
                     toks[j] = arrow(i + 1)
 
 
+def _check_pair(m: PlaneMap, j: int, k: int) -> None:
+    """Both faces of a transfer or a two-face shrink exist and differ."""
+    _check_face(m, j)
+    _check_face(m, k)
+    if j == k:
+        raise SameFace(f"needs two distinct faces, not {j} twice")
+
+
+def _check_losing(m: PlaneMap, lose: int) -> None:
+    """The losing face can give up a unit of degree and keep the parity."""
+    if m.degree(lose) < 2:
+        raise DegreeTooSmall("the losing face needs degree at least 2")
+    odd = _odd_faces(m)
+    if odd and not (len(odd) == 2 and lose in odd):
+        raise BadParity("needs all degrees even, or two odd ones with lose odd")
+
+
 def _check_transfer(m: PlaneMap, gain, lose, slot, dart) -> tuple[int, ...]:
     """The checks transfer_left and transfer_right share; returns ints.
 
     The dart is left to the callers, which need opposite directions.
     """
     gain, lose, slot, dart = _decoration(gain, lose, slot, dart)
-    _check_face(m, gain)
-    _check_face(m, lose)
-    if gain == lose:
-        raise SameFace("a transfer needs two distinct faces")
-    if m.degree(lose) < 2:
-        raise DegreeTooSmall("the losing face needs degree at least 2")
-    odd = _odd_faces(m)
-    if odd and not (len(odd) == 2 and lose in odd):
-        raise BadParity("needs all degrees even, or two odd ones with lose odd")
+    _check_pair(m, gain, lose)
+    _check_losing(m, lose)
     _check_slot(m, gain, slot)
     return gain, lose, slot, dart
 
@@ -339,10 +349,7 @@ def transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None)
     inverse transfer1_left.
     """
     gain, lose, slot = _decoration(gain, lose, slot)
-    _check_face(m, gain)
-    _check_face(m, lose)
-    if gain == lose:
-        raise SameFace("a transfer needs two distinct faces")
+    _check_pair(m, gain, lose)
     if m.degree(lose) != 1:
         raise NoDegreeOneFace(f"face {lose} has degree {m.degree(lose)}, not 1")
     if len(_odd_faces(m)) != 2:
@@ -373,11 +380,7 @@ def transfer1_left(
     _check_face(m, lose)
     if not 1 <= insert_at <= m.n_faces + 1:
         raise BadFace(f"insertion index {insert_at} out of range")
-    if m.degree(lose) < 2:
-        raise DegreeTooSmall("the losing face needs degree at least 2")
-    odd = _odd_faces(m)
-    if odd and not (len(odd) == 2 and lose in odd):
-        raise BadParity("splitting a loop off needs the losing face odd")
+    _check_losing(m, lose)
     if not 0 <= vertex < m.n_vertices:
         raise BadDecoration(f"vertex {vertex} out of range")
     _check_dart(m, dart, lose)
@@ -715,10 +718,7 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
     """
     j, k = _face_pair(faces)
     v, h, h2 = _decoration(v, h, h2)
-    _check_face(m, j)
-    _check_face(m, k)
-    if j == k:
-        raise SameFace("the two-face shrink needs distinct faces")
+    _check_pair(m, j, k)
     if _odd_faces(m) != {j, k}:
         raise BadParity("the two shrink faces must be exactly the odd ones")
     dist = _validate_shrink(m, v, h, h2, j, k)

@@ -254,6 +254,7 @@ class PlaneMap:
         "_vertices",
         "_vertex_of",
         "_degrees",
+        "_canonical_",
     )
 
     def __init__(
@@ -496,7 +497,14 @@ class PlaneMap:
         return self._canonical()[1]
 
     def _canonical(self) -> tuple[dict[int, int], str]:
-        """canonical_relabeling() and canonical_code() from one search."""
+        """canonical_relabeling() and canonical_code() from one search.
+
+        Callers must not change the dict: the pair is kept with the map.
+        """
+        try:  # a round trip keys its input map once per decoration
+            return self._canonical_
+        except AttributeError:
+            pass
         order = self.canonical_relabeling()
         n = self.n_darts
         next_ = [0] * n
@@ -510,8 +518,11 @@ class PlaneMap:
         words = [self.n_faces, self.n_edges]
         words += next_ + twin + face + marked
         if n <= 0x10000:
-            return order, struct.pack(f">{len(words)}H", *words).hex()
-        return order, "w" + struct.pack(f">{len(words)}I", *words).hex()
+            code = struct.pack(f">{len(words)}H", *words).hex()
+        else:
+            code = "w" + struct.pack(f">{len(words)}I", *words).hex()
+        object.__setattr__(self, "_canonical_", (order, code))
+        return order, code
 
     def to_json(self) -> str:
         obj = {

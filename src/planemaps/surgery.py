@@ -132,10 +132,15 @@ class Slit:
 
     walk[k] is the left-bank copy of the k-th walk dart (original id),
     right_old[k] its old twin (right-bank copy, reversed), nl[k] and
-    nr[k] the fresh twins.  banks_left[j] and banks_right[j] are the
-    dart cycles of the two copies of walk vertex j, each listed from
-    the channel mouth; for a blind slit the single cycle of the far
-    vertex is in banks_left[-1].
+    nr[k] the fresh twins.  Every vertex cycle is listed from the
+    channel mouth.  slit returns banks_left[j] and banks_right[j], the
+    dart cycles of the two copies of walk vertex j, because the weld
+    that sews a length-one walk takes one copy of each end vertex; for
+    a blind slit the single cycle of the far vertex is banks_left[-1]
+    and banks_right[-1] is empty.  slit_pinched returns every cycle it
+    cut in banks_left and leaves banks_right empty: its walk runs down
+    and back up the chain, so it is never one dart long and is sewn by
+    glues alone, and its attachment vertex splits into three copies.
     """
 
     walk: tuple[int, ...]
@@ -220,80 +225,10 @@ def slit(
     slit that leaves the far vertex whole.  Walk vertices must be
     pairwise distinct and the corners must sit on the walk ends.
     """
-    p = tuple(walk)
+    p = list(walk)
     if not p:
         raise InvalidWalk("empty walk")
-    d_c, entry_split = entry
-    rots = _walk_rotations(ws, p)
-    rots.append(ws.rotation_from(ws.twin[p[-1]]))
-    vertex_keys = [frozenset(rot) for rot in rots]
-    if len(set(vertex_keys)) != len(vertex_keys):
-        raise InvalidWalk("walk revisits a vertex")
-    if d_c not in vertex_keys[0]:
-        raise CornerMismatch("entry corner is not at the walk start")
-    if exit is not None:
-        d_ex, exit_split = exit
-        if d_ex not in vertex_keys[-1]:
-            raise CornerMismatch("exit corner is not at the walk end")
-    else:
-        d_ex = None
-
-    l = len(p)
-    twin_old = tuple(ws.twin[d] for d in p)
-    fresh = ws.new_darts(2 * l)
-    nl, nr = tuple(fresh[:l]), tuple(fresh[l:])
-
-    # cut the vertex cycles of the banks from the rotations taken above
-    left, right = _mouth(rots[0], d_c, p[0], nr[0])
-    banks_left, banks_right = [left], [right]
-    for k in range(l - 1):
-        left, right = _split(rots[k + 1], twin_old[k], nl[k], nr[k + 1])
-        banks_left.append(left)
-        banks_right.append(right)
-    if d_ex is not None:
-        right, left = _mouth(rots[l], d_ex, twin_old[-1], nl[-1])
-    else:  # rots[l] starts at twin_old[-1]
-        left, right = [nl[-1], *rots[l][1:], twin_old[-1]], []
-    banks_left.append(left)
-    banks_right.append(right)
-
-    y = ws.prev_of(d_c)
-    x = ws.prev_of(d_ex) if d_ex is not None else None
-
-    # double the walk
-    for k in range(l):
-        ws.twin[p[k]] = nl[k]
-        ws.twin[nl[k]] = p[k]
-        ws.twin[twin_old[k]] = nr[k]
-        ws.twin[nr[k]] = twin_old[k]
-    for k in range(l - 1):
-        ws.link(nr[k], nr[k + 1])
-        ws.link(nl[k + 1], nl[k])
-    ws.link(y, nr[0])
-    ws.link(nl[0], d_c)
-    if d_ex is not None:
-        ws.link(nr[-1], d_ex)
-        ws.link(x, nl[-1])
-    else:
-        ws.link(nr[-1], nl[-1])
-
-    # split the markers of the mouth corners
-    entry_marks = ws.markers.get(d_c, [])
-    if entry_split:
-        ws.markers[nr[0]] = entry_marks[:entry_split]
-        ws.markers[d_c] = entry_marks[entry_split:]
-    if d_ex is not None and exit_split:
-        exit_marks = ws.markers.get(d_ex, [])
-        ws.markers[nl[-1]] = exit_marks[:exit_split]
-        ws.markers[d_ex] = exit_marks[exit_split:]
-
-    s = Slit(p, twin_old, nl, nr, d_c, d_ex, banks_left, banks_right)
-    for j, bank in enumerate(s.banks_left + s.banks_right):
-        if bank:
-            assert ws.rotation_from(bank[0]) == bank, (
-                f"bank {j} of the slit is not a vertex cycle"
-            )
-    return s
+    return _cut(ws, p, [], [], entry, exit, None)
 
 
 def slit_pinched(
@@ -323,8 +258,20 @@ def slit_pinched(
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     if not ch:
         raise InvalidWalk("a pinched slit needs a nonempty chain")
+    return _cut(ws, sa, ch, sb, entry, exit, side)
+
+
+def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
+    """The cut behind slit (ch empty, side None) and slit_pinched.
+
+    The walk is sa, ch, the twins of ch in reverse, then sb.  Without
+    a chain sb is empty and the far end of sa is the exit mouth, or
+    the whole far vertex of a blind slit when exit is None.  Every
+    vertex copy is cut from the rotations the walk check takes and
+    rewired with set_rotation.
+    """
     d_c, entry_split = entry
-    d_ex, exit_split = exit
+    d_ex, exit_split = exit if exit is not None else (None, 0)
     a, n_ch, b = len(sa), len(ch), len(sb)
     up = [ws.twin[x] for x in reversed(ch)]
     p = tuple(sa + ch + up + sb)
@@ -332,28 +279,21 @@ def slit_pinched(
     # the walk chains, so the head of each dart is the origin of the
     # next one: only the final head needs a rotation of its own
     rots = _walk_rotations(ws, p)
-    if sb:
-        rots.append(ws.rotation_from(ws.twin[sb[-1]]))
+    rots.append(ws.rotation_from(ws.twin[p[-1]]))
     keys = [frozenset(rot) for rot in rots]
-    down_keys = keys[: a + n_ch + 1]
-    side_keys = keys[a + 2 * n_ch + 1 :]
-    if len(set(down_keys)) != len(down_keys):
+    # the vertices down to the chain tip, then those of spine_b
+    visited = keys[: a + n_ch + 1] + keys[a + 2 * n_ch + 1 :]
+    if len(set(visited)) != len(visited):
         raise InvalidWalk("walk revisits a vertex")
-    if len(set(side_keys)) != len(side_keys) or set(side_keys) & set(down_keys):
-        raise InvalidWalk("walk revisits a vertex")
-    if d_c not in down_keys[0]:
+    if d_c not in keys[0]:
         raise CornerMismatch("entry corner is not at the walk start")
-    exit_key = side_keys[-1] if sb else down_keys[a]
-    if d_ex not in exit_key:
+    if exit is not None and d_ex not in keys[-1]:
         raise CornerMismatch("exit corner is not at the walk end")
     same_corner = a == 0 and b == 0 and d_c == d_ex
-    if same_corner:
-        ordered = (
-            exit_split <= entry_split
-            if side == "left"
-            else entry_split <= exit_split
-        )
-        assert ordered, "corner split order contradicts the pinch side"
+    if same_corner and (
+        exit_split > entry_split if side == "left" else entry_split > exit_split
+    ):
+        raise CornerMismatch("corner split order contradicts the pinch side")
 
     told = tuple(ws.twin[d] for d in p)
     # one allocation, in the id order x, y, mdn, mup, then the left and
@@ -363,16 +303,13 @@ def slit_pinched(
     fresh = ws.new_darts(4 * n_ch + 2 * n_sp)
     x_new, y_new, mdn, mup = (fresh[q * n_ch : (q + 1) * n_ch] for q in range(4))
     snl, snr = fresh[4 * n_ch : 4 * n_ch + n_sp], fresh[4 * n_ch + n_sp :]
-    nl = snl[:a] + [0] * (2 * n_ch) + snl[a:]
-    nr = snr[:a] + [0] * (2 * n_ch) + snr[a:]
-    for t in range(n_ch):
-        pdn, pup = a + t, a + 2 * n_ch - 1 - t
-        if side == "left":
-            nl[pdn], nr[pdn] = x_new[t], mdn[t]
-            nl[pup], nr[pup] = y_new[t], mup[t]
-        else:
-            nl[pdn], nr[pdn] = mup[t], y_new[t]
-            nl[pup], nr[pup] = mdn[t], x_new[t]
+    # the new twins of the chain darts, down the chain and back up
+    if side == "left":
+        ch_l, ch_r = x_new + y_new[::-1], mdn + mup[::-1]
+    else:
+        ch_l, ch_r = mup + mdn[::-1], y_new + x_new[::-1]
+    nl = snl[:a] + ch_l + snl[a:]
+    nr = snr[:a] + ch_r + snr[a:]
 
     # cut every vertex copy from the rotations taken above
     cycles: list[list[int]] = []
@@ -380,57 +317,59 @@ def slit_pinched(
         cycles += _mouth(rots[0], d_c, p[0], nr[0])
     for s in range(a - 1):
         cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
-    for t in range(n_ch - 1):
-        cycles += _split(rots[a + t + 1], told[a + t], x_new[t], y_new[t + 1])
-        cycles.append([mup[t], mdn[t + 1]])
-    e_last = told[a + n_ch - 1]
-    cycles.append([x_new[-1], *rots[a + n_ch][1:], e_last])
-    cycles.append([mup[-1]])
+    if ch:
+        for t in range(n_ch - 1):
+            cycles += _split(rots[a + t + 1], told[a + t], x_new[t], y_new[t + 1])
+            cycles.append([mup[t], mdn[t + 1]])
+        e_last = told[a + n_ch - 1]
+        cycles.append([x_new[-1], *rots[a + n_ch][1:], e_last])
+        cycles.append([mup[-1]])
 
-    # the attachment vertex, where the chain hangs
-    rot = rots[a]
-    d1 = ch[0]
-    dep = sb[0] if b else None
-    base_in = told[a - 1] if a else d_c
-    lead = nl[a - 1] if a else d_c
-    out_anchor = dep if b else d_ex
-    nr_b = nr[a + 2 * n_ch] if b else None
-    if same_corner:
-        cycles += _mouth(rot, d_c, d1, y_new[0])
-        cycles.append([mdn[0]])
-    elif side == "left":
-        cycles.append([d1] if lead == d1 else [lead, *_between(rot, base_in, d1), d1])
-        cycles.append(
-            [y_new[0]] + _between(rot, d1, out_anchor) + ([dep] if b else [])
-        )
-        fused = [mdn[0], nr_b if b else d_ex]
-        fused += _between(rot, out_anchor, base_in)
-        if a and not (b == 0 and d_ex == base_in):
-            fused.append(base_in)
-        cycles.append(fused)
-    elif b == 0 and a and d_ex == base_in:
-        # exit corner right where the walk first arrives: the arrival
-        # ray sits alone between the two cuts, next to the middle
-        cycles.append([nl[a - 1]] + _between(rot, base_in, d1) + [d1])
-        cycles.append([y_new[0]] + _between(rot, d1, base_in))
-        cycles.append([mdn[0], d_ex])
-    else:
-        fused = [lead] + _between(rot, base_in, out_anchor)
-        if b and dep != lead:
-            fused.append(dep)
-        fused.append(mdn[0])
-        cycles.append(fused)
-        head = [nr_b] if b else ([d_ex] if d_ex != d1 else [])
-        cycles.append(head + _between(rot, out_anchor, d1) + [d1])
-        cap = [y_new[0]] + _between(rot, d1, base_in)
-        if a:
-            cap.append(base_in)
-        cycles.append(cap)
-
+        # the attachment vertex, where the chain hangs
+        rot = rots[a]
+        d1 = ch[0]
+        dep = sb[0] if b else None
+        base_in = told[a - 1] if a else d_c
+        lead = nl[a - 1] if a else d_c
+        out_anchor = dep if b else d_ex
+        nr_b = nr[a + 2 * n_ch] if b else None
+        if same_corner:
+            cycles += _mouth(rot, d_c, d1, y_new[0])
+            cycles.append([mdn[0]])
+        elif side == "left":
+            cycles.append([d1] if lead == d1 else [lead, *_between(rot, base_in, d1), d1])
+            cycles.append(
+                [y_new[0]] + _between(rot, d1, out_anchor) + ([dep] if b else [])
+            )
+            fused = [mdn[0], nr_b if b else d_ex]
+            fused += _between(rot, out_anchor, base_in)
+            if a and not (b == 0 and d_ex == base_in):
+                fused.append(base_in)
+            cycles.append(fused)
+        elif b == 0 and a and d_ex == base_in:
+            # exit corner right where the walk first arrives: the arrival
+            # ray sits alone between the two cuts, next to the middle
+            cycles.append([nl[a - 1]] + _between(rot, base_in, d1) + [d1])
+            cycles.append([y_new[0]] + _between(rot, d1, base_in))
+            cycles.append([mdn[0], d_ex])
+        else:
+            fused = [lead] + _between(rot, base_in, out_anchor)
+            if b and dep != lead:
+                fused.append(dep)
+            fused.append(mdn[0])
+            cycles.append(fused)
+            head = [nr_b] if b else ([d_ex] if d_ex != d1 else [])
+            cycles.append(head + _between(rot, out_anchor, d1) + [d1])
+            cap = [y_new[0]] + _between(rot, d1, base_in)
+            if a:
+                cap.append(base_in)
+            cycles.append(cap)
     for s in range(a + 2 * n_ch, length - 1):
         cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
-    if b:
-        near, far = _mouth(rots[length], d_ex, told[-1], nl[-1])
+    if exit is None:  # blind: the far vertex, from told[-1], stays whole
+        cycles += [[nl[-1], *rots[-1][1:], told[-1]], []]
+    elif b or not ch:
+        near, far = _mouth(rots[-1], d_ex, told[-1], nl[-1])
         cycles += [far, near]
 
     # triple the chain, double the spines
@@ -443,7 +382,8 @@ def slit_pinched(
         ws.twin[p[s]], ws.twin[nl[s]] = nl[s], p[s]
         ws.twin[told[s]], ws.twin[nr[s]] = nr[s], told[s]
     for cyc in cycles:
-        ws.set_rotation(cyc)
+        if cyc:
+            ws.set_rotation(cyc)
 
     if same_corner:
         marks = ws.markers.get(d_c, [])
@@ -463,28 +403,29 @@ def slit_pinched(
         if entry_split:
             ws.markers[nr[0]] = entry_marks[:entry_split]
             ws.markers[d_c] = entry_marks[entry_split:]
-        exit_marks = ws.markers.get(d_ex, [])
         if exit_split:
+            exit_marks = ws.markers.get(d_ex, [])
             ws.markers[nl[-1]] = exit_marks[:exit_split]
             ws.markers[d_ex] = exit_marks[exit_split:]
 
-    s = Slit(
+    for j, cyc in enumerate(cycles):
+        if cyc:
+            assert ws.rotation_from(cyc[0]) == cyc, (
+                f"copy {j} of the slit is not a vertex cycle"
+            )
+    # a plain slit pairs the two copies of each walk vertex
+    banks = (cycles, []) if ch else (cycles[::2], cycles[1::2])
+    return Slit(
         p,
         told,
         tuple(nl),
         tuple(nr),
         d_c,
         d_ex,
-        cycles,
-        [],
+        *banks,
         side=side,
         middles=frozenset(mdn + mup),
     )
-    for j, bank in enumerate(s.banks_left):
-        assert ws.rotation_from(bank[0]) == bank, (
-            f"copy {j} of the pinched slit is not a vertex cycle"
-        )
-    return s
 
 
 def glue(ws: Workspace, a: int, b: int) -> None:

@@ -37,6 +37,7 @@ from planemaps.surgery import (
     sew_forward,
     sew_onto,
     slit,
+    slit_pinched,
     suppress_pendant,
     weld,
     workspace_with_arrows,
@@ -135,6 +136,15 @@ class TestSlitValidation:
     def test_exit_corner_off_vertex(self):
         with pytest.raises(CornerMismatch):
             slit(Workspace(path_map()), [0, 2], (0, 0), (0, 0))
+
+    @pytest.mark.parametrize("side, entry_split, exit_split", [("left", 0, 1), ("right", 1, 0)])
+    def test_pinched_same_corner_split_order(self, side, entry_split, exit_split):
+        # both spines empty: entry and exit cut one corner, and side
+        # fixes which split comes first
+        ws = workspace_with_arrows(digon())
+        with pytest.raises(CornerMismatch):
+            slit_pinched(ws, [], [0], [], (0, entry_split), (0, exit_split), side)
+        assert len(ws.twin) == 2
 
 
 class TestSlitDigon:
@@ -656,6 +666,7 @@ def test_slits_equal_reference(monkeypatch):
     # they cut the banks from the walk rotations; both must leave the
     # same workspace and return the same Slit
     seen = {"slit": 0, "left": 0, "right": 0}
+    shapes = {"blind": 0, "length one": 0}
 
     def checked(new, old):
         def wrapper(ws, *args):
@@ -676,6 +687,8 @@ def test_slits_equal_reference(monkeypatch):
                 ref.intact,
             )
             seen[got.side or "slit"] += 1
+            shapes["blind"] += got.exit_dart is None
+            shapes["length one"] += got.length == 1
             return got
 
         return wrapper
@@ -688,6 +701,7 @@ def test_slits_equal_reference(monkeypatch):
     assert cli.run(["verify-roundtrip", "--max-edges", "3"], io.StringIO()) == 0
     small = dict(seen)
     assert all(small.values()), small
+    assert all(shapes.values()), shapes
     # growth up to E=50, then round trips on the sampled maps: grow and
     # shrink within face 1 on the all-even types, shrink from faces 1
     # and 2 and grow back on the odd two-face type
