@@ -52,14 +52,12 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
         )
     n = 2 * e
     next_ = [0] * n
-    face = [0] * n
     marked = []
     off = 0
-    for i, deg in enumerate(t, start=1):
+    for deg in t:
         marked.append(off)
         for k in range(deg):
             next_[off + k] = off + (k + 1) % deg
-            face[off + k] = i
         off += deg
     out = []
     r = len(t)
@@ -77,7 +75,7 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
         if v != e + 2 - r:
             continue
         try:
-            out.append(PlaneMap(twin, next_, face, marked))
+            out.append(PlaneMap(twin, next_, None, marked))
         except (Disconnected, WrongGenus):
             continue
     return out

@@ -107,38 +107,6 @@ def _inverse(perm: tuple[int, ...]) -> list[int] | None:
     return inv
 
 
-def _faces(
-    next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Contours and the inverse of next, after every check that ignores twin.
-
-    Checks that next is a permutation, that each next-orbit carries one
-    face label, that the labels are exactly 1..r and that face i is
-    marked at a dart of its own contour.  Returns the contours, face 1
-    first, each rotated to start at its marked dart, and prev as a tuple.
-    When _walk_marks refuses, _walk_all names the error.
-    """
-    return _walk_marks(next_t, face_t, marked_t) or _walk_all(
-        next_t, face_t, marked_t
-    )
-
-
-def _walk_marks(
-    next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-    """_faces in one walk per contour from its mark, or None to refuse.
-
-    Accepts exactly when the walks from the marks label every dart and
-    the labels they write are face_t: then walk i is the contour of
-    label i, so every orbit carries one label, the labels are 1..r and
-    face i is marked on its own contour.
-    """
-    found = _walk_labels(next_t, marked_t)
-    if found is None or found[2] != face_t:
-        return None
-    return found[:2]
-
-
 def _walk_labels(
     next_t: tuple[int, ...], marked_t: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]] | None:
@@ -186,12 +154,13 @@ def _walk_labels(
 def _walk_all(
     next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """_faces by walking every dart: the reference, and its error messages.
+    """Contours and prev of given labels, walking every dart.
 
     Checks that next is a permutation, that each next-orbit carries one
     face label, that the labels are exactly 1..r and that face i is
     marked at a dart of its own contour, raising the error class of the
-    first check that fails.
+    first check that fails.  It accepts exactly the inputs whose labels
+    _walk_labels writes, so the constructor runs it only to name an error.
     """
     n = len(next_t)
     prev_t = _inverse(next_t)
@@ -233,11 +202,11 @@ def _walk_all(
     return tuple(normed), tuple(prev_t)
 
 
-# The last (next, face, marked) that passed _faces, then its result.
+# The last (next, marked) that _walk_labels accepted, then its result.
 # One slot compared by value: enumerate_maps builds every matching of a
-# type from the same three tuples.  On the benchmark workloads 85% of
-# the verify-sweep constructions hit and almost none of the others do;
-# 83-99.6% of all misses differ from the slot in length.
+# type from the same two tuples.  On the benchmark workloads 85% of
+# the verify-sweep constructions hit and none of the others do; 80-99%
+# of all misses differ from the slot in length.
 _last_faces: tuple | None = None
 
 
@@ -278,22 +247,22 @@ class PlaneMap:
         if face is not None:
             face = _ints(face, FaceMismatch, "face labels are")
         marked_t = _ints(marked, BadMark, "marked darts are")
-        key = (next_t, face, marked_t)
+        key = (next_t, marked_t)
         last = _last_faces
-        if face is None:
-            # labels from the marks: the walk from marked[i-1] writes i
-            found = _walk_labels(next_t, marked_t)
-            if found is None:
-                if _inverse(next_t) is None:
-                    raise NotPermutation(f"next is not a permutation of 0..{n - 1}")
-                raise BadMark("need exactly one marked dart per contour")
-            contours, prev_t, face_t = found
-        elif last is not None and last[0] == key:
-            (next_t, face_t, marked_t), contours, prev_t = last
+        if last is not None and last[0] == key:
+            (next_t, marked_t), found = last
         else:
-            face_t = face
-            contours, prev_t = _faces(next_t, face_t, marked_t)
-            _last_faces = (key, contours, prev_t)
+            # the walk from marked[i-1] writes label i
+            found = _walk_labels(next_t, marked_t)
+            if found is not None:
+                _last_faces = (key, found)
+        if found is None or face is not None and face != found[2]:
+            if face is not None:
+                _walk_all(next_t, face, marked_t)  # raises: it refuses the same inputs
+            if _inverse(next_t) is None:
+                raise NotPermutation(f"next is not a permutation of 0..{n - 1}")
+            raise BadMark("need exactly one marked dart per contour")
+        contours, prev_t, face_t = found
         r = len(contours)
 
         # connectivity: twin must join the face orbits into one piece
@@ -414,7 +383,7 @@ class PlaneMap:
     def edge(self, e: int) -> tuple[int, int]:
         """edges()[e] without building the others; e must lie in 0..E-1."""
         if not 0 <= e < len(self.twin) // 2:
-            raise ValueError(f"no edge {e}")
+            raise BadDecoration(f"no edge {e}")
         lows = (d for d, t in enumerate(self.twin) if d < t)
         d = next(islice(lows, e, None))
         return d, self.twin[d]
@@ -422,7 +391,7 @@ class PlaneMap:
     def edge_index(self, d: int) -> int:
         """Index in edges() of the edge that carries dart d."""
         if not 0 <= d < len(self.twin):
-            raise ValueError(f"no dart {d}")
+            raise BadDecoration(f"no dart {d}")
         twin = self.twin
         return sum(map(lt, range(min(d, twin[d])), twin))
 
@@ -438,7 +407,7 @@ class PlaneMap:
         contour = self.contour(i)
         a = len(contour)
         if not 0 <= slot <= a:
-            raise ValueError(f"slot {slot} out of range for degree {a}")
+            raise BadDecoration(f"slot {slot} out of range for degree {a}")
         return contour[slot % a]
 
     # rebuilding helpers
@@ -448,7 +417,7 @@ class PlaneMap:
         self.contour(i)  # raises BadFace for a face outside 1..r
         marked = list(self.marked)
         marked[i - 1] = d
-        return PlaneMap(self.twin, self.next, self.face, marked)
+        return PlaneMap(self.twin, self.next, None, marked)
 
     def relabel(self, perm: Iterable[int]) -> "PlaneMap":
         """Rename darts by d -> perm[d]; the map stays the same."""

@@ -13,12 +13,15 @@ when the walk starts in one.
 
 from __future__ import annotations
 
+from .errors import BadDecoration
 from .maps import PlaneMap
 
 
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
     """BFS distance from vertex index v to every vertex."""
     vertices, vertex_of, twin = m._vertices, m._vertex_of, m.twin
+    if not 0 <= v < len(vertices):  # -1 would answer for the last vertex
+        raise BadDecoration(f"vertex {v} out of range 0..{len(vertices) - 1}")
     dist = [-1] * len(vertices)
     dist[v] = 0
     queue = [v]
@@ -168,6 +171,8 @@ def _checked_dist(m, v, dist):
     """dist, or distances(m, v) when None; ValueError unless it starts at v."""
     if dist is None:
         return distances(m, v)
+    if not 0 <= v < m.n_vertices:
+        raise BadDecoration(f"vertex {v} out of range 0..{m.n_vertices - 1}")
     if len(dist) != m.n_vertices or dist[v] != 0:
         raise ValueError(f"dist is not a distance table from vertex {v}")
     return dist

@@ -39,7 +39,7 @@ def _even_type(a) -> tuple[int, ...]:
 
 
 # every growth starts here; PlaneMap is immutable, so one copy serves all
-_ONE_EDGE = PlaneMap((1, 0), (1, 0), (1, 1), (0,))
+_ONE_EDGE = PlaneMap((1, 0), (1, 0), None, (0,))
 
 
 def _as_rng(rng) -> random.Random:

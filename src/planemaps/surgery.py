@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadDecoration,
     CornerMismatch,
     InvalidWalk,
     LengthMismatch,
@@ -631,8 +632,8 @@ def edge_to_digon(m: PlaneMap, edge_index: int, mark_side: int) -> PlaneMap:
     """
     edge_index, mark_side = _decoration(edge_index, mark_side)
     if mark_side not in (0, 1):
-        raise ValueError("mark_side must be 0 or 1")
-    d, t = m.edge(edge_index)  # raises ValueError outside 0..E-1
+        raise BadDecoration("mark_side must be 0 or 1")
+    d, t = m.edge(edge_index)  # raises BadDecoration outside 0..E-1
     n = m.n_darts
     nl, nt = n, n + 1
     twin = list(m.twin) + [0, 0]

@@ -159,6 +159,26 @@ def test_via_transfers_matches_direct(types, ident, faces):
                 assert out[4] == case
 
 
+@pytest.mark.parametrize("types,ident,faces", VIA_FAMILIES)
+def test_via_transfers_carries_like_direct(types, ident, faces):
+    # a token at rank 0 of every corner, and after the face arrow in
+    # every marked corner, lands where the direct growth puts it
+    grow, _ = growers(faces)
+    tok = ("tag", "x")
+
+    def landing(out):
+        d, rank = out[5][tok]
+        return out[0].canonical_code(), out[0].canonical_relabeling()[d], rank
+
+    for m in enumerate_maps(types):
+        places = [(d, 0) for d in range(m.n_darts)] + [(d, 1) for d in m.marked]
+        for e, c, c2 in enumerate_decorations(m, ident, "lhs"):
+            for place in places:
+                want = grow(m, e, c, c2, carry={tok: place})
+                got = grow_via_transfers(m, e, c, c2, faces=faces, carry={tok: place})
+                assert landing(got) == landing(want), (e, c, c2, place)
+
+
 def check_sampled_round_trip(a, seed, data):
     m = sample(a, seed)
     deg = m.degree(1)

@@ -93,11 +93,13 @@ class TestBasics:
     def test_edge_lookups_out_of_range(self):
         m = double_edge()
         for e in (-1, 2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 m.edge(e)
+            assert isinstance(info.value, PlaneMapError)
         for d in (-1, 4):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 m.edge_index(d)
+            assert isinstance(info.value, PlaneMapError)
 
     def test_immutable(self):
         m = digon()
@@ -118,8 +120,10 @@ class TestCorners:
         assert m.slot_anchor(1, 0) == 0
         assert m.slot_anchor(1, 4) == 0
         assert m.slot_anchor(1, 2) == 3
-        with pytest.raises(ValueError):
-            m.slot_anchor(1, 5)
+        for slot in (-1, 5):
+            with pytest.raises(ValueError) as info:
+                m.slot_anchor(1, slot)
+            assert isinstance(info.value, PlaneMapError)
 
     def test_with_marked(self):
         m = double_edge()
@@ -282,13 +286,13 @@ class TestFaceValidationSlot:
 
     def test_enumeration_validates_faces_once_per_type(self, monkeypatch):
         calls = []
-        real = maps_module._faces
+        real = maps_module._walk_labels
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(maps_module, "_faces", counting)
+        monkeypatch.setattr(maps_module, "_walk_labels", counting)
         monkeypatch.setattr(maps_module, "_last_faces", None)
         assert len(enumerate_maps((2, 2, 2))) == 8
         assert len(enumerate_maps((3, 3))) == 12
@@ -345,7 +349,7 @@ def single_changes(m):
 
 
 class TestContourWalk:
-    """_walk_marks (one walk per contour) against _walk_all (every dart).
+    """_walk_labels (one walk per contour) against _walk_all (every dart).
 
     _walk_all is the contour validation the constructor ran before the
     one-walk version, kept as the reference and to name the error.
@@ -362,24 +366,25 @@ class TestContourWalk:
                         want = maps_module._walk_all(*args)
                     except PlaneMapError as exc:
                         want = type(exc)
-                    got = maps_module._walk_marks(BoundedReads(args[0]), *args[1:])
+                    next_, face, marked = args
+                    got = maps_module._walk_labels(BoundedReads(next_), marked)
                     if isinstance(want, type):
                         errors.add(want)
-                        assert got is None, args
+                        assert got is None or got[2] != face, args
                         with pytest.raises(want):
                             PlaneMap(m.twin, *args)
                     else:
                         accepted += 1
-                        assert got == want, args
+                        assert got == want + (face,), args
         assert accepted == 690
         assert errors == {NotPermutation, FaceMismatch, BadMark}
 
     def test_walks_agree_on_valid_maps(self):
         for t in admissible_types(4):
             for m in enumerate_maps(t):
-                args = (m.next, m.face, m.marked)
-                want = maps_module._walk_all(*args)
-                assert maps_module._walk_marks(*args) == want == (m._contours, m._prev)
+                want = maps_module._walk_all(m.next, m.face, m.marked)
+                assert want == (m._contours, m._prev)
+                assert maps_module._walk_labels(m.next, m.marked) == want + (m.face,)
 
 
 class TestLabelsFromMarks:

@@ -7,6 +7,7 @@ import pytest
 from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 import planemaps.metric as metric
+from planemaps.errors import BadDecoration
 from planemaps.metric import (
     census_fits,
     classification_violations,
@@ -212,6 +213,23 @@ class TestDirectedDarts:
                         want = [d for d in m.contour(i) if classify_dart(m, d, v, dist) == k]
                         assert directed_darts(m, i, v, k) == want
                         assert directed_darts(m, i, v, k, dist) == want
+
+    def test_vertex_out_of_range_refused(self):
+        # -1 indexed from the end and answered for the last vertex
+        m = enumerate_maps((4,))[0]
+        last = distances(m, m.n_vertices - 1)
+        calls = [
+            lambda v: distances(m, v),
+            lambda v: directed_darts(m, 1, v, "toward"),
+            lambda v: directed_darts(m, 1, v, "toward", last),
+            lambda v: classify_dart(m, 0, v),
+            lambda v: leftmost_geodesic(m, v, from_corner=0),
+            lambda v: rightmost_geodesic(m, v, from_dart=0, dist=last),
+        ]
+        for call in calls:
+            for v in (-1, m.n_vertices, 99):
+                with pytest.raises(BadDecoration):
+                    call(v)
 
     def test_bad_arguments_rejected(self):
         m = path_map()

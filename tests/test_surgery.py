@@ -443,10 +443,12 @@ class TestDigonConversions:
             digon_to_edge(digon(), 1)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             edge_to_digon(digon(), 0, 2)
-        with pytest.raises(ValueError):
+        assert isinstance(info.value, PlaneMapError)
+        with pytest.raises(ValueError) as info:
             edge_to_digon(digon(), 5, 0)
+        assert isinstance(info.value, PlaneMapError)
 
 
 class TestFinishDeadLinks:
