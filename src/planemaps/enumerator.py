@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator
 
 from .counting import Identity, check_type, edge_count
-from .errors import Disconnected, TooManyEdges, WrongGenus
+from .errors import BadArgument, Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap
 from .metric import directed_darts, distances
 
@@ -91,7 +91,7 @@ def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tu
     final face of the map.
     """
     if side not in ("lhs", "rhs"):
-        raise ValueError("side must be 'lhs' or 'rhs'")
+        raise BadArgument("side must be 'lhs' or 'rhs'")
     r = m.n_faces
     a1 = m.degree(1)
     out: list[tuple] = []

@@ -103,6 +103,10 @@ class BadDecoration(PlaneMapError, ValueError):
     """A decoration that is not an integer or lies outside its range."""
 
 
+class BadArgument(PlaneMapError, ValueError):
+    """A keyword outside its fixed set, or a table that does not fit the call."""
+
+
 # counting
 
 class BadType(PlaneMapError, ValueError):

@@ -13,7 +13,7 @@ when the walk starts in one.
 
 from __future__ import annotations
 
-from .errors import BadDecoration
+from .errors import BadArgument, BadDecoration
 from .maps import PlaneMap
 
 
@@ -89,7 +89,7 @@ def directed_darts(m: PlaneMap, i: int, v: int, direction: str, dist=None) -> li
     the geodesics'.
     """
     if direction not in _DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+        raise BadArgument(f"unknown direction {direction!r}")
     want = _DIRECTIONS[direction]
     dist = _checked_dist(m, v, dist)
     vertex_of, twin = m._vertex_of, m.twin
@@ -136,45 +136,39 @@ def census_fits(counts: tuple[int, int, int], quasi: bool) -> bool:
     return par == 0 or (quasi and par == 2)
 
 
-def _walk(m, cands, step, dist):
+def _walk(m, start, clockwise, dist):
+    """The greedy scan behind both geodesics, from the vertex of start.
+
+    Each step turns around the current vertex from start, by sigma
+    (d -> next[twin[d]], clockwise) or its inverse (d -> twin[prev[d]]),
+    and takes the first dart whose head is one closer; start itself
+    comes last.  The next step starts from the twin of that dart.
+    """
     vertex_of, twin = m._vertex_of, m.twin
+    # sigma is next after twin, its inverse twin after prev
+    outer, inner = (m.next, twin) if clockwise else (twin, m._prev)
     path = []
-    while True:
-        want = dist[vertex_of[cands[0]]] - 1
-        if want < 0:
-            return tuple(path)
-        for u in cands:
+    while (want := dist[vertex_of[start]] - 1) >= 0:
+        u = start
+        while True:
+            u = outer[inner[u]]
             if dist[vertex_of[twin[u]]] == want:
-                path.append(u)
-                cands = step(u)
                 break
-        else:
-            raise AssertionError("no distance-decreasing dart found")
-
-
-def _rotate_past(cycle, d):
-    """The cycle read from the entry after d around to d itself."""
-    k = cycle.index(d) + 1
-    return list(cycle[k:] + cycle[:k])
-
-
-def _clockwise_from(m, d):
-    """All darts at the origin of d: d itself last, scanning clockwise."""
-    return _rotate_past(m._vertices[m._vertex_of[d]], d)
-
-
-def _counterclockwise_from(m, d):
-    return _rotate_past(m._vertices[m._vertex_of[d]][::-1], d)
+            if u == start:
+                raise AssertionError("no distance-decreasing dart found")
+        path.append(u)
+        start = twin[u]
+    return tuple(path)
 
 
 def _checked_dist(m, v, dist):
-    """dist, or distances(m, v) when None; ValueError unless it starts at v."""
+    """dist, or distances(m, v) when None; BadArgument unless it starts at v."""
     if dist is None:
         return distances(m, v)
     if not 0 <= v < m.n_vertices:
         raise BadDecoration(f"vertex {v} out of range 0..{m.n_vertices - 1}")
     if len(dist) != m.n_vertices or dist[v] != 0:
-        raise ValueError(f"dist is not a distance table from vertex {v}")
+        raise BadArgument(f"dist is not a distance table from vertex {v}")
     return dist
 
 
@@ -192,17 +186,13 @@ def leftmost_geodesic(
     Exactly one of from_dart (continue past that dart) and from_corner
     (start inside the corner before that dart) must be given.  dist,
     when given, is ``distances(m, target)`` already at hand and saves
-    the BFS; a table that is not 0 at the target raises ValueError.
+    the BFS; a table that is not 0 at the target raises BadArgument.
     Returns the darts of the walk, empty when already at the target.
     """
     dist = _target_dist(m, target, from_dart, from_corner, dist)
-    step = lambda u: _clockwise_from(m, m.twin[u])
-    if from_dart is not None:
-        cands = step(from_dart)
-    else:
-        d = from_corner
-        cands = [d] + _clockwise_from(m, d)[:-1]
-    return _walk(m, cands, step, dist)
+    # the corner before d opens between sigma^-1(d) and d
+    start = m.twin[from_dart] if from_corner is None else m.twin[m._prev[from_corner]]
+    return _walk(m, start, True, dist)
 
 
 def rightmost_geodesic(
@@ -213,10 +203,8 @@ def rightmost_geodesic(
     Takes the same arguments, dist included.
     """
     dist = _target_dist(m, target, from_dart, from_corner, dist)
-    if from_dart is not None:
-        return _rightmost(m, from_dart, dist)
-    step = lambda u: _counterclockwise_from(m, m.twin[u])
-    return _walk(m, _counterclockwise_from(m, from_corner), step, dist)
+    start = m.twin[from_dart] if from_corner is None else from_corner
+    return _walk(m, start, False, dist)
 
 
 def _rightmost(m: PlaneMap, d: int, dist) -> tuple[int, ...]:
@@ -225,82 +213,4 @@ def _rightmost(m: PlaneMap, d: int, dist) -> tuple[int, ...]:
     The walk only reads vertices closer to the target than the head of
     d, so a table from _ball that labels the tail of d will do.
     """
-    step = lambda u: _counterclockwise_from(m, m.twin[u])
-    return _walk(m, step(d), step, dist)
-
-
-def edge_id(m: PlaneMap, d: int) -> int:
-    return min(d, m.twin[d])
-
-
-def simple_cycles(m: PlaneMap) -> list[tuple[int, ...]]:
-    """All vertex-simple cycles as dart walks, one orientation each."""
-    found: dict[frozenset, tuple[int, ...]] = {}
-    for s in range(m.n_vertices):
-
-        def dfs(v, path, visited, used):
-            for d in m.vertex_darts(v):
-                eid = edge_id(m, d)
-                if eid in used:
-                    continue
-                h = m.head_of(d)
-                if h == s:
-                    found.setdefault(frozenset(used | {eid}), tuple(path) + (d,))
-                elif h not in visited:
-                    dfs(h, path + [d], visited | {h}, used | {eid})
-
-        dfs(s, [], {s}, frozenset())
-    return list(found.values())
-
-
-def cycle_separates(m: PlaneMap, cycle: tuple[int, ...], fa: int, fb: int) -> bool:
-    """Whether faces fa and fb lie on opposite sides of the cycle."""
-    on_cycle = {edge_id(m, d) for d in cycle}
-    parent = list(range(m.n_faces + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for d in range(m.n_darts):
-        if edge_id(m, d) not in on_cycle:
-            a, b = find(m.face[d]), find(m.face[m.twin[d]])
-            if a != b:
-                parent[a] = b
-    sides = {find(i) for i in range(1, m.n_faces + 1)}
-    assert len(sides) == 2, "a simple cycle must cut the sphere in two"
-    return find(fa) != find(fb)
-
-
-def classification_violations(m: PlaneMap) -> list[str]:
-    """Check the direction statistics implied by the parity class.
-
-    Bipartite maps: around any vertex v, every face sees half of its
-    contour darts toward v, half away, none parallel.  Quasibipartite
-    maps: each odd face contributes one parallel dart per vertex and
-    splits the rest evenly, each even face has zero or two parallel
-    darts, and a simple cycle has odd length exactly when it separates
-    the two odd faces.  Returns human-readable violations, empty when
-    the map conforms.
-    """
-    out = []
-    odd = [i for i, a in enumerate(m.degrees, start=1) if a % 2]
-    quasi = bool(odd)
-    for v in range(m.n_vertices):
-        for i, counts in enumerate(direction_census(m, v), start=1):
-            if not census_fits(counts, quasi):
-                parity = "odd" if sum(counts) % 2 else "even"
-                out.append(f"{parity} face {i} at vertex {v}: {counts}")
-    if len(odd) == 2:
-        fa, fb = odd
-        for cycle in simple_cycles(m):
-            sep = cycle_separates(m, cycle, fa, fb)
-            if sep != bool(len(cycle) % 2):
-                out.append(
-                    f"cycle of length {len(cycle)} "
-                    f"{'separates' if sep else 'does not separate'} "
-                    f"the odd faces"
-                )
-    return out
+    return _walk(m, m.twin[d], False, dist)

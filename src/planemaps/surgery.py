@@ -4,10 +4,10 @@ Operations run on a Workspace, a mutable copy of the twin and next
 permutations that is allowed to pass through states that are not valid
 plane maps (disconnected pieces, wrong Euler characteristic) between a
 slit and the sewing that closes it.  The workspace also keeps prev, the
-inverse of next; every write to next goes through Workspace.link or,
-for a whole vertex cycle, Workspace.set_rotation, which update both.
-All three are lists indexed by dart: fresh darts are appended and a
-deleted dart reads None, so a stale read fails loudly.
+inverse of next; every write to next goes with its write to prev,
+through Workspace.link or, in the cut and in glue, on the lists
+themselves.  All three are lists indexed by dart: fresh darts are
+appended and a deleted dart reads None, so a stale read fails loudly.
 
 Corners can carry ordered lists of marker tokens.  A marker anchored
 to dart d sits in the corner before d; the list is ordered across the
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadArgument,
     BadDecoration,
     CornerMismatch,
     InvalidWalk,
@@ -72,23 +73,9 @@ class Workspace:
         return self.next[self.twin[d]]
 
     def link(self, a: int, b: int) -> None:
-        """Make b follow a in its contour; every write to next goes here."""
+        """Make b follow a in its contour."""
         self.next[a] = b
         self.prev[b] = a
-
-    def set_rotation(self, cycle: list[int]) -> None:
-        """Make cycle the clockwise rotation at its vertex.
-
-        sigma(cycle[q]) becomes cycle[q + 1], cyclically; each write to
-        next goes with its write to prev, as in link.
-        """
-        twin, nxt, prv = self.twin, self.next, self.prev
-        a = cycle[-1]
-        for b in cycle:
-            t = twin[a]
-            nxt[t] = b
-            prv[b] = t
-            a = b
 
     def prev_of(self, d: int) -> int:
         return self.prev[d]
@@ -201,12 +188,18 @@ def _mouth(rot: list[int], corner: int, dart: int, new: int) -> list[list[int]]:
 
 def _walk_rotations(ws: Workspace, p) -> list[list[int]]:
     """Rotation at the origin of each walk dart; checks the walk chains."""
+    twin, nxt = ws.twin, ws.next
+    n = len(twin)
     rotations = []
     for k, dart in enumerate(p):
-        if not ws.alive(dart):
+        if not (0 <= dart < n and twin[dart] is not None):
             raise InvalidWalk(f"unknown dart {dart}")
-        rot = ws.rotation_from(dart)
-        if k and ws.twin[p[k - 1]] not in rot:
+        rot = [dart]
+        e = nxt[twin[dart]]
+        while e != dart:
+            rot.append(e)
+            e = nxt[twin[e]]
+        if k and twin[p[k - 1]] not in rot:
             raise InvalidWalk("walk darts do not chain head to tail")
         rotations.append(rot)
     return rotations
@@ -256,7 +249,7 @@ def slit_pinched(
     """
     sa, ch, sb = list(spine_a), list(chain), list(spine_b)
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        raise BadArgument(f"side must be 'left' or 'right', not {side!r}")
     if not ch:
         raise InvalidWalk("a pinched slit needs a nonempty chain")
     return _cut(ws, sa, ch, sb, entry, exit, side)
@@ -269,7 +262,7 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     a chain sb is empty and the far end of sa is the exit mouth, or
     the whole far vertex of a blind slit when exit is None.  Every
     vertex copy is cut from the rotations the walk check takes and
-    rewired with set_rotation.
+    written back as a vertex cycle on the lists themselves.
     """
     d_c, entry_split = entry
     d_ex, exit_split = exit if exit is not None else (None, 0)
@@ -279,16 +272,18 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     length = len(p)
     # the walk chains, so the head of each dart is the origin of the
     # next one: only the final head needs a rotation of its own
+    twin, nxt, prv = ws.twin, ws.next, ws.prev
     rots = _walk_rotations(ws, p)
-    rots.append(ws.rotation_from(ws.twin[p[-1]]))
-    keys = [frozenset(rot) for rot in rots]
+    rots.append(ws.rotation_from(twin[p[-1]]))
+    # a rotation names its vertex by its least dart
+    keys = [min(rot) for rot in rots]
     # the vertices down to the chain tip, then those of spine_b
     visited = keys[: a + n_ch + 1] + keys[a + 2 * n_ch + 1 :]
     if len(set(visited)) != len(visited):
         raise InvalidWalk("walk revisits a vertex")
-    if d_c not in keys[0]:
+    if d_c not in rots[0]:
         raise CornerMismatch("entry corner is not at the walk start")
-    if exit is not None and d_ex not in keys[-1]:
+    if exit is not None and d_ex not in rots[-1]:
         raise CornerMismatch("exit corner is not at the walk end")
     same_corner = a == 0 and b == 0 and d_c == d_ex
     if same_corner and (
@@ -296,21 +291,21 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     ):
         raise CornerMismatch("corner split order contradicts the pinch side")
 
-    told = tuple(ws.twin[d] for d in p)
-    # one allocation, in the id order x, y, mdn, mup, then the left and
-    # the right copies of the spine darts
-    spine_pos = list(range(a)) + list(range(a + 2 * n_ch, length))
-    n_sp = len(spine_pos)
-    fresh = ws.new_darts(4 * n_ch + 2 * n_sp)
-    x_new, y_new, mdn, mup = (fresh[q * n_ch : (q + 1) * n_ch] for q in range(4))
-    snl, snr = fresh[4 * n_ch : 4 * n_ch + n_sp], fresh[4 * n_ch + n_sp :]
-    # the new twins of the chain darts, down the chain and back up
-    if side == "left":
-        ch_l, ch_r = x_new + y_new[::-1], mdn + mup[::-1]
+    told = tuple([twin[d] for d in p])
+    # one allocation, in the id order x, y, mdn, mup (chain only), then
+    # the left and the right copies of the spine darts, 2 per walk dart
+    fresh = ws.new_darts(2 * length)
+    k = length + 2 * n_ch
+    nl, nr = fresh[4 * n_ch : k], fresh[k:]
+    if ch:
+        x_new, y_new, mdn, mup = (fresh[q * n_ch : (q + 1) * n_ch] for q in range(4))
+        # the new twins of the chain darts, down the chain and back up
+        if side == "left":
+            nl[a:a], nr[a:a] = x_new + y_new[::-1], mdn + mup[::-1]
+        else:
+            nl[a:a], nr[a:a] = mup + mdn[::-1], y_new + x_new[::-1]
     else:
-        ch_l, ch_r = mup + mdn[::-1], y_new + x_new[::-1]
-    nl = snl[:a] + ch_l + snl[a:]
-    nr = snr[:a] + ch_r + snr[a:]
+        mdn = mup = []
 
     # cut every vertex copy from the rotations taken above
     cycles: list[list[int]] = []
@@ -376,15 +371,22 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     # triple the chain, double the spines
     for t in range(n_ch):
         dt, et = ch[t], told[a + t]
-        ws.twin[dt], ws.twin[x_new[t]] = x_new[t], dt
-        ws.twin[et], ws.twin[y_new[t]] = y_new[t], et
-        ws.twin[mdn[t]], ws.twin[mup[t]] = mup[t], mdn[t]
-    for s in spine_pos:
-        ws.twin[p[s]], ws.twin[nl[s]] = nl[s], p[s]
-        ws.twin[told[s]], ws.twin[nr[s]] = nr[s], told[s]
+        twin[dt], twin[x_new[t]] = x_new[t], dt
+        twin[et], twin[y_new[t]] = y_new[t], et
+        twin[mdn[t]], twin[mup[t]] = mup[t], mdn[t]
+    for s in (*range(a), *range(a + 2 * n_ch, length)):
+        twin[p[s]], twin[nl[s]] = nl[s], p[s]
+        twin[told[s]], twin[nr[s]] = nr[s], told[s]
+    # each copy becomes the clockwise rotation at its vertex: sigma of
+    # every ray is the ray after it, cyclically
     for cyc in cycles:
         if cyc:
-            ws.set_rotation(cyc)
+            ray = cyc[-1]
+            for after in cyc:
+                t = twin[ray]
+                nxt[t] = after
+                prv[after] = t
+                ray = after
 
     if same_corner:
         marks = ws.markers.get(d_c, [])
@@ -409,11 +411,17 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
             ws.markers[nl[-1]] = exit_marks[:exit_split]
             ws.markers[d_ex] = exit_marks[exit_split:]
 
-    for j, cyc in enumerate(cycles):
-        if cyc:
-            assert ws.rotation_from(cyc[0]) == cyc, (
-                f"copy {j} of the slit is not a vertex cycle"
-            )
+    # the check walks every copy again; python -O skips the walk too
+    if __debug__:
+        for j, cyc in enumerate(cycles):
+            if cyc:
+                first = cyc[0]
+                rot = [first]
+                e = nxt[twin[first]]
+                while e != first:
+                    rot.append(e)
+                    e = nxt[twin[e]]
+                assert rot == cyc, f"copy {j} of the slit is not a vertex cycle"
     # a plain slit pairs the two copies of each walk vertex
     banks = (cycles, []) if ch else (cycles[::2], cycles[1::2])
     return Slit(
@@ -435,27 +443,29 @@ def glue(ws: Workspace, a: int, b: int) -> None:
     Darts a and b die; their twins pair up.  Merges the corner before
     a into the corner before next(b) and symmetrically.
     """
-    na, nb = ws.next[a], ws.next[b]
+    twin, nxt, prv, markers = ws.twin, ws.next, ws.prev, ws.markers
+    na, nb = nxt[a], nxt[b]
     assert na != a and nb != b, "cannot glue onto a degree-one contour"
-    pa, pb = ws.prev_of(a), ws.prev_of(b)
-    ta, tb = ws.twin[a], ws.twin[b]
+    pa, pb = prv[a], prv[b]
+    ta, tb = twin[a], twin[b]
     # a marker list is touched only when a dying dart carries one;
     # delete drops the empty ones
-    markers = ws.markers
     if nb != a:
         if markers.get(a):
             markers[nb] = markers.pop(a) + markers.get(nb, [])
-        ws.link(pa, nb)
+        nxt[pa] = nb
+        prv[nb] = pa
     else:
         assert not markers.get(a), "markers stranded on a glued hairpin"
     if na != b:
         if markers.get(b):
             markers[na] = markers.pop(b) + markers.get(na, [])
-        ws.link(pb, na)
+        nxt[pb] = na
+        prv[na] = pb
     else:
         assert not markers.get(b), "markers stranded on a glued hairpin"
-    ws.twin[ta] = tb
-    ws.twin[tb] = ta
+    twin[ta] = tb
+    twin[tb] = ta
     ws.delete(a)
     ws.delete(b)
 

@@ -10,6 +10,14 @@ from planemaps.errors import CornerMismatch, InvalidWalk
 from planemaps.surgery import Slit, Workspace, _walk_rotations
 
 
+def _set_rotation(ws: Workspace, cycle: list[int]) -> None:
+    """Make cycle the clockwise rotation at its vertex, as the cut did."""
+    a = cycle[-1]
+    for b in cycle:
+        ws.link(ws.twin[a], b)
+        a = b
+
+
 def _arc(ws: Workspace, start: int, stop: int) -> list[int]:
     """Clockwise rays from start up to but not including stop."""
     nxt, twin = ws.next, ws.twin
@@ -296,7 +304,7 @@ def slit_pinched(
         ws.twin[p[s]], ws.twin[snl[s]] = snl[s], p[s]
         ws.twin[told[s]], ws.twin[snr[s]] = snr[s], told[s]
     for cyc in cycles:
-        ws.set_rotation(cyc)
+        _set_rotation(ws, cyc)
 
     if same_corner:
         marks = ws.markers.get(d_c, [])

@@ -4,7 +4,7 @@ import pytest
 
 from planemaps.counting import Identity, identity_sides, identity_target, tutte_count
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
-from planemaps.errors import PlaneMapError, TooManyEdges
+from planemaps.errors import BadArgument, PlaneMapError, TooManyEdges
 
 SMALL_TYPES = [
     (2,),
@@ -96,3 +96,12 @@ class TestDecorations:
         (m,) = enumerate_maps((2,))
         with pytest.raises(ValueError):
             enumerate_decorations(m, Identity.UNIT_FACE, "both")
+
+    def test_bad_side_typed(self):
+        # a library error, and still the ValueError it was before
+        m = enumerate_maps((4,))[0]
+        for identity in Identity:
+            with pytest.raises(BadArgument) as info:
+                enumerate_decorations(m, identity, "left")
+            assert isinstance(info.value, PlaneMapError)
+            assert isinstance(info.value, ValueError)

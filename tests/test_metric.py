@@ -7,22 +7,103 @@ import pytest
 from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 import planemaps.metric as metric
-from planemaps.errors import BadDecoration
+from planemaps.errors import BadArgument, BadDecoration, PlaneMapError
+from planemaps.maps import PlaneMap
 from planemaps.metric import (
     census_fits,
-    classification_violations,
     classify_dart,
-    cycle_separates,
     directed_darts,
     direction_census,
     distances,
     leftmost_geodesic,
     rightmost_geodesic,
-    simple_cycles,
 )
 from planemaps.sampler import sample
 
+import geodesic_reference as ref
 from common import double_edge, loop_map, loop_pendant, path_map
+
+
+# The cycle-parity rule of quasibipartite maps is checked here only:
+# no library code needs simple cycles.
+
+
+def edge_id(m: PlaneMap, d: int) -> int:
+    return min(d, m.twin[d])
+
+
+def simple_cycles(m: PlaneMap) -> list[tuple[int, ...]]:
+    """All vertex-simple cycles as dart walks, one orientation each."""
+    found: dict[frozenset, tuple[int, ...]] = {}
+    for s in range(m.n_vertices):
+
+        def dfs(v, path, visited, used):
+            for d in m.vertex_darts(v):
+                eid = edge_id(m, d)
+                if eid in used:
+                    continue
+                h = m.head_of(d)
+                if h == s:
+                    found.setdefault(frozenset(used | {eid}), tuple(path) + (d,))
+                elif h not in visited:
+                    dfs(h, path + [d], visited | {h}, used | {eid})
+
+        dfs(s, [], {s}, frozenset())
+    return list(found.values())
+
+
+def cycle_separates(m: PlaneMap, cycle: tuple[int, ...], fa: int, fb: int) -> bool:
+    """Whether faces fa and fb lie on opposite sides of the cycle."""
+    on_cycle = {edge_id(m, d) for d in cycle}
+    parent = list(range(m.n_faces + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for d in range(m.n_darts):
+        if edge_id(m, d) not in on_cycle:
+            a, b = find(m.face[d]), find(m.face[m.twin[d]])
+            if a != b:
+                parent[a] = b
+    sides = {find(i) for i in range(1, m.n_faces + 1)}
+    assert len(sides) == 2, "a simple cycle must cut the sphere in two"
+    return find(fa) != find(fb)
+
+
+def classification_violations(m: PlaneMap) -> list[str]:
+    """Check the direction statistics implied by the parity class.
+
+    Bipartite maps: around any vertex v, every face sees half of its
+    contour darts toward v, half away, none parallel.  Quasibipartite
+    maps: each odd face contributes one parallel dart per vertex and
+    splits the rest evenly, each even face has zero or two parallel
+    darts, and a simple cycle has odd length exactly when it separates
+    the two odd faces.  Returns human-readable violations, empty when
+    the map conforms.  The census is read through the metric module,
+    so a test can replace it.
+    """
+    out = []
+    odd = [i for i, a in enumerate(m.degrees, start=1) if a % 2]
+    quasi = bool(odd)
+    for v in range(m.n_vertices):
+        for i, counts in enumerate(metric.direction_census(m, v), start=1):
+            if not census_fits(counts, quasi):
+                parity = "odd" if sum(counts) % 2 else "even"
+                out.append(f"{parity} face {i} at vertex {v}: {counts}")
+    if len(odd) == 2:
+        fa, fb = odd
+        for cycle in simple_cycles(m):
+            sep = cycle_separates(m, cycle, fa, fb)
+            if sep != bool(len(cycle) % 2):
+                out.append(
+                    f"cycle of length {len(cycle)} "
+                    f"{'separates' if sep else 'does not separate'} "
+                    f"the odd faces"
+                )
+    return out
 
 
 class TestDistances:
@@ -118,6 +199,93 @@ class TestGeodesics:
         w, u = m.vertex_of(3), m.vertex_of(0)
         with pytest.raises(ValueError):
             geodesic(m, w, from_corner=0, dist=distances(m, u))
+        with pytest.raises(BadArgument) as info:
+            geodesic(m, w, from_dart=0, dist=distances(m, u))
+        assert isinstance(info.value, PlaneMapError)
+        assert isinstance(info.value, ValueError)
+
+
+def walk_outcome(call, *args, **kw):
+    """What a walk returns, or the type and text of what it raises."""
+    try:
+        return call(*args, **kw)
+    except AssertionError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def assert_walks_match(m):
+    """Every start dart and corner to every target, both directions.
+
+    The library walk and the reference give the same path; each pair
+    of calls shares one table.
+    """
+    starts = ("from_dart", "from_corner")
+    pairs = (
+        (leftmost_geodesic, ref.leftmost_geodesic),
+        (rightmost_geodesic, ref.rightmost_geodesic),
+    )
+    for target in range(m.n_vertices):
+        dist = distances(m, target)
+        for d in range(m.n_darts):
+            for start in starts:
+                for walk, old in pairs:
+                    kw = {start: d, "dist": dist}
+                    got = walk(m, target, **kw)
+                    assert got == old(m, target, **kw), (m.to_json(), target, start, d)
+
+
+def assert_rightmost_on_balls_matches(m, centres):
+    """_rightmost on the growth step's cut-short tables, both darts of
+    every edge, the edge's endpoints as the stops."""
+    for v in centres:
+        for lo, hi in m.edges():
+            ball = metric._ball(m, v, (m.vertex_of(lo), m.vertex_of(hi)))
+            for d in (lo, hi):
+                got = walk_outcome(metric._rightmost, m, d, ball)
+                assert got == walk_outcome(ref._rightmost, m, d, ball), (
+                    m.to_json(), v, d,
+                )
+
+
+class TestWalkMatchesReference:
+    def test_small_maps(self):
+        n_maps = 0
+        for t in admissible_types(4):
+            for m in enumerate_maps(t):
+                n_maps += 1
+                assert_walks_match(m)
+                assert_rightmost_on_balls_matches(m, range(m.n_vertices))
+        assert n_maps == 4093
+
+    @pytest.mark.parametrize(
+        "a", [(100,), (4,) * 25, (51, 49)], ids=["tree", "quadrangulation", "quasi"]
+    )
+    def test_sampled_maps(self, a):
+        m = sample(a, 50)
+        assert m.n_edges == 50
+        assert_walks_match(m)
+        centres = random.Random(50).sample(range(m.n_vertices), 5)
+        assert_rightmost_on_balls_matches(m, centres)
+
+    def test_doctored_table_refused(self):
+        # a target table whose middle vertex claims to be far away: the
+        # walk from the other end finds no dart one step closer
+        m = path_map()
+        w, u = m.vertex_of(3), m.vertex_of(0)
+        mid = m.vertex_of(1)
+        dist = list(distances(m, w))
+        dist[mid] = 5
+        calls = [
+            lambda: leftmost_geodesic(m, w, from_corner=0, dist=dist),
+            lambda: rightmost_geodesic(m, w, from_corner=0, dist=dist),
+            lambda: leftmost_geodesic(m, w, from_dart=1, dist=dist),
+            lambda: rightmost_geodesic(m, w, from_dart=1, dist=dist),
+            lambda: metric._rightmost(m, 1, dist),
+        ]
+        assert dist[u] == 2
+        for call in calls:
+            with pytest.raises(AssertionError, match="no distance-decreasing dart"):
+                call()
 
 
 class TestCycles:
@@ -238,6 +406,19 @@ class TestDirectedDarts:
             directed_darts(m, 1, w, "toward", distances(m, u))
         with pytest.raises(ValueError):
             directed_darts(m, 1, w, "towards")
+
+    def test_bad_arguments_typed(self):
+        # a library error, and still the ValueError it was before
+        m = enumerate_maps((4,))[0]
+        calls = [
+            lambda: directed_darts(m, 1, 0, "towards"),
+            lambda: directed_darts(m, 1, 0, "toward", distances(m, 1)),
+        ]
+        for call in calls:
+            with pytest.raises(BadArgument) as info:
+                call()
+            assert isinstance(info.value, PlaneMapError)
+            assert isinstance(info.value, ValueError)
 
 
 class TestDirectionStatistics:

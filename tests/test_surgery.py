@@ -15,6 +15,7 @@ from planemaps import PlaneMap, bijections, cli, surgery
 from planemaps.counting import Identity
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.errors import (
+    BadArgument,
     CornerMismatch,
     InvalidWalk,
     LengthMismatch,
@@ -144,6 +145,15 @@ class TestSlitValidation:
         ws = workspace_with_arrows(digon())
         with pytest.raises(CornerMismatch):
             slit_pinched(ws, [], [0], [], (0, entry_split), (0, exit_split), side)
+        assert len(ws.twin) == 2
+
+    def test_pinched_unknown_side(self):
+        # a library error, and still the ValueError it was before
+        ws = workspace_with_arrows(digon())
+        with pytest.raises(BadArgument) as info:
+            slit_pinched(ws, [], [0], [], (0, 0), (0, 0), "up")
+        assert isinstance(info.value, PlaneMapError)
+        assert isinstance(info.value, ValueError)
         assert len(ws.twin) == 2
 
 
