@@ -400,25 +400,16 @@ class TestDirectedDarts:
                     call(v)
 
     def test_bad_arguments_rejected(self):
+        # a library error, and still the ValueError it was before
         m = path_map()
         w, u = m.vertex_of(3), m.vertex_of(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             directed_darts(m, 1, w, "toward", distances(m, u))
-        with pytest.raises(ValueError):
+        assert isinstance(info.value, BadArgument)
+        with pytest.raises(ValueError) as info:
             directed_darts(m, 1, w, "towards")
-
-    def test_bad_arguments_typed(self):
-        # a library error, and still the ValueError it was before
-        m = enumerate_maps((4,))[0]
-        calls = [
-            lambda: directed_darts(m, 1, 0, "towards"),
-            lambda: directed_darts(m, 1, 0, "toward", distances(m, 1)),
-        ]
-        for call in calls:
-            with pytest.raises(BadArgument) as info:
-                call()
-            assert isinstance(info.value, PlaneMapError)
-            assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, BadArgument)
+        assert isinstance(info.value, PlaneMapError)
 
 
 class TestDirectionStatistics:
