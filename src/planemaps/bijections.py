@@ -17,7 +17,7 @@ corner's tokens.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .counting import Identity
 from .errors import (
@@ -728,7 +728,7 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
 # ------------------------------------------------------- the four identities
 
 
-class Row(NamedTuple):
+class Row(namedtuple("Row", "forward inverse lhs_key rhs_key")):
     """One counting identity as a pair of mutually inverse bijections.
 
     forward(m, dec) and inverse(m, dec) return (map, decoration, case),
@@ -738,10 +738,7 @@ class Row(NamedTuple):
     that ignores dart names, so a round trip can be compared.
     """
 
-    forward: Callable
-    inverse: Callable
-    lhs_key: Callable
-    rhs_key: Callable
+    __slots__ = ()
 
 
 def _edge_key(m: PlaneMap, dec) -> tuple:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 from .bijections import IDENTITIES
 from .counting import (

@@ -16,13 +16,12 @@ counts one family of decorated maps in two ways.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
-from fractions import Fraction
 from math import factorial
 from operator import index
-from typing import Iterable
 
-from .errors import BadParity, BadType, NonPositiveV, OddSum, TooManyOddFaces
+from .errors import BadArgument, BadParity, BadType, NonPositiveV, OddSum, TooManyOddFaces
 
 
 def check_type(a: Iterable[int]) -> tuple[int, ...]:
@@ -79,7 +78,7 @@ def vertex_count(a: Iterable[int]) -> int:
 def alpha(x: int) -> int:
     """x! / (floor(x/2)! * floor((x-1)/2)!), the per-face weight."""
     if x < 1:
-        raise ValueError("face degrees are positive")
+        raise BadArgument("face degrees are positive")
     return factorial(x) // (factorial(x // 2) * factorial((x - 1) // 2))
 
 
@@ -89,12 +88,13 @@ def tutte_count(a: Iterable[int]) -> int:
     classify(t)
     e = edge_count(t)
     v = vertex_count(t)
-    val = Fraction(factorial(e - 1), factorial(v))
+    num = factorial(e - 1)
     for x in t:
-        val *= alpha(x)
-    if val.denominator != 1:
-        raise ArithmeticError(f"count for {t} is not integral: {val}")
-    return val.numerator
+        num *= alpha(x)
+    count, rest = divmod(num, factorial(v))
+    if rest:
+        raise ArithmeticError(f"count for {t} is not integral: {num}/{factorial(v)}")
+    return count
 
 
 class Identity(Enum):

@@ -11,8 +11,8 @@ every marked dart and therefore every dart.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .counting import Identity, check_type, edge_count
 from .errors import BadArgument, Disconnected, TooManyEdges, WrongGenus

@@ -104,7 +104,8 @@ class BadDecoration(PlaneMapError, ValueError):
 
 
 class BadArgument(PlaneMapError, ValueError):
-    """A keyword outside its fixed set, or a table that does not fit the call."""
+    """A keyword outside its fixed set, a table that does not fit the call,
+    or a number outside the domain of a formula."""
 
 
 # counting

@@ -17,12 +17,11 @@ mark.
 
 from __future__ import annotations
 
-import json
 import struct
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterable
 from itertools import islice
 from operator import index, lt
-from typing import Iterable, NamedTuple
 
 from .counting import check_type
 from .errors import (
@@ -38,11 +37,10 @@ from .errors import (
 )
 
 
-class CornerSlot(NamedTuple):
+class CornerSlot(namedtuple("CornerSlot", "face slot")):
     """Insertion slot of a face: ``face`` is 1-based, ``slot`` in 0..deg."""
 
-    face: int
-    slot: int
+    __slots__ = ()
 
 
 def _ints(data: Iterable[int], error: type, what: str) -> tuple[int, ...]:
@@ -410,29 +408,6 @@ class PlaneMap:
             raise BadDecoration(f"slot {slot} out of range for degree {a}")
         return contour[slot % a]
 
-    # rebuilding helpers
-
-    def with_marked(self, i: int, d: int) -> "PlaneMap":
-        """Copy of the map with face i marked at the corner before d."""
-        self.contour(i)  # raises BadFace for a face outside 1..r
-        marked = list(self.marked)
-        marked[i - 1] = d
-        return PlaneMap(self.twin, self.next, None, marked)
-
-    def relabel(self, perm: Iterable[int]) -> "PlaneMap":
-        """Rename darts by d -> perm[d]; the map stays the same."""
-        p = _as_perm(perm, "perm")
-        n = self.n_darts
-        if len(p) != n:
-            raise NotPermutation("perm acts on the wrong dart set")
-        twin = [0] * n
-        next_ = [0] * n
-        for d in range(n):
-            twin[p[d]] = p[self.twin[d]]
-            next_[p[d]] = p[self.next[d]]
-        marked = [p[d] for d in self.marked]
-        return PlaneMap(twin, next_, None, marked)
-
     # canonical form and serialization
 
     def canonical_relabeling(self) -> dict[int, int]:
@@ -494,6 +469,8 @@ class PlaneMap:
         return order, code
 
     def to_json(self) -> str:
+        import json  # on first call: most processes never serialize a map
+
         obj = {
             "type": list(self.degrees),
             "twin": list(self.twin),
@@ -505,6 +482,8 @@ class PlaneMap:
 
     @classmethod
     def from_json(cls, text: str) -> "PlaneMap":
+        import json
+
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -27,8 +27,6 @@ what makes the composite change face degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     BadArgument,
     BadDecoration,
@@ -89,12 +87,6 @@ class Workspace:
             e = nxt[twin[e]]
         return out
 
-    def contour_from(self, d: int) -> list[int]:
-        out = [d]
-        while (e := self.next[out[-1]]) != d:
-            out.append(e)
-        return out
-
     def marks_of(self, d: int) -> list:
         return self.markers.setdefault(d, [])
 
@@ -114,7 +106,6 @@ class Workspace:
         lst.insert(len(lst) if rank is None else rank, token)
 
 
-@dataclass
 class Slit:
     """Bookkeeping of one slit walk.
 
@@ -129,20 +120,52 @@ class Slit:
     cut in banks_left and leaves banks_right empty: its walk runs down
     and back up the chain, so it is never one dart long and is sewn by
     glues alone, and its attachment vertex splits into three copies.
+    side and middles are set by slit_pinched: which bank the middle
+    strip joined, and the middle darts themselves.
     """
 
-    walk: tuple[int, ...]
-    right_old: tuple[int, ...]
-    nl: tuple[int, ...]
-    nr: tuple[int, ...]
-    entry_dart: int
-    exit_dart: int | None
-    banks_left: list[list[int]] = field(default_factory=list)
-    banks_right: list[list[int]] = field(default_factory=list)
-    # set by slit_pinched: which bank the middle strip joined, and the
-    # middle darts themselves
-    side: str | None = None
-    middles: frozenset = frozenset()
+    __slots__ = (
+        "walk", "right_old", "nl", "nr", "entry_dart", "exit_dart",
+        "banks_left", "banks_right", "side", "middles",
+    )
+
+    def __init__(
+        self,
+        walk: tuple[int, ...],
+        right_old: tuple[int, ...],
+        nl: tuple[int, ...],
+        nr: tuple[int, ...],
+        entry_dart: int,
+        exit_dart: int | None,
+        banks_left: list[list[int]] | None = None,
+        banks_right: list[list[int]] | None = None,
+        side: str | None = None,
+        middles: frozenset = frozenset(),
+    ) -> None:
+        self.walk = walk
+        self.right_old = right_old
+        self.nl = nl
+        self.nr = nr
+        self.entry_dart = entry_dart
+        self.exit_dart = exit_dart
+        self.banks_left = [] if banks_left is None else banks_left
+        self.banks_right = [] if banks_right is None else banks_right
+        self.side = side
+        self.middles = middles
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # compared by value, and the banks are mutable lists
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"Slit({body})"
 
     @property
     def length(self) -> int:

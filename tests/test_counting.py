@@ -1,10 +1,12 @@
 """Counting formula, parity classes and the four identities."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import planemaps.counting as counting_module
 from planemaps.counting import (
     Identity,
     alpha,
@@ -17,12 +19,15 @@ from planemaps.counting import (
     tutte_count,
     vertex_count,
 )
+from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
+    BadArgument,
     BadParity,
     BadType,
     NonPositiveV,
     OddSum,
+    PlaneMapError,
     TooManyOddFaces,
 )
 from planemaps.maps import build
@@ -42,6 +47,13 @@ def all_types(max_edges):
 class TestBasics:
     def test_alpha(self):
         assert [alpha(x) for x in range(1, 8)] == [1, 2, 6, 12, 30, 60, 140]
+
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_alpha_refuses_nonpositive(self, x):
+        with pytest.raises(BadArgument) as info:
+            alpha(x)
+        assert isinstance(info.value, PlaneMapError)
+        assert isinstance(info.value, ValueError)
 
     def test_edge_vertex_count(self):
         assert edge_count((4, 4)) == 4
@@ -136,6 +148,28 @@ class TestTutteCount:
     def test_rejects_bad_class(self):
         with pytest.raises(TooManyOddFaces):
             tutte_count((5, 3, 3, 1))
+
+    def test_equals_rational_evaluation(self):
+        # the integer division against the formula in exact rationals,
+        # alpha included, for every admissible type up to ten edges
+        n = 0
+        for a in admissible_types(10):
+            e = sum(a) // 2
+            val = Fraction(factorial(e - 1), factorial(e - len(a) + 2))
+            for x in a:
+                val *= Fraction(
+                    factorial(x), factorial(x // 2) * factorial((x - 1) // 2)
+                )
+            assert val.denominator == 1, a
+            assert tutte_count(a) == val.numerator, a
+            n += 1
+        assert n == 29183
+
+    def test_remainder_raises(self, monkeypatch):
+        # with every weight 1, (2, 2) would count 1!/2! maps
+        monkeypatch.setattr(counting_module, "alpha", lambda x: 1)
+        with pytest.raises(ArithmeticError):
+            tutte_count((2, 2))
 
 
 def factorial(n):

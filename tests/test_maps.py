@@ -17,10 +17,32 @@ from planemaps.errors import (
     PlaneMapError,
     WrongGenus,
 )
-from planemaps.maps import CornerSlot, PlaneMap, build
+from planemaps.maps import CornerSlot, PlaneMap, _as_perm, build
 from planemaps.sampler import sample
 
 from common import ALL_EXAMPLES, digon, double_edge, loop_map, loop_pendant, path_map
+
+
+def with_marked(m, i, d):
+    """Copy of m with face i marked at the corner before d."""
+    m.contour(i)  # raises BadFace for a face outside 1..r
+    marked = list(m.marked)
+    marked[i - 1] = d
+    return PlaneMap(m.twin, m.next, None, marked)
+
+
+def relabel(m, perm):
+    """m with darts renamed by d -> perm[d]; the map stays the same."""
+    p = _as_perm(perm, "perm")
+    n = m.n_darts
+    if len(p) != n:
+        raise NotPermutation("perm acts on the wrong dart set")
+    twin = [0] * n
+    next_ = [0] * n
+    for d in range(n):
+        twin[p[d]] = p[m.twin[d]]
+        next_[p[d]] = p[m.next[d]]
+    return PlaneMap(twin, next_, None, [p[d] for d in m.marked])
 
 
 class TestBasics:
@@ -115,6 +137,24 @@ class TestCorners:
         assert m.corner_slot(3) == CornerSlot(1, 2)
         assert m.corner_slot(1) == CornerSlot(1, 3)
 
+    def test_corner_slot_record(self):
+        c = CornerSlot(1, 2)
+        assert c == (1, 2) and (c.face, c.slot) == (1, 2)
+        assert CornerSlot(slot=2, face=1) == c
+        assert c._replace(slot=0) == CornerSlot(1, 0)
+        assert type(c._replace(slot=0)) is CornerSlot
+        assert repr(c) == "CornerSlot(face=1, slot=2)"
+        with pytest.raises(AttributeError):
+            c.extra = 0
+
+    def test_corner_slot_inverts_slot_anchor(self):
+        for t in ((4, 2), (3, 1), (2, 2, 2)):
+            for m in enumerate_maps(t):
+                for i in range(1, m.n_faces + 1):
+                    a = m.degree(i)
+                    for slot in range(a + 1):
+                        assert m.corner_slot(m.slot_anchor(i, slot)) == (i, slot % a)
+
     def test_slot_anchor(self):
         m = path_map()
         assert m.slot_anchor(1, 0) == 0
@@ -127,7 +167,7 @@ class TestCorners:
 
     def test_with_marked(self):
         m = double_edge()
-        m2 = m.with_marked(2, 1)
+        m2 = with_marked(m, 2, 1)
         assert m2.contour(2) == (1, 3)
         assert m.contour(2) == (3, 1)
 
@@ -143,7 +183,7 @@ class TestFaceIndex:
         with pytest.raises(BadFace):
             m.slot_anchor(i, 1)
         with pytest.raises(BadFace):
-            m.with_marked(i, m.marked[-1])
+            with_marked(m, i, m.marked[-1])
 
 
 class TestValidation:
@@ -480,7 +520,7 @@ class TestCanonicalCode:
 
     def test_mark_changes_code(self):
         m = double_edge()
-        assert m.canonical_code() != m.with_marked(2, 1).canonical_code()
+        assert m.canonical_code() != with_marked(m, 2, 1).canonical_code()
 
     @pytest.mark.parametrize("n_edges", [32768, 32769])
     def test_word_width(self, n_edges):
@@ -507,7 +547,7 @@ class TestCanonicalCode:
     def test_relabel_invariance(self, data, idx):
         m = ALL_EXAMPLES[idx]()
         perm = data.draw(st.permutations(range(m.n_darts)))
-        m2 = m.relabel(perm)
+        m2 = relabel(m, perm)
         assert m2.canonical_code() == m.canonical_code()
 
     @given(data=st.data())
@@ -517,4 +557,4 @@ class TestCanonicalCode:
         inv = [0] * 4
         for d, x in enumerate(perm):
             inv[x] = d
-        assert m.relabel(perm).relabel(inv) == m
+        assert relabel(relabel(m, perm), inv) == m

@@ -1,0 +1,46 @@
+"""What a fresh interpreter loads to run the command line."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# stdlib modules the library has no use for at import time; json is
+# imported by to_json and from_json on first call
+UNUSED = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    "fractions", "decimal", "json", "typing",
+)
+
+# prints its result with repr, because importing json up front would
+# hide a json import made by the library
+PROBE = """
+import sys
+before = set(sys.modules)
+import planemaps.cli
+new = sorted(set(sys.modules) - before)
+from planemaps.enumerator import enumerate_maps
+from planemaps.maps import PlaneMap
+maps = enumerate_maps((4, 2)) + enumerate_maps((3, 1))
+trips = sum(PlaneMap.from_json(m.to_json()) == m for m in maps)
+print(repr((new, trips, len(maps), "json" in sys.modules)))
+"""
+
+
+def test_cli_import_loads_no_unused_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    new, trips, n_maps, json_loaded = ast.literal_eval(out.strip().splitlines()[-1])
+    assert "planemaps.cli" in new
+    assert [name for name in UNUSED if name in new] == []
+    assert n_maps == 11 and trips == n_maps
+    assert json_loaded

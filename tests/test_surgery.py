@@ -27,6 +27,7 @@ from planemaps.errors import (
 from planemaps.metric import directed_darts, distances
 from planemaps.sampler import sample
 from planemaps.surgery import (
+    Slit,
     Workspace,
     arrow,
     digon_to_edge,
@@ -53,6 +54,14 @@ def live(seq):
     return {d: x for d, x in enumerate(seq) if x is not None}
 
 
+def contour_from(ws, d):
+    """The workspace contour through d, from d, following next."""
+    out = [d]
+    while (e := ws.next[out[-1]]) != d:
+        out.append(e)
+    return out
+
+
 class TestWorkspace:
     def test_copies_map(self):
         m = double_edge()
@@ -66,8 +75,8 @@ class TestWorkspace:
         ws = Workspace(double_edge())
         assert ws.rotation_from(3) == [3, 0]
         assert ws.rotation_from(2) == [2, 1]
-        assert ws.contour_from(0) == [0, 2]
-        assert ws.contour_from(3) == [3, 1]
+        assert contour_from(ws, 0) == [0, 2]
+        assert contour_from(ws, 3) == [3, 1]
         assert ws.prev_of(0) == 2
         assert live(ws.prev) == {0: 2, 1: 3, 2: 0, 3: 1}
 
@@ -179,8 +188,8 @@ class TestSlitDigon:
         assert live(ws.twin) == {0: 2, 1: 3, 2: 0, 3: 1}
         assert live(ws.next) == {0: 2, 1: 3, 2: 0, 3: 1}
         # two floating single-edge pieces
-        assert ws.contour_from(0) == [0, 2]
-        assert ws.contour_from(1) == [1, 3]
+        assert contour_from(ws, 0) == [0, 2]
+        assert contour_from(ws, 1) == [1, 3]
 
     def test_forward_sew_gives_path(self):
         ws, s = self.run()
@@ -223,14 +232,14 @@ class TestSlitDoubleEdge:
 
     def test_merged_contour(self):
         ws, s = self.run()
-        assert ws.contour_from(3) == [3, 1, 5, 2, 0, 4]
+        assert contour_from(ws, 3) == [3, 1, 5, 2, 0, 4]
 
     def test_backward_sew_and_suppress(self):
         ws, s = self.run()
         sew_backward(ws, s)
         assert ws.rotation_from(4) == [4, 1, 5, 0]
-        assert ws.contour_from(3) == [3, 1, 4]
-        assert ws.contour_from(0) == [0, 5, 2]
+        assert contour_from(ws, 3) == [3, 1, 4]
+        assert contour_from(ws, 0) == [0, 5, 2]
         target = suppress_pendant(ws, s.walk[0], out_marker="out")
         assert target == 1
         assert ws.marks_of(1) == [arrow(2), "out"]
@@ -262,8 +271,8 @@ class TestSlitPath:
     def test_wiring_splits_in_two(self):
         ws, s = self.run()
         assert live(ws.next) == {0: 2, 1: 6, 2: 5, 3: 1, 4: 0, 5: 4, 6: 7, 7: 3}
-        assert ws.contour_from(0) == [0, 2, 5, 4]
-        assert ws.contour_from(1) == [1, 6, 7, 3]
+        assert contour_from(ws, 0) == [0, 2, 5, 4]
+        assert contour_from(ws, 1) == [1, 6, 7, 3]
 
     def test_backward_sew(self):
         ws, s = self.run()
@@ -303,7 +312,7 @@ class TestBlindSlit:
     def test_wiring(self):
         ws, s = self.run()
         assert live(ws.next) == {0: 2, 1: 5, 2: 3, 3: 1, 4: 0, 5: 4}
-        assert ws.contour_from(0) == [0, 2, 3, 1, 5, 4]
+        assert contour_from(ws, 0) == [0, 2, 3, 1, 5, 4]
         assert ws.rotation_from(4) == [4, 2, 1]
 
     def test_forward_sew_rejected(self):
@@ -319,8 +328,8 @@ class TestBlindSlit:
     def test_backward_sew_creates_unit_face(self):
         ws, s = self.run()
         sew_backward(ws, s)
-        assert ws.contour_from(5) == [5]
-        assert ws.contour_from(0) == [0, 2, 3, 1, 4]
+        assert contour_from(ws, 5) == [5]
+        assert contour_from(ws, 0) == [0, 2, 3, 1, 4]
         suppress_pendant(ws, s.walk[0], out_marker="out")
         ws.add_marker(5, arrow(2))
         m, rename, corners = finish(ws)
@@ -603,8 +612,8 @@ class TestSewOnto:
         sew_onto(ws, s, 1)
         assert live(ws.twin) == {0: 4, 4: 0, 2: 3, 3: 2}
         assert live(ws.next) == {0: 4, 4: 0, 2: 3, 3: 2}
-        assert ws.contour_from(0) == [0, 4]
-        assert ws.contour_from(2) == [2, 3]
+        assert contour_from(ws, 0) == [0, 4]
+        assert contour_from(ws, 2) == [2, 3]
 
 
 def assert_prev_in_step(ws, after):
@@ -670,6 +679,65 @@ def test_prev_in_step_after_every_primitive(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     _sweep_bijections()
     assert all(calls.values()), calls
+
+
+class TestSlitRecord:
+    # one value per field, in constructor order, and a different value for each
+    FIELDS = {
+        "walk": (0, 2),
+        "right_old": (1, 3),
+        "nl": (4, 5),
+        "nr": (6, 7),
+        "entry_dart": 0,
+        "exit_dart": 2,
+        "banks_left": [[0, 4]],
+        "banks_right": [[1, 6]],
+        "side": "left",
+        "middles": frozenset({4}),
+    }
+    OTHER = {
+        "walk": (0,),
+        "right_old": (3, 1),
+        "nl": (5, 4),
+        "nr": (7, 6),
+        "entry_dart": 1,
+        "exit_dart": None,
+        "banks_left": [[0, 4], []],
+        "banks_right": [],
+        "side": "right",
+        "middles": frozenset(),
+    }
+
+    def test_fields(self):
+        assert Slit.__slots__ == tuple(self.FIELDS) == tuple(self.OTHER)
+
+    def test_positional_and_keyword(self):
+        s = Slit(*self.FIELDS.values())
+        assert s == Slit(**self.FIELDS)
+        assert {k: getattr(s, k) for k in self.FIELDS} == self.FIELDS
+        assert s.length == 2
+
+    def test_defaults(self):
+        a = Slit((0,), (1,), (2,), (3,), 0, None)
+        b = Slit((0,), (1,), (2,), (3,), 0, None)
+        assert a.banks_left == a.banks_right == []
+        assert a.banks_left is not a.banks_right
+        assert a.banks_left is not b.banks_left
+        assert a.side is None and a.middles == frozenset()
+        assert a.length == 1
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_one_field_differs(self, name):
+        s = Slit(**self.FIELDS)
+        t = Slit(**{**self.FIELDS, name: self.OTHER[name]})
+        assert s != t and t != s
+        assert not s == t
+
+    def test_not_a_tuple_or_hashable(self):
+        s = Slit(**self.FIELDS)
+        assert s != tuple(self.FIELDS.values())
+        with pytest.raises(TypeError):
+            hash(s)
 
 
 def test_slits_equal_reference(monkeypatch):
