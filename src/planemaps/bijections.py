@@ -569,12 +569,13 @@ def grow_via_transfers(
     e, c, c2, mark_side = _decoration(e, c, c2, mark_side)
     same = j == k
     _validate_grow(m, e, j, k, c, c2, same)
+    # refuses a mark_side outside 0, 1 before the channel's BFS runs
+    m1 = edge_to_digon(m, e, mark_side)
     kind = _growth_channel(m, e, j, k, c, c2, same)[0]
     case = kind if kind == "simple" else f"{kind}-pinched"
     kk = j if same else k
     u2 = c2 - 1 if same and c2 > c else c2
     r = m.n_faces
-    m1 = edge_to_digon(m, e, mark_side)
     cv = m1.vertex_of(m1.slot_anchor(j, c))
     n0 = m.n_darts
     dist1 = distances(m1, cv)

@@ -95,15 +95,12 @@ def to_dot(m: PlaneMap, name: str = "map") -> str:
     box node joined to the vertex of its marked corner by a dashed
     arrowhead edge, the file analogue of marking the corner.
     """
-    vx = {}
-    for d in range(m.n_darts):
-        vx[d] = m.vertex_of(d)
     lines = [f"graph {name} {{"]
     for v in range(m.n_vertices):
         lines.append(f'  v{v} [label="{v}"];')
     for d, t in m.edges():
         lines.append(
-            f"  v{vx[d]} -- v{vx[t]} "
+            f"  v{m.vertex_of(d)} -- v{m.vertex_of(t)} "
             f'[label="f{m.face_of(d)}|f{m.face_of(t)}"];'
         )
     for i in range(1, m.n_faces + 1):
@@ -112,7 +109,7 @@ def to_dot(m: PlaneMap, name: str = "map") -> str:
             f'  f{i} [shape=box, label="face {i} (deg {m.degree(i)})"];'
         )
         lines.append(
-            f"  f{i} -- v{vx[mark]} "
+            f"  f{i} -- v{m.vertex_of(mark)} "
             "[style=dashed, dir=forward, arrowhead=normal, color=red];"
         )
     lines.append("}")

@@ -142,7 +142,7 @@ def identity_target(identity: Identity, a: Iterable[int]) -> tuple[int, ...]:
         if len(t) < 2 or t[-1] != 1 or len(odd) != 2:
             raise BadParity("needs a final degree-one face and one more odd face")
         return (t[0] + 1,) + t[1:-1]
-    raise TypeError(f"unknown identity {identity!r}")
+    raise BadArgument(f"unknown identity {identity!r}")
 
 
 def identity_sides(identity: Identity, a: Iterable[int]) -> tuple[int, int]:

@@ -126,4 +126,4 @@ def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tu
         for v in range(m.n_vertices):
             out += [(v, h) for h in directed_darts(m, 1, v, "toward")]
         return out
-    raise TypeError(f"unknown identity {identity!r}")
+    raise BadArgument(f"unknown identity {identity!r}")

@@ -51,10 +51,6 @@ class CornerMismatch(PlaneMapError):
     pass
 
 
-class LengthMismatch(PlaneMapError):
-    pass
-
-
 class NotDangling(PlaneMapError):
     pass
 

@@ -19,20 +19,23 @@ Slitting a self-avoiding walk p_1 .. p_l doubles it into a left bank,
 which keeps the original dart ids, and a right bank of fresh darts:
 nl_k is the new twin of p_k and faces the channel backward, nr_k is
 the new twin of the old twin of p_k and faces the channel forward.
-Each walk vertex splits in two; the Slit records both dart cycles of
-every split vertex, cut open at the channel mouth.  Sewing then glues
+Each walk vertex splits in two.  The Slit records the walk, the fresh
+twins and the two mouth darts, which is all the sews read: they glue
 the banks back with a shift of one step, forward or backward, which is
-what makes the composite change face degrees.
+what makes the composite change face degrees, and a length-one walk,
+with nothing to glue, is closed by welding two vertex copies at their
+mouth darts.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import (
     BadArgument,
     BadDecoration,
     CornerMismatch,
     InvalidWalk,
-    LengthMismatch,
     NotDangling,
     NotDigon,
     NotPermutation,
@@ -106,66 +109,16 @@ class Workspace:
         lst.insert(len(lst) if rank is None else rank, token)
 
 
-class Slit:
+class Slit(namedtuple("Slit", "walk nl nr entry_dart exit_dart")):
     """Bookkeeping of one slit walk.
 
     walk[k] is the left-bank copy of the k-th walk dart (original id),
-    right_old[k] its old twin (right-bank copy, reversed), nl[k] and
-    nr[k] the fresh twins.  Every vertex cycle is listed from the
-    channel mouth.  slit returns banks_left[j] and banks_right[j], the
-    dart cycles of the two copies of walk vertex j, because the weld
-    that sews a length-one walk takes one copy of each end vertex; for
-    a blind slit the single cycle of the far vertex is banks_left[-1]
-    and banks_right[-1] is empty.  slit_pinched returns every cycle it
-    cut in banks_left and leaves banks_right empty: its walk runs down
-    and back up the chain, so it is never one dart long and is sewn by
-    glues alone, and its attachment vertex splits into three copies.
-    side and middles are set by slit_pinched: which bank the middle
-    strip joined, and the middle darts themselves.
+    nl[k] and nr[k] its fresh twins on the left and right bank.
+    entry_dart and exit_dart are the darts whose corners the cut opens,
+    exit_dart None for a blind slit that leaves the far vertex whole.
     """
 
-    __slots__ = (
-        "walk", "right_old", "nl", "nr", "entry_dart", "exit_dart",
-        "banks_left", "banks_right", "side", "middles",
-    )
-
-    def __init__(
-        self,
-        walk: tuple[int, ...],
-        right_old: tuple[int, ...],
-        nl: tuple[int, ...],
-        nr: tuple[int, ...],
-        entry_dart: int,
-        exit_dart: int | None,
-        banks_left: list[list[int]] | None = None,
-        banks_right: list[list[int]] | None = None,
-        side: str | None = None,
-        middles: frozenset = frozenset(),
-    ) -> None:
-        self.walk = walk
-        self.right_old = right_old
-        self.nl = nl
-        self.nr = nr
-        self.entry_dart = entry_dart
-        self.exit_dart = exit_dart
-        self.banks_left = [] if banks_left is None else banks_left
-        self.banks_right = [] if banks_right is None else banks_right
-        self.side = side
-        self.middles = middles
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # compared by value, and the banks are mutable lists
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"Slit({body})"
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -327,8 +280,6 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
             nl[a:a], nr[a:a] = x_new + y_new[::-1], mdn + mup[::-1]
         else:
             nl[a:a], nr[a:a] = mup + mdn[::-1], y_new + x_new[::-1]
-    else:
-        mdn = mup = []
 
     # cut every vertex copy from the rotations taken above
     cycles: list[list[int]] = []
@@ -386,7 +337,7 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     for s in range(a + 2 * n_ch, length - 1):
         cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
     if exit is None:  # blind: the far vertex, from told[-1], stays whole
-        cycles += [[nl[-1], *rots[-1][1:], told[-1]], []]
+        cycles.append([nl[-1], *rots[-1][1:], told[-1]])
     elif b or not ch:
         near, far = _mouth(rots[-1], d_ex, told[-1], nl[-1])
         cycles += [far, near]
@@ -403,13 +354,12 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     # each copy becomes the clockwise rotation at its vertex: sigma of
     # every ray is the ray after it, cyclically
     for cyc in cycles:
-        if cyc:
-            ray = cyc[-1]
-            for after in cyc:
-                t = twin[ray]
-                nxt[t] = after
-                prv[after] = t
-                ray = after
+        ray = cyc[-1]
+        for after in cyc:
+            t = twin[ray]
+            nxt[t] = after
+            prv[after] = t
+            ray = after
 
     if same_corner:
         marks = ws.markers.get(d_c, [])
@@ -437,27 +387,14 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     # the check walks every copy again; python -O skips the walk too
     if __debug__:
         for j, cyc in enumerate(cycles):
-            if cyc:
-                first = cyc[0]
-                rot = [first]
-                e = nxt[twin[first]]
-                while e != first:
-                    rot.append(e)
-                    e = nxt[twin[e]]
-                assert rot == cyc, f"copy {j} of the slit is not a vertex cycle"
-    # a plain slit pairs the two copies of each walk vertex
-    banks = (cycles, []) if ch else (cycles[::2], cycles[1::2])
-    return Slit(
-        p,
-        told,
-        tuple(nl),
-        tuple(nr),
-        d_c,
-        d_ex,
-        *banks,
-        side=side,
-        middles=frozenset(mdn + mup),
-    )
+            first = cyc[0]
+            rot = [first]
+            e = nxt[twin[first]]
+            while e != first:
+                rot.append(e)
+                e = nxt[twin[e]]
+            assert rot == cyc, f"copy {j} of the slit is not a vertex cycle"
+    return Slit(p, tuple(nl), tuple(nr), d_c, d_ex)
 
 
 def glue(ws: Workspace, a: int, b: int) -> None:
@@ -493,16 +430,15 @@ def glue(ws: Workspace, a: int, b: int) -> None:
     ws.delete(b)
 
 
-def weld(ws: Workspace, bank_a: list[int], bank_b: list[int]) -> None:
-    """Merge two vertices by splicing their cycles at the mouths."""
-    if not bank_a or not bank_b:
-        raise LengthMismatch("weld needs two nonempty vertex cycles")
-    ea, eb = bank_a[-1], bank_b[-1]
-    assert ws.sigma(ea) == bank_a[0] and ws.sigma(eb) == bank_b[0], (
-        "weld banks are not closed vertex cycles"
-    )
-    ws.link(ws.twin[ea], bank_b[0])
-    ws.link(ws.twin[eb], bank_a[0])
+def weld(ws: Workspace, a: int, b: int) -> None:
+    """Merge the vertices of darts a and b at the corners before them.
+
+    Swaps the contour predecessors of a and b: the rotation from a runs
+    through the rays of a's vertex and then, from b, through b's.
+    """
+    pa, pb = ws.prev[a], ws.prev[b]
+    ws.link(pa, b)
+    ws.link(pb, a)
 
 
 def sew_forward(ws: Workspace, s: Slit) -> None:
@@ -515,7 +451,7 @@ def sew_forward(ws: Workspace, s: Slit) -> None:
     if s.exit_dart is None:
         raise InvalidWalk("forward sew needs a two-ended slit")
     if s.length == 1:
-        weld(ws, s.banks_left[0], s.banks_right[1])
+        weld(ws, s.entry_dart, s.exit_dart)
         return
     for t in range(s.length - 1):
         glue(ws, s.nl[t], s.nr[t + 1])
@@ -533,7 +469,7 @@ def sew_backward(ws: Workspace, s: Slit) -> None:
     copy.
     """
     if s.length == 1:
-        weld(ws, s.banks_left[1], s.banks_right[0])
+        weld(ws, s.nl[0], s.nr[0])
         if s.exit_dart is not None and ws.markers.get(s.nl[0]):
             ws.markers[s.nr[0]] = (
                 ws.markers.pop(s.nl[0]) + ws.markers.get(s.nr[0], [])

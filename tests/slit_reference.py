@@ -125,13 +125,12 @@ def slit(
         ws.markers[nl[-1]] = exit_marks[:exit_split]
         ws.markers[d_ex] = exit_marks[exit_split:]
 
-    s = Slit(p, twin_old, nl, nr, d_c, d_ex, banks_left, banks_right)
-    for j, bank in enumerate(s.banks_left + s.banks_right):
+    for j, bank in enumerate(banks_left + banks_right):
         if bank:
             assert ws.rotation_from(bank[0]) == bank, (
                 f"bank {j} of the slit is not a vertex cycle"
             )
-    return s
+    return Slit(p, nl, nr, d_c, d_ex)
 
 
 def slit_pinched(
@@ -329,20 +328,8 @@ def slit_pinched(
             ws.markers[nl[-1]] = exit_marks[:exit_split]
             ws.markers[d_ex] = exit_marks[exit_split:]
 
-    s = Slit(
-        p,
-        told,
-        tuple(nl),
-        tuple(nr),
-        d_c,
-        d_ex,
-        cycles,
-        [],
-        side=side,
-        middles=frozenset(mdn + mup),
-    )
-    for j, bank in enumerate(s.banks_left):
+    for j, bank in enumerate(cycles):
         assert ws.rotation_from(bank[0]) == bank, (
             f"copy {j} of the pinched slit is not a vertex cycle"
         )
-    return s
+    return Slit(p, tuple(nl), tuple(nr), d_c, d_ex)

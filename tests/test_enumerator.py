@@ -102,3 +102,20 @@ class TestDecorations:
                 enumerate_decorations(m, identity, "left")
             assert isinstance(info.value, BadArgument)
             assert isinstance(info.value, PlaneMapError)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: identity_target(x, (3, 1)),
+            lambda x: identity_sides(x, (3, 1)),
+            lambda x: enumerate_decorations(enumerate_maps((3, 1))[0], x, "lhs"),
+            lambda x: enumerate_decorations(enumerate_maps((3, 1))[0], x, "rhs"),
+        ],
+        ids=["identity_target", "identity_sides", "decorations lhs", "decorations rhs"],
+    )
+    def test_unknown_identity(self, call):
+        # the identity's value is not the identity: these raised a bare TypeError
+        with pytest.raises(BadArgument) as info:
+            call(Identity.UNIT_FACE.value)
+        assert isinstance(info.value, PlaneMapError)
+        assert isinstance(info.value, ValueError)

@@ -338,6 +338,18 @@ class TestErrors:
         with pytest.raises(SameFace):
             shrink_two(enumerate_maps((3, 3))[0], 0, 0, 1, faces=(1, 1))
 
+    @pytest.mark.parametrize("side", [-1, 2])
+    def test_mark_side_refused_before_the_channel(self, monkeypatch, side):
+        # the channel's distance balls are wasted on a decoration that
+        # the digon step refuses anyway
+        def channel(*args):
+            raise AssertionError("_growth_channel ran")
+
+        m = sample((6,), 0)
+        monkeypatch.setattr(bijections, "_growth_channel", channel)
+        with pytest.raises(BadDecoration):
+            grow_via_transfers(m, 0, 0, 0, mark_side=side)
+
     def test_slot_out_of_range(self):
         with pytest.raises(SameSlot):
             grow_same(EDGE, 0, 3, 0)
