@@ -333,9 +333,12 @@ class PlaneMap:
 
     def degree(self, i: int) -> int:
         # the check of contour(), inlined: degree is called per growth step
-        if not 1 <= i <= len(self._contours):
-            raise BadFace(f"face {i} out of range 1..{len(self._contours)}")
-        return len(self._contours[i - 1])
+        try:
+            if i >= 1:
+                return len(self._contours[i - 1])
+        except (IndexError, TypeError):  # past the end; a str, None or float
+            pass
+        raise BadFace(f"face {i!r} out of range 1..{len(self._contours)}")
 
     # incidence
 
@@ -343,36 +346,76 @@ class PlaneMap:
         """Face contour of face i, starting at its marked dart.
 
         Raises BadFace unless 1 <= i <= n_faces, so that 0 and negative
-        indices cannot wrap round to the last faces.
+        indices cannot wrap round to the last faces, and for a
+        non-integer i.
         """
-        if not 1 <= i <= len(self._contours):
-            raise BadFace(f"face {i} out of range 1..{len(self._contours)}")
-        return self._contours[i - 1]
+        try:
+            if i >= 1:
+                return self._contours[i - 1]
+        except (IndexError, TypeError):
+            pass
+        raise BadFace(f"face {i!r} out of range 1..{len(self._contours)}")
+
+    # The dart and vertex accessors below raise BadDecoration for an
+    # index outside the range and for a non-integer one.  Each makes
+    # one comparison, because a negative index would wrap round from
+    # the end, and lets the tuple refuse the rest: growth steps call
+    # them.
 
     def face_of(self, d: int) -> int:
-        return self.face[d]
+        try:
+            if d >= 0:
+                return self.face[d]
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no dart {d!r}")
 
     def prev(self, d: int) -> int:
-        return self._prev[d]
+        try:
+            if d >= 0:
+                return self._prev[d]
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no dart {d!r}")
 
     def sigma(self, d: int) -> int:
         """Clockwise neighbour of d around its origin vertex."""
-        return self.next[self.twin[d]]
+        try:
+            if d >= 0:
+                return self.next[self.twin[d]]
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no dart {d!r}")
 
     def vertex_of(self, d: int) -> int:
         """Index of the origin vertex of d."""
-        return self._vertex_of[d]
+        try:
+            if d >= 0:
+                return self._vertex_of[d]
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no dart {d!r}")
 
     def head_of(self, d: int) -> int:
         """Index of the vertex the dart points to."""
-        return self._vertex_of[self.twin[d]]
+        try:
+            if d >= 0:
+                return self._vertex_of[self.twin[d]]
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no dart {d!r}")
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         """All vertices as clockwise dart cycles."""
         return self._vertices
 
     def vertex_darts(self, v: int) -> tuple[int, ...]:
-        return self._vertices[v]
+        try:
+            if v >= 0:
+                return self._vertices[v]
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no vertex {v!r}")
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (d, twin(d)) with d < twin(d), sorted by d."""
@@ -397,8 +440,13 @@ class PlaneMap:
 
     def corner_slot(self, d: int) -> CornerSlot:
         """Slot of the corner before d; the marked corner reports slot 0."""
-        i = self.face[d]
-        return CornerSlot(i, self._contours[i - 1].index(d))
+        try:
+            if d >= 0:
+                i = self.face[d]
+                return CornerSlot(i, self._contours[i - 1].index(d))
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no dart {d!r}")
 
     def slot_anchor(self, i: int, slot: int) -> int:
         """Dart whose preceding corner realises the given slot of face i."""

@@ -13,15 +13,30 @@ when the walk starts in one.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import BadArgument, BadDecoration
 from .maps import PlaneMap
 
 
+def _vertex(m: PlaneMap, v: int) -> int:
+    """v as a vertex index of m, or BadDecoration.
+
+    -1 would answer for the last vertex; a str or None fails the
+    comparison, and index() refuses a float.
+    """
+    try:
+        if 0 <= v < len(m._vertices):
+            return index(v)
+    except TypeError:
+        pass
+    raise BadDecoration(f"vertex {v!r} out of range 0..{len(m._vertices) - 1}")
+
+
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
     """BFS distance from vertex index v to every vertex."""
+    v = _vertex(m, v)
     vertices, vertex_of, twin = m._vertices, m._vertex_of, m.twin
-    if not 0 <= v < len(vertices):  # -1 would answer for the last vertex
-        raise BadDecoration(f"vertex {v} out of range 0..{len(vertices) - 1}")
     dist = [-1] * len(vertices)
     dist[v] = 0
     queue = [v]
@@ -165,8 +180,7 @@ def _checked_dist(m, v, dist):
     """dist, or distances(m, v) when None; BadArgument unless it starts at v."""
     if dist is None:
         return distances(m, v)
-    if not 0 <= v < m.n_vertices:
-        raise BadDecoration(f"vertex {v} out of range 0..{m.n_vertices - 1}")
+    v = _vertex(m, v)
     if len(dist) != m.n_vertices or dist[v] != 0:
         raise BadArgument(f"dist is not a distance table from vertex {v}")
     return dist

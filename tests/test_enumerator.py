@@ -1,10 +1,15 @@
 """Gluing enumeration against the counting formula."""
 
+from itertools import islice
+
 import pytest
 
+from planemaps import enumerator
+from planemaps.cli import admissible_types
 from planemaps.counting import Identity, identity_sides, identity_target, tutte_count
-from planemaps.enumerator import enumerate_decorations, enumerate_maps
-from planemaps.errors import BadArgument, PlaneMapError, TooManyEdges
+from planemaps.enumerator import DEFAULT_MAX_EDGES, enumerate_decorations, enumerate_maps
+from planemaps.errors import BadArgument, Disconnected, PlaneMapError, TooManyEdges, WrongGenus
+from planemaps.maps import PlaneMap
 
 SMALL_TYPES = [
     (2,),
@@ -28,6 +33,98 @@ SMALL_TYPES = [
     (1, 1, 2),
     (2, 1, 1),
 ]
+
+
+# The reference for the kept matchings: a recursive generator run
+# afresh for every type, and the sigma-orbit genus screen.
+# enumerate_maps must give the same maps in the same order.
+def reference_matchings(n):
+    """Fixed-point-free involutions of 0..n-1, smallest unmatched first."""
+    twin = [-1] * n
+
+    def rec(d):
+        while d < n and twin[d] >= 0:
+            d += 1
+        if d == n:
+            yield tuple(twin)
+            return
+        for e in range(d + 1, n):
+            if twin[e] < 0:
+                twin[d], twin[e] = e, d
+                yield from rec(d + 1)
+                twin[d], twin[e] = -1, -1
+
+    return rec(0)
+
+
+def reference_maps(t):
+    """enumerate_maps(t) from reference_matchings and the genus screen."""
+    e = sum(t) // 2
+    n = 2 * e
+    next_ = [0] * n
+    marked = []
+    off = 0
+    for deg in t:
+        marked.append(off)
+        for k in range(deg):
+            next_[off + k] = off + (k + 1) % deg
+        off += deg
+    out = []
+    for twin in reference_matchings(n):
+        seen = [False] * n
+        v = 0
+        for d in range(n):
+            if not seen[d]:
+                v += 1
+                x = d
+                while not seen[x]:
+                    seen[x] = True
+                    x = next_[twin[x]]
+        if v != e + 2 - len(t):
+            continue
+        try:
+            out.append(PlaneMap(twin, next_, None, marked))
+        except (Disconnected, WrongGenus):
+            continue
+    return out
+
+
+def double_factorial(k):
+    return 1 if k < 2 else k * double_factorial(k - 2)
+
+
+class TestMatchingTables:
+    @pytest.mark.parametrize("n", range(2, 2 * DEFAULT_MAX_EDGES + 1, 2))
+    def test_table(self, n):
+        twins = list(enumerator._matchings(n))
+        table = enumerator._tables[n]
+        assert len(twins) == double_factorial(n - 1)
+        assert len(table) == n * len(twins)
+        for twin in twins:
+            assert len(twin) == n
+            assert all(twin[d] != d and twin[twin[d]] == d for d in range(n))
+        assert len(set(twins)) == len(twins)
+        assert all(a < b for a, b in zip(twins, twins[1:]))  # lexicographic
+        assert [tuple(twin) for twin in twins] == list(reference_matchings(n))
+        assert list(enumerator._matchings(n)) == twins
+        assert enumerator._tables[n] is table  # built once, then kept
+
+    def test_streamed_above_bound(self):
+        n = 2 * DEFAULT_MAX_EDGES + 2
+        head = [tuple(twin) for twin in islice(enumerator._matchings(n), 1000)]
+        assert head == list(islice(reference_matchings(n), 1000))
+        assert n not in enumerator._tables
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            *admissible_types(4),
+            (10,), (5, 5), (6, 4), (4, 4, 2), (3, 3, 2, 2), (2, 1, 3, 4), (2, 2, 2, 2, 2),
+        ],
+        ids=str,
+    )
+    def test_maps_equal_reference(self, a):
+        assert enumerate_maps(a) == reference_maps(a)
 
 
 class TestEnumeration:
@@ -59,7 +156,16 @@ class TestEnumeration:
         with pytest.raises(TooManyEdges):
             enumerate_maps((4, 4), max_edges=3)
         assert len(enumerate_maps((2,), max_edges=1)) == 1
+        assert len(enumerate_maps((2,), max_edges=True)) == 1
         assert issubclass(TooManyEdges, PlaneMapError)
+
+    @pytest.mark.parametrize("bound", ["5", None, 5.5])
+    def test_edge_bound_strict(self, bound):
+        # "5" and None raised a bare TypeError, 5.5 was compared as is
+        with pytest.raises(BadArgument) as info:
+            enumerate_maps((2, 2), max_edges=bound)
+        assert isinstance(info.value, PlaneMapError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestDecorations:

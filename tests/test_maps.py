@@ -7,6 +7,7 @@ import planemaps.maps as maps_module
 from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
+    BadDecoration,
     BadFace,
     BadMark,
     Disconnected,
@@ -173,7 +174,8 @@ class TestCorners:
 
 
 class TestFaceIndex:
-    @pytest.mark.parametrize("i", [0, -1, 3])
+    # "1" and None raised a bare TypeError from the range comparison
+    @pytest.mark.parametrize("i", [0, -1, 3, "1", 1.0, None])
     def test_out_of_range(self, i):
         m = enumerate_maps((4, 2))[0]
         with pytest.raises(BadFace):
@@ -184,6 +186,40 @@ class TestFaceIndex:
             m.slot_anchor(i, 1)
         with pytest.raises(BadFace):
             with_marked(m, i, m.marked[-1])
+
+
+class TestDartIndex:
+    # -1 answered for the last dart or vertex, one past the end raised a
+    # bare IndexError (a bare ValueError in corner_slot), "1" a bare TypeError
+    BAD = (-1, 99, "1", 1.0, None)
+    # each accessor's answer, read off the stored permutations
+    ANSWERS = {
+        "face_of": lambda m, d: m.face[d],
+        "prev": lambda m, d: m.next.index(d),
+        "sigma": lambda m, d: m.next[m.twin[d]],
+        "vertex_of": lambda m, d: next(v for v, ds in enumerate(m.vertices()) if d in ds),
+        "head_of": lambda m, d: m.vertex_of(m.twin[d]),
+        "corner_slot": lambda m, d: (m.face[d], m.contour(m.face[d]).index(d)),
+    }
+
+    @pytest.mark.parametrize("name", list(ANSWERS))
+    def test_dart_accessor(self, name):
+        m = sample((4, 2), 0)
+        call = getattr(m, name)
+        answer = self.ANSWERS[name]
+        assert [call(d) for d in range(m.n_darts)] == [answer(m, d) for d in range(m.n_darts)]
+        for d in (*self.BAD, m.n_darts):
+            with pytest.raises(BadDecoration) as info:
+                call(d)
+            assert isinstance(info.value, ValueError)
+
+    def test_vertex_darts(self):
+        m = sample((4, 2), 0)
+        assert tuple(map(m.vertex_darts, range(m.n_vertices))) == m.vertices()
+        for v in (*self.BAD, m.n_vertices):
+            with pytest.raises(BadDecoration) as info:
+                m.vertex_darts(v)
+            assert isinstance(info.value, ValueError)
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ import pytest
 from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 import planemaps.metric as metric
-from planemaps.errors import BadArgument, BadDecoration, PlaneMapError
+from planemaps.errors import BadArgument, BadDecoration, BadFace, PlaneMapError
 from planemaps.maps import PlaneMap
 from planemaps.metric import (
     census_fits,
@@ -395,9 +395,17 @@ class TestDirectedDarts:
             lambda v: rightmost_geodesic(m, v, from_dart=0, dist=last),
         ]
         for call in calls:
-            for v in (-1, m.n_vertices, 99):
+            # "0" and None raised a bare TypeError from the comparison
+            for v in (-1, m.n_vertices, 99, "0", 1.0, None):
                 with pytest.raises(BadDecoration):
                     call(v)
+
+    @pytest.mark.parametrize("i", [0, 2, "1", 1.0, None])
+    def test_face_out_of_range_refused(self, i):
+        # "1" raised a bare TypeError from the comparison in contour
+        m = enumerate_maps((4,))[0]
+        with pytest.raises(BadFace):
+            directed_darts(m, i, 0, "toward")
 
     def test_bad_arguments_rejected(self):
         # a library error, and still the ValueError it was before

@@ -22,11 +22,12 @@ import sys
 before = set(sys.modules)
 import planemaps.cli
 new = sorted(set(sys.modules) - before)
-from planemaps.enumerator import enumerate_maps
+from planemaps.enumerator import _tables, enumerate_maps
 from planemaps.maps import PlaneMap
+tables = sorted(_tables)
 maps = enumerate_maps((4, 2)) + enumerate_maps((3, 1))
 trips = sum(PlaneMap.from_json(m.to_json()) == m for m in maps)
-print(repr((new, trips, len(maps), "json" in sys.modules)))
+print(repr((new, tables, sorted(_tables), trips, len(maps), "json" in sys.modules)))
 """
 
 
@@ -39,8 +40,10 @@ def test_cli_import_loads_no_unused_module():
         [sys.executable, "-c", PROBE],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
-    new, trips, n_maps, json_loaded = ast.literal_eval(out.strip().splitlines()[-1])
+    new, tables, used, trips, n_maps, json_loaded = ast.literal_eval(out.strip().splitlines()[-1])
     assert "planemaps.cli" in new
+    # the matching tables fill on first use, so start-up builds none
+    assert tables == [] and used == [4, 6]
     assert [name for name in UNUSED if name in new] == []
     assert n_maps == 11 and trips == n_maps
     assert json_loaded
