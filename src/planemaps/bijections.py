@@ -115,6 +115,8 @@ def _carry_out(corners: dict[int, list], carry) -> dict:
 
 
 def _odd_faces(m: PlaneMap) -> set[int]:
+    if not any(map((1).__and__, m.degrees)):  # all even, as every growth starts
+        return set()
     return {i for i, deg in enumerate(m.degrees, start=1) if deg % 2}
 
 
@@ -504,12 +506,13 @@ def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool, carr
     sew_forward(ws, s)
     h_ref, h2_ref = s.nr[0], s.nl[-1]
     m2, rename, corners = finish(ws)
-    v = m2.vertex_of(rename[m.twin[ebar]])
+    vertex_of = m2._vertex_of  # finish made these darts: no range checks needed
+    v = vertex_of[rename[m.twin[ebar]]]
     h, h2 = rename[h_ref], rename[h2_ref]
     case = kind if kind == "simple" else f"{kind}-pinched"
     assert h != h2
-    assert m2.face_of(h) == j and m2.face_of(h2) == kk
-    ends = [m2.vertex_of(d) for d in (h, m2.twin[h], h2, m2.twin[h2])]
+    assert m2.face[h] == j and m2.face[h2] == kk
+    ends = [vertex_of[d] for d in (h, m2.twin[h], h2, m2.twin[h2])]
     dv = _ball(m2, v, ends)
     assert dv[ends[1]] < dv[ends[0]] and dv[ends[3]] < dv[ends[2]], (
         "h and h2 must point toward v"

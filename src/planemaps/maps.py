@@ -220,7 +220,7 @@ class PlaneMap:
         "_contours",
         "_vertices",
         "_vertex_of",
-        "_degrees",
+        "degrees",
         "_canonical_",
     )
 
@@ -248,12 +248,13 @@ class PlaneMap:
         key = (next_t, marked_t)
         last = _last_faces
         if last is not None and last[0] == key:
-            (next_t, marked_t), found = last
+            (next_t, marked_t), found, degrees = last
         else:
             # the walk from marked[i-1] writes label i
             found = _walk_labels(next_t, marked_t)
             if found is not None:
-                _last_faces = (key, found)
+                degrees = tuple(map(len, found[0]))
+                _last_faces = (key, found, degrees)
         if found is None or face is not None and face != found[2]:
             if face is not None:
                 _walk_all(next_t, face, marked_t)  # raises: it refuses the same inputs
@@ -292,14 +293,15 @@ class PlaneMap:
         if len(vertices) - n // 2 + r != 2:
             raise WrongGenus("Euler characteristic is not 2")
 
-        object.__setattr__(self, "twin", twin_t)
-        object.__setattr__(self, "next", next_t)
-        object.__setattr__(self, "face", face_t)
-        object.__setattr__(self, "marked", marked_t)
-        object.__setattr__(self, "_prev", prev_t)
-        object.__setattr__(self, "_contours", contours)
-        object.__setattr__(self, "_vertices", tuple(vertices))
-        object.__setattr__(self, "_vertex_of", tuple(vertex_of))
+        _set_twin(self, twin_t)
+        _set_next(self, next_t)
+        _set_face(self, face_t)
+        _set_marked(self, marked_t)
+        _set_prev(self, prev_t)
+        _set_contours(self, contours)
+        _set_vertices(self, tuple(vertices))
+        _set_vertex_of(self, tuple(vertex_of))
+        _set_degrees(self, degrees)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneMap is immutable")
@@ -321,15 +323,6 @@ class PlaneMap:
     @property
     def n_vertices(self) -> int:
         return len(self._vertices)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        try:  # filled on first use, so computed at most once per map
-            return self._degrees
-        except AttributeError:
-            degrees = tuple(map(len, self._contours))
-            object.__setattr__(self, "_degrees", degrees)
-            return degrees
 
     def degree(self, i: int) -> int:
         # the check of contour(), inlined: degree is called per growth step
@@ -423,18 +416,22 @@ class PlaneMap:
 
     def edge(self, e: int) -> tuple[int, int]:
         """edges()[e] without building the others; e must lie in 0..E-1."""
-        if not 0 <= e < len(self.twin) // 2:
-            raise BadDecoration(f"no edge {e}")
-        lows = (d for d, t in enumerate(self.twin) if d < t)
-        d = next(islice(lows, e, None))
-        return d, self.twin[d]
+        try:  # islice refuses a float, next an e past the last edge
+            if e >= 0:
+                d = next(islice((d for d, t in enumerate(self.twin) if d < t), e, None))
+                return d, self.twin[d]
+        except (StopIteration, TypeError, ValueError):
+            pass
+        raise BadDecoration(f"no edge {e!r}")
 
     def edge_index(self, d: int) -> int:
         """Index in edges() of the edge that carries dart d."""
-        if not 0 <= d < len(self.twin):
-            raise BadDecoration(f"no dart {d}")
-        twin = self.twin
-        return sum(map(lt, range(min(d, twin[d])), twin))
+        try:
+            if d >= 0:
+                return sum(map(lt, range(min(d, self.twin[d])), self.twin))
+        except (IndexError, TypeError):
+            pass
+        raise BadDecoration(f"no dart {d!r}")
 
     # corners and slots
 
@@ -451,10 +448,12 @@ class PlaneMap:
     def slot_anchor(self, i: int, slot: int) -> int:
         """Dart whose preceding corner realises the given slot of face i."""
         contour = self.contour(i)
-        a = len(contour)
-        if not 0 <= slot <= a:
-            raise BadDecoration(f"slot {slot} out of range for degree {a}")
-        return contour[slot % a]
+        try:  # the tuple refuses a float
+            if 0 <= slot <= len(contour):
+                return contour[slot % len(contour)]
+        except TypeError:
+            pass
+        raise BadDecoration(f"slot {slot!r} out of range for degree {len(contour)}")
 
     # canonical form and serialization
 
@@ -513,7 +512,7 @@ class PlaneMap:
             code = struct.pack(f">{len(words)}H", *words).hex()
         else:
             code = "w" + struct.pack(f">{len(words)}I", *words).hex()
-        object.__setattr__(self, "_canonical_", (order, code))
+        _set_canonical(self, (order, code))
         return order, code
 
     def to_json(self) -> str:
@@ -571,6 +570,12 @@ class PlaneMap:
 
     def __repr__(self) -> str:
         return f"PlaneMap(type={self.degrees}, E={self.n_edges})"
+
+
+# the slots' own setters, which PlaneMap.__setattr__'s refusal does not reach
+(_set_twin, _set_next, _set_face, _set_marked, _set_prev, _set_contours, _set_vertices,
+ _set_vertex_of, _set_degrees, _set_canonical) = (
+    getattr(PlaneMap, slot).__set__ for slot in PlaneMap.__slots__)
 
 
 def build(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 import random
+from functools import lru_cache
 
 from .bijections import grow_same, transfer1_left, transfer_right
 from .counting import check_type, classify, odd_positions
@@ -92,29 +93,24 @@ def check_schedule(schedule, a=None, start=None) -> Schedule:
         raise BadSchedule(f"schedule starts at {steps[0]}, expected {tuple(start)}")
     if a is not None and steps[-1] != check_type(a):
         raise BadSchedule(f"schedule ends at {steps[-1]}, expected {check_type(a)}")
-    for prev, cur in zip(steps, steps[1:]):
-        if cur == prev + (2,):
-            continue
-        if len(cur) == len(prev):
-            diffs = [i for i, (x, y) in enumerate(zip(prev, cur)) if x != y]
-            if len(diffs) == 1 and cur[diffs[0]] == prev[diffs[0]] + 2:
-                continue
-        raise BadSchedule(f"illegal schedule step {prev} -> {cur}")
+    for j, prev, cur in zip(_moves(steps), steps, steps[1:]):
+        if cur != (prev[: j - 1] + (prev[j - 1] + 2,) + prev[j:] if j else prev + (2,)):
+            raise BadSchedule(f"illegal schedule step {prev} -> {cur}")
     return steps
 
 
-def _grow_step(m: PlaneMap, j: int, rng: random.Random) -> PlaneMap:
-    # decoration counts E * (deg+1) * (deg+2), a function of the type only
-    deg = m.degree(j)
-    e = rng.randrange(m.n_edges)
-    c = rng.randrange(deg + 1)
-    c2 = rng.randrange(deg + 2)
-    return grow_same(m, e, c, c2, face=j)[0]
+def _moves(steps: Schedule) -> tuple[int, ...]:
+    """The face each step widens, or 0 where it does not change a face."""
+    return tuple(
+        next((i for i, (x, y) in enumerate(zip(prev, cur), 1) if x != y), 0)
+        for prev, cur in zip(steps, steps[1:])
+    )
 
 
-def _append_step(m: PlaneMap, rng: random.Random) -> PlaneMap:
-    e = rng.randrange(m.n_edges)
-    return edge_to_digon(m, e, rng.randrange(2))
+@lru_cache(maxsize=256)  # keyed by checked type: one route per type, not per sample
+def _route(t: tuple[int, ...]) -> tuple[Schedule, tuple[int, ...]]:
+    steps = default_schedule(t)
+    return steps, _moves(steps)
 
 
 def sample_bipartite(a, rng, schedule=None, initial=None) -> PlaneMap:
@@ -139,19 +135,21 @@ def sample_bipartite(a, rng, schedule=None, initial=None) -> PlaneMap:
             )
     if schedule is not None:
         steps = check_schedule(schedule, a=t, start=start)
-    elif initial is None:
-        steps = default_schedule(t)
+        moves = _moves(steps)
     else:
-        full = default_schedule(t)
-        if start not in full:
-            raise BadSchedule(f"type {start} is not on the default route to {t}")
-        steps = full[full.index(start):]
-    for prev, cur in zip(steps, steps[1:]):
-        if cur == prev + (2,):
-            m = _append_step(m, r)
-        else:
-            j = next(i for i, (x, y) in enumerate(zip(prev, cur), start=1) if x != y)
-            m = _grow_step(m, j, r)
+        steps, moves = _route(t)
+        if initial is not None:
+            if start not in steps:
+                raise BadSchedule(f"type {start} is not on the default route to {t}")
+            cut = steps.index(start)
+            steps, moves = steps[cut:], moves[cut:]
+    for j, cur in zip(moves, steps[1:]):
+        if j:  # decoration counts E * (deg+1) * (deg+2), a function of the type only
+            deg = m.degree(j)
+            e, c = r.randrange(m.n_edges), r.randrange(deg + 1)
+            m = grow_same(m, e, c, r.randrange(deg + 2), face=j)[0]
+        else:  # a digon on one of E edges, marked on one of its two sides
+            m = edge_to_digon(m, r.randrange(m.n_edges), r.randrange(2))
         assert m.degrees == cur, "schedule step produced the wrong type"
     return m
 

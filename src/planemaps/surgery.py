@@ -243,16 +243,15 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     d_c, entry_split = entry
     d_ex, exit_split = exit if exit is not None else (None, 0)
     a, n_ch, b = len(sa), len(ch), len(sb)
-    up = [ws.twin[x] for x in reversed(ch)]
-    p = tuple(sa + ch + up + sb)
+    twin, nxt, prv = ws.twin, ws.next, ws.prev
+    p = tuple(sa + ch + [twin[x] for x in reversed(ch)] + sb)
     length = len(p)
     # the walk chains, so the head of each dart is the origin of the
     # next one: only the final head needs a rotation of its own
-    twin, nxt, prv = ws.twin, ws.next, ws.prev
     rots = _walk_rotations(ws, p)
     rots.append(ws.rotation_from(twin[p[-1]]))
     # a rotation names its vertex by its least dart
-    keys = [min(rot) for rot in rots]
+    keys = [*map(min, rots)]
     # the vertices down to the chain tip, then those of spine_b
     visited = keys[: a + n_ch + 1] + keys[a + 2 * n_ch + 1 :]
     if len(set(visited)) != len(visited):
@@ -268,9 +267,11 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
         raise CornerMismatch("corner split order contradicts the pinch side")
 
     told = tuple([twin[d] for d in p])
-    # one allocation, in the id order x, y, mdn, mup (chain only), then
-    # the left and the right copies of the spine darts, 2 per walk dart
-    fresh = ws.new_darts(2 * length)
+    # fresh ids in the order x, y, mdn, mup (chain only), then the left
+    # and the right copies of the spine darts, 2 per walk dart
+    fresh = [*range(len(twin), len(twin) + 2 * length)]
+    for links in (twin, nxt, prv):
+        links += [None] * (2 * length)
     k = length + 2 * n_ch
     nl, nr = fresh[4 * n_ch : k], fresh[k:]
     if ch:
@@ -384,17 +385,28 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
             ws.markers[nl[-1]] = exit_marks[:exit_split]
             ws.markers[d_ex] = exit_marks[exit_split:]
 
-    # the check walks every copy again; python -O skips the walk too
-    if __debug__:
-        for j, cyc in enumerate(cycles):
-            first = cyc[0]
-            rot = [first]
-            e = nxt[twin[first]]
-            while e != first:
-                rot.append(e)
-                e = nxt[twin[e]]
-            assert rot == cyc, f"copy {j} of the slit is not a vertex cycle"
+    # an assert: python -O skips the check
+    assert (j := _bad_copy(ws, cycles)) is None, f"copy {j} of the slit is not a vertex cycle"
     return Slit(p, tuple(nl), tuple(nr), d_c, d_ex)
+
+
+def _bad_copy(ws: Workspace, cycles: list[list[int]]) -> int | None:
+    """Index of the first cycle that is not the whole rotation at its vertex.
+
+    A cycle is one when sigma takes each ray to the one after it,
+    cyclically, and no ray repeats; with every pair right, a repeated
+    ray would repeat the last one too.
+    """
+    twin, nxt = ws.twin, ws.next
+    for j, cyc in enumerate(cycles):
+        ray = cyc[-1]
+        for after in cyc:
+            if nxt[twin[ray]] != after:
+                return j
+            ray = after
+        if cyc.count(ray) != 1:
+            return j
+    return None
 
 
 def glue(ws: Workspace, a: int, b: int) -> None:

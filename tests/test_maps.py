@@ -1,5 +1,7 @@
 """Construction, validation, corners and serialization of plane maps."""
 
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,7 @@ from planemaps.errors import (
 )
 from planemaps.maps import CornerSlot, PlaneMap, _as_perm, build
 from planemaps.sampler import sample
+from planemaps.surgery import edge_to_digon, finish, workspace_with_arrows
 
 from common import ALL_EXAMPLES, digon, double_edge, loop_map, loop_pendant, path_map
 
@@ -124,10 +127,65 @@ class TestBasics:
                 m.edge_index(d)
             assert isinstance(info.value, PlaneMapError)
 
+    # each once raised a bare TypeError, or islice's ValueError for edge(1.0)
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("edge", ("1",)),
+            ("edge", (None,)),
+            ("edge", (1.0,)),
+            ("edge_index", ("1",)),
+            ("edge_index", (1.5,)),
+            ("slot_anchor", (1, "1")),
+            ("slot_anchor", (1, 1.0)),
+        ],
+        ids=["edge-str", "edge-None", "edge-float", "edge_index-str", "edge_index-float",
+             "slot_anchor-str", "slot_anchor-float"],
+    )
+    def test_non_integer_lookups_refused(self, name, args):
+        m = sample((4, 2), 0)
+        with pytest.raises(BadDecoration):
+            getattr(m, name)(*args)
+
     def test_immutable(self):
         m = digon()
         with pytest.raises(AttributeError):
             m.twin = (0, 1)
+        with pytest.raises(AttributeError):
+            m.degrees = (1, 1)
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
+
+class TestDegreesAtConstruction:
+    """degrees is a slot the constructor fills, on every path that builds a map."""
+
+    @staticmethod
+    def assert_filled(maps):
+        assert maps
+        for m in maps:
+            # an unfilled slot would raise AttributeError on this read
+            assert m.degrees == tuple(map(len, m._contours))
+
+    def test_is_a_slot(self):
+        assert isinstance(vars(PlaneMap)["degrees"], types.MemberDescriptorType)
+
+    def test_enumeration_slot_hits(self, monkeypatch):
+        walks = []
+        real = maps_module._walk_labels
+        monkeypatch.setattr(maps_module, "_walk_labels", lambda *a: walks.append(a) or real(*a))
+        monkeypatch.setattr(maps_module, "_last_faces", None)
+        maps = enumerate_maps((4, 2, 2))
+        assert len(walks) == 1 < len(maps)  # every map after the first hit the slot
+        self.assert_filled(maps)
+
+    def test_other_paths(self):
+        maps = [sample(t, s) for t in ((4, 2), (3, 3), (6,)) for s in range(3)]
+        self.assert_filled([finish(workspace_with_arrows(m))[0] for m in maps])
+        self.assert_filled([edge_to_digon(m, m.n_edges - 1, 1) for m in maps])
+        self.assert_filled([PlaneMap.from_json(m.to_json()) for m in maps])
+        self.assert_filled([build(m.degrees, m.twin, m.next, m.face, m.marked) for m in maps])
+        self.assert_filled([PlaneMap(m.twin, m.next, None, m.marked) for m in maps])
 
 
 class TestCorners:

@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
 from scipy.stats import chisquare
 
+from planemaps import sampler
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadParity,
@@ -53,6 +55,21 @@ class TestSchedule:
             check_schedule([(2,), (4,)], a=(6,))
         with pytest.raises(BadSchedule):
             check_schedule([(4,), (6,)], start=(2,))
+
+    def test_step_legality_on_all_small_pairs(self):
+        # legal: append a digon, or widen exactly one face by two
+        small = [t for n in (1, 2, 3) for t in product((2, 4, 6, 8), repeat=n)]
+        for prev, cur in product(small, repeat=2):
+            growth = sorted(y - x for x, y in zip(prev, cur))
+            legal = cur == prev + (2,) or (
+                len(cur) == len(prev) and growth == [0] * (len(cur) - 1) + [2]
+            )
+            try:
+                check_schedule([prev, cur])
+            except BadSchedule:
+                assert not legal, (prev, cur)
+            else:
+                assert legal, (prev, cur)
 
 
 class TestDeterminism:
@@ -223,6 +240,67 @@ class TestResume:
         )
         _, p = chisquare([cnt.get(c, 0) for c in support])
         assert p > 0.001
+
+
+class TestRouteCache:
+    """The default route and its grown faces, kept once per checked type."""
+
+    ACCEPTANCE_8 = ((2, 2), (4, 2), (3, 1), (4, 4), (3, 3))
+
+    def codes(self):
+        return [sample(t, s).canonical_code() for t in self.ACCEPTANCE_8 for s in range(50)]
+
+    def test_default_path_equals_explicit_routes(self, monkeypatch):
+        real = sampler.sample_bipartite
+        default = self.codes()
+
+        def by_schedule(a, rng):
+            return real(a, rng, schedule=default_schedule(a))
+
+        def by_initial(a, rng):
+            # resume half way along the route, with the same generator
+            steps = default_schedule(a)
+            start = steps[(len(steps) - 1) // 2]
+            r = rng if isinstance(rng, random.Random) else random.Random(rng)
+            return real(a, r, initial=(real(start, r), start))
+
+        # sample and sample_quasibipartite reach it through the module
+        for route in (by_schedule, by_initial):
+            monkeypatch.setattr(sampler, "sample_bipartite", route)
+            assert self.codes() == default, route.__name__
+
+    def test_cache_stays_bounded(self):
+        maxsize = sampler._route.cache_info().maxsize
+        # every even type of 1..9 edges: a face of 2 per edge, then merged
+        # with its left neighbour or not, 2**9 - 1 = 511 types in all
+        types = []
+        for n in range(1, 10):
+            for merge in product((False, True), repeat=n - 1):
+                t = [2]
+                for m in merge:
+                    t[-1:] = [t[-1] + 2] if m else [t[-1], 2]
+                types.append(tuple(t))
+        assert len(set(types)) == len(types) == 511 > maxsize
+        for t in types:
+            assert sample_bipartite(t, 7).degrees == t
+        info = sampler._route.cache_info()
+        assert 0 < info.currsize <= maxsize
+
+    def test_explicit_routes_checked_after_caching(self):
+        assert sample_bipartite((4, 4), 0).degrees == (4, 4)  # the route of (4, 4) is kept
+        assert sampler._route.cache_info().currsize > 0
+        bad = (
+            [(2,), (4,), (4, 4)],
+            [(2,), (4,), (4, 2), (4, 4), (4, 4)],
+            [(2,), (2, 2), (2, 4), (4, 4), (6, 4)],
+            [(4,), (4, 2), (4, 4)],
+        )
+        for sched in bad:
+            with pytest.raises(BadSchedule):
+                sample_bipartite((4, 4), 0, schedule=sched)
+        off_route = sample_bipartite((2, 2), 0)
+        with pytest.raises(BadSchedule):
+            sample_bipartite((4, 4), 0, initial=(off_route, (2, 2)))
 
 
 class TestDispatch:

@@ -714,6 +714,70 @@ class TestSlitRecord:
         assert s != s._replace(**{name: None})
 
 
+class TestCutSelfCheck:
+    """surgery._bad_copy, the check the cut asserts on the vertex copies it wrote."""
+
+    @staticmethod
+    def copies_of(ws, s):
+        """The rotations at the walk, its mouths and the 2 * length darts
+        the cut made: each vertex copy holds one of them."""
+        copies = []
+        fresh = range(len(ws.twin) - 2 * s.length, len(ws.twin))
+        for d in (*s.walk, s.entry_dart, s.exit_dart, *fresh):
+            if d is not None and all(d not in c for c in copies):
+                copies.append(ws.rotation_from(d))
+        return copies
+
+    def cut(self, monkeypatch, name):
+        """Workspace and vertex copies of the first slit or pinched slit
+        of sample((4, 4), seed), seeds 0, 1, ..., with a copy of two rays."""
+        real, real_check = getattr(surgery, name), surgery._bad_copy
+        checked, got = [], []
+
+        def recording_check(ws, cycles):
+            checked.append([list(c) for c in cycles])
+            return real_check(ws, cycles)
+
+        def grab(ws, *args):
+            s = real(ws, *args)
+            copies = self.copies_of(ws, s)
+            if not got and max(map(len, copies)) > 1:
+                got.append((copy.deepcopy(ws), copies, checked[-1] if checked else None))
+            return s
+
+        monkeypatch.setattr(surgery, "_bad_copy", recording_check)
+        monkeypatch.setattr(bijections, name, grab)
+        seed = 0
+        while not got:
+            sample((4, 4), seed)
+            seed += 1
+        ws, copies, recorded = got[0]
+        if recorded is not None:  # python -O makes no check call to record
+            assert sorted(map(sorted, recorded)) == sorted(map(sorted, copies))
+        return ws, copies
+
+    @pytest.mark.parametrize("name", ["slit", "slit_pinched"])
+    def test_accepts_real_cut_and_refuses_damage(self, monkeypatch, name):
+        ws, copies = self.cut(monkeypatch, name)
+        assert surgery._bad_copy(ws, copies) is None
+        j = next(j for j, c in enumerate(copies) if len(c) > 1)
+        cyc = copies[j]
+
+        # a clobbered sigma entry: the first ray turns to itself
+        bad = copy.deepcopy(ws)
+        bad.next[bad.twin[cyc[0]]] = cyc[0]
+        assert surgery._bad_copy(bad, copies) == j
+        # the last ray turns to itself, so a walk from the first never closes
+        bad = copy.deepcopy(ws)
+        bad.next[bad.twin[cyc[-1]]] = cyc[-1]
+        assert surgery._bad_copy(bad, copies) == j
+
+        # a copy that lists its rays twice: every sigma pair still holds
+        for k, c in enumerate(copies):
+            twice = copies[:k] + [c + c] + copies[k + 1:]
+            assert surgery._bad_copy(ws, twice) == k
+
+
 def test_slits_equal_reference(monkeypatch):
     # each slit and pinched slit the bijections make runs once more, on
     # a copy of its workspace, through the slits as they were before
