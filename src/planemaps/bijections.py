@@ -100,14 +100,14 @@ def _plant_carry(ws, carry) -> None:
             ws.add_marker(d, tok, rank)
 
 
-def _carry_out(corners: dict[int, list], carry) -> dict:
-    """New (dart, rank) of every carried token, service markers elided."""
+def _carry_out(ws, rename: list, carry) -> dict:
+    """New (dart, rank) of every carried token after finish, service markers elided."""
     out = {}
     for tok in carry or ():
-        for d, toks in corners.items():
+        for d, toks in ws.markers.items():
             if tok in toks:
                 visible = [t for t in toks if t not in _SERVICE]
-                out[tok] = (d, visible.index(tok))
+                out[tok] = (rename[d], visible.index(tok))
                 break
         else:
             raise AssertionError(f"carried token {tok!r} was lost")
@@ -120,12 +120,12 @@ def _odd_faces(m: PlaneMap) -> set[int]:
     return {i for i, deg in enumerate(m.degrees, start=1) if deg % 2}
 
 
-def _token_slot(m: PlaneMap, corners: dict[int, list], token) -> tuple[int, int]:
-    """Face and refined corner slot of a marker in a finished map."""
-    for d, toks in corners.items():
+def _token_slot(m: PlaneMap, ws, rename: list, token) -> tuple[int, int]:
+    """Face and refined corner slot of a marker in the map finish(ws) made."""
+    for d, toks in ws.markers.items():
         if token in toks:
-            i = m.face_of(d)
-            s = m.contour(i).index(d)
+            i = m.face_of(rename[d])
+            s = m.contour(i).index(rename[d])
             if s == 0 and toks.index(arrow(i)) < toks.index(token):
                 return i, m.degree(i)
             return i, s
@@ -204,12 +204,12 @@ def transfer_left(
     s = slit(ws, walk, (dart, 0), (anchor, exit_split))
     sew_backward(ws, s)
     suppress_pendant(ws, s.walk[0], out_marker=_OUT)
-    m2, rename, corners = finish(ws)
-    face2, slot2 = _token_slot(m2, corners, _OUT)
+    m2, rename = finish(ws)
+    face2, slot2 = _token_slot(m2, ws, rename, _OUT)
     assert face2 == lose, "the freed corner drifted off the losing face"
     dart2 = rename[s.nr[-1]]
     assert m2.face_of(dart2) == gain
-    return m2, slot2, dart2, _carry_out(corners, carry)
+    return m2, slot2, dart2, _carry_out(ws, rename, carry)
 
 
 def _transfer_right_impl(
@@ -227,7 +227,7 @@ def _transfer_right_impl(
 
     prepare(ws) runs after carry planting and may add markers;
     split_fn(tokens) overrides the exit cut position in the anchor
-    corner.  Returns (m2, slot2, dart2, carry_out, rename, corners).
+    corner.  Returns (m2, slot2, dart2, carry_out, rename, ws).
     """
     _check_dart(m, dart, lose)
     anchor = m.slot_anchor(gain, slot)
@@ -251,12 +251,12 @@ def _transfer_right_impl(
     s = slit(ws, walk, (entry, 0), (anchor, exit_split))
     sew_forward(ws, s)
     suppress_pendant(ws, s.nr[0], out_marker=_OUT)
-    m2, rename, corners = finish(ws)
-    face2, slot2 = _token_slot(m2, corners, _OUT)
+    m2, rename = finish(ws)
+    face2, slot2 = _token_slot(m2, ws, rename, _OUT)
     assert face2 == lose, "the freed corner drifted off the losing face"
     dart2 = rename[s.nl[-1]]
     assert m2.face_of(dart2) == gain
-    return m2, slot2, dart2, _carry_out(corners, carry), rename, corners
+    return m2, slot2, dart2, _carry_out(ws, rename, carry), rename, ws
 
 
 def transfer_right(
@@ -283,7 +283,7 @@ def _transfer1_right_impl(
     """transfer1_right body with a split hook, returning the raw finish.
 
     split_fn(tokens) overrides the cut position in the anchor corner.
-    Returns (m2, vertex, dart2, carry_out, rename, corners).
+    Returns (m2, vertex, dart2, carry_out, rename, ws).
     """
     lam = m.marked[lose - 1]
     told = m.twin[lam]
@@ -331,10 +331,10 @@ def _transfer1_right_impl(
         out_ref, v_ref = s.nl[-1], told
 
     _shift_arrows(ws, removed=lose)
-    m2, rename, corners = finish(ws)
+    m2, rename = finish(ws)
     dart2 = rename[out_ref]
     assert m2.face_of(dart2) == gain - (1 if gain > lose else 0)
-    return m2, m2.vertex_of(rename[v_ref]), dart2, _carry_out(corners, carry), rename, corners
+    return m2, m2.vertex_of(rename[v_ref]), dart2, _carry_out(ws, rename, carry), rename, ws
 
 
 def transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None):
@@ -401,10 +401,10 @@ def transfer1_left(
     _shift_arrows(ws, inserted=insert_at)
     ws.add_marker(unit, arrow(insert_at))
     suppress_pendant(ws, s.walk[0], out_marker=_OUT)
-    m2, rename, corners = finish(ws)
-    face2, slot2 = _token_slot(m2, corners, _OUT)
+    m2, rename = finish(ws)
+    face2, slot2 = _token_slot(m2, ws, rename, _OUT)
     assert face2 == lose + (1 if insert_at <= lose else 0)
-    return m2, slot2, _carry_out(corners, carry)
+    return m2, slot2, _carry_out(ws, rename, carry)
 
 
 # -------------------------------------------------- growing and shrinking
@@ -505,7 +505,7 @@ def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool, carr
         s = slit_pinched(ws, sa, ch, sb, (anchor_c, s_en), (anchor_2, s_ex), kind)
     sew_forward(ws, s)
     h_ref, h2_ref = s.nr[0], s.nl[-1]
-    m2, rename, corners = finish(ws)
+    m2, rename = finish(ws)
     vertex_of = m2._vertex_of  # finish made these darts: no range checks needed
     v = vertex_of[rename[m.twin[ebar]]]
     h, h2 = rename[h_ref], rename[h2_ref]
@@ -517,7 +517,7 @@ def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool, carr
     assert dv[ends[1]] < dv[ends[0]] and dv[ends[3]] < dv[ends[2]], (
         "h and h2 must point toward v"
     )
-    return m2, v, h, h2, case, _carry_out(corners, carry)
+    return m2, v, h, h2, case, _carry_out(ws, rename, carry)
 
 
 def grow_same(m: PlaneMap, e: int, c: int, c2: int, *, face: int = 1, carry=None):
@@ -603,14 +603,14 @@ def grow_via_transfers(
     if same and u2 == c:
         # both cut points in one corner: the point marker is the cut
         split3 = lambda toks: toks.index(_POINT) + (1 if c2 == c else 0)
-    m2_, _slot2, h_mid, carry2, _ren3, corners2 = _transfer_right_impl(
+    m2_, _slot2, h_mid, carry2, ren3, ws3 = _transfer_right_impl(
         m1, j, r + 1, c, h_dd, carry=carry, prepare=prepare, split_fn=split3
     )
-    pt_dart = next(d for d, toks in corners2.items() if _POINT in toks)
-    pt_rank = [t for t in corners2[pt_dart] if t != _OUT].index(_POINT)
-    face_pt, slot_pt = _token_slot(m2_, corners2, _POINT)
+    toks = next(t for t in ws3.markers.values() if _POINT in t)
+    pt_rank = [t for t in toks if t != _OUT].index(_POINT)
+    face_pt, slot_pt = _token_slot(m2_, ws3, ren3, _POINT)
     assert face_pt == kk, "the cut point drifted off its face"
-    m3, v, h2, carry3, ren4, _c4 = _transfer1_right_impl(
+    m3, v, h2, carry3, ren4, _ws4 = _transfer1_right_impl(
         m2_, kk, r + 1, slot_pt, carry=carry2, split_fn=lambda toks: pt_rank
     )
     h = ren4[h_mid]
@@ -674,11 +674,11 @@ def _shrink(
         beta = [d for d in (port, ws.twin[port]) if ws.sigma(d) == d]
         assert len(beta) == 1, "the cut end did not come loose"
         suppress_pendant(ws, beta[0], out_marker=token)
-    m2, rename, corners = finish(ws)
+    m2, rename = finish(ws)
 
     e_out = m2.edge_index(rename[e_dart])
-    fa, ca = _token_slot(m2, corners, _CUT_A)
-    fb, cb = _token_slot(m2, corners, _CUT_B)
+    fa, ca = _token_slot(m2, ws, rename, _CUT_A)
+    fb, cb = _token_slot(m2, ws, rename, _CUT_B)
     kk = j if same else k
     assert fa == j and fb == kk, "a cut point drifted off its face"
     if not same:
@@ -688,10 +688,10 @@ def _shrink(
     elif cb > ca:
         c2 = cb + 1
     else:
-        toks = next(t for t in corners.values() if _CUT_A in t and _CUT_B in t)
+        toks = next(t for t in ws.markers.values() if _CUT_A in t and _CUT_B in t)
         c2 = ca if toks.index(_CUT_B) < toks.index(_CUT_A) else ca + 1
     case = kind if kind == "simple" else f"{kind}-pinched"
-    return m2, e_out, ca, c2, case, _carry_out(corners, carry)
+    return m2, e_out, ca, c2, case, _carry_out(ws, rename, carry)
 
 
 def shrink_same(m: PlaneMap, v: int, h: int, h2: int, *, face: int = 1, carry=None):

@@ -25,7 +25,7 @@ from .counting import (
     vertex_count,
 )
 from .enumerator import DEFAULT_MAX_EDGES, enumerate_decorations, enumerate_maps
-from .errors import BadParity, PlaneMapError
+from .errors import BadParity, ParseError, PlaneMapError
 from .maps import PlaneMap
 from .metric import census_fits, direction_census
 from .sampler import sample
@@ -151,7 +151,8 @@ def cmd_sample(args, out) -> int:
 
 
 def cmd_export(args, out) -> int:
-    source = sys.stdin if args.input == "-" else open(args.input)
+    # JSON text is UTF-8 (RFC 8259), whatever the locale says
+    source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
         n = 0
         for line in source:
@@ -160,6 +161,8 @@ def cmd_export(args, out) -> int:
                 continue
             _emit(PlaneMap.from_json(line), args.format, f"map{n}", out)
             n += 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not text: {exc}") from None
     finally:
         if source is not sys.stdin:
             source.close()

@@ -42,21 +42,29 @@ def check_type(a: Iterable[int]) -> tuple[int, ...]:
 
 def odd_positions(a: Iterable[int]) -> tuple[int, ...]:
     """1-based positions of the odd degrees."""
-    return tuple(i for i, x in enumerate(check_type(a), start=1) if x % 2)
+    return _odd_positions(check_type(a))
+
+
+def _odd_positions(t: tuple[int, ...]) -> tuple[int, ...]:
+    """odd_positions of a tuple that check_type returned."""
+    return tuple([i for i, x in enumerate(t, start=1) if x % 2])
 
 
 def classify(a: Iterable[int]) -> str:
     """'bipartite' for all-even degrees, 'quasibipartite' for two odd."""
-    odd = odd_positions(a)
-    if not odd:
-        return "bipartite"
-    if len(odd) == 2:
-        return "quasibipartite"
-    raise TooManyOddFaces(
-        f"more than two odd faces: positions {list(odd)}"
-        if len(odd) > 2
-        else f"odd degree sum: single odd face at position {odd[0]}"
-    )
+    return "quasibipartite" if _odd_pair(check_type(a)) else "bipartite"
+
+
+def _odd_pair(t: tuple[int, ...]) -> tuple[int, ...]:
+    """The odd positions of a checked type, none or two; TooManyOddFaces else."""
+    odd = _odd_positions(t)
+    if odd and len(odd) != 2:
+        raise TooManyOddFaces(
+            f"more than two odd faces: positions {list(odd)}"
+            if len(odd) > 2
+            else f"odd degree sum: single odd face at position {odd[0]}"
+        )
+    return odd
 
 
 def edge_count(a: Iterable[int]) -> int:

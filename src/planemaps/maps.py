@@ -18,7 +18,7 @@ mark.
 from __future__ import annotations
 
 import struct
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable
 from itertools import islice
 from operator import index, lt
@@ -119,7 +119,7 @@ def _walk_labels(
     of exactly one mark.
     """
     n = len(next_t)
-    if min(next_t, default=0) < 0:
+    if next_t and min(next_t) < 0:
         return None
     face = [0] * n
     prev = [-1] * n
@@ -200,7 +200,7 @@ def _walk_all(
     return tuple(normed), tuple(prev_t)
 
 
-# The last (next, marked) that _walk_labels accepted, then its result.
+# The last next and marked that _walk_labels accepted, its result and the degrees.
 # One slot compared by value: enumerate_maps builds every matching of a
 # type from the same two tuples.  On the benchmark workloads 85% of
 # the verify-sweep constructions hit and none of the others do; 80-99%
@@ -245,16 +245,15 @@ class PlaneMap:
         if face is not None:
             face = _ints(face, FaceMismatch, "face labels are")
         marked_t = _ints(marked, BadMark, "marked darts are")
-        key = (next_t, marked_t)
         last = _last_faces
-        if last is not None and last[0] == key:
-            (next_t, marked_t), found, degrees = last
+        if last is not None and last[1] == marked_t and last[0] == next_t:
+            next_t, marked_t, found, degrees = last
         else:
             # the walk from marked[i-1] writes label i
             found = _walk_labels(next_t, marked_t)
             if found is not None:
                 degrees = tuple(map(len, found[0]))
-                _last_faces = (key, found, degrees)
+                _last_faces = (next_t, marked_t, found, degrees)
         if found is None or face is not None and face != found[2]:
             if face is not None:
                 _walk_all(next_t, face, marked_t)  # raises: it refuses the same inputs
@@ -283,9 +282,10 @@ class PlaneMap:
             if vertex_of[d] >= 0:
                 continue
             orbit = []
+            v = len(vertices)
             e = d
             while vertex_of[e] < 0:
-                vertex_of[e] = len(vertices)
+                vertex_of[e] = v
                 orbit.append(e)
                 e = next_t[twin_t[e]]
             vertices.append(tuple(orbit))
@@ -465,17 +465,7 @@ class PlaneMap:
         to corresponding darts, so decorations can be compared across
         dart renames by passing them through this dict.
         """
-        order: dict[int, int] = {}
-        root = self.marked[0]
-        order[root] = 0
-        queue = deque([root])
-        while queue:
-            d = queue.popleft()
-            for e in (self.next[d], self.twin[d]):
-                if e not in order:
-                    order[e] = len(order)
-                    queue.append(e)
-        return order
+        return dict(enumerate(self._canonical()[0]))
 
     def canonical_code(self) -> str:
         """Hex code invariant under dart renaming.
@@ -487,33 +477,44 @@ class PlaneMap:
         """
         return self._canonical()[1]
 
-    def _canonical(self) -> tuple[dict[int, int], str]:
-        """canonical_relabeling() and canonical_code() from one search.
+    def _canonical(self) -> tuple[list[int], str]:
+        """The relabelling as a list (new id of dart d at d) and the code.
 
-        Callers must not change the dict: the pair is kept with the map.
+        Callers must not change the list: the pair is kept with the map.
         """
         try:  # a round trip keys its input map once per decoration
             return self._canonical_
         except AttributeError:
             pass
-        order = self.canonical_relabeling()
-        n = self.n_darts
-        next_ = [0] * n
-        twin = [0] * n
-        face = [0] * n
-        for d in range(n):
-            next_[order[d]] = order[self.next[d]]
-            twin[order[d]] = order[self.twin[d]]
-            face[order[d]] = self.face[d]
-        marked = [order[d] for d in self.marked]
-        words = [self.n_faces, self.n_edges]
-        words += next_ + twin + face + marked
+        nxt, twin = self.next, self.twin
+        n = len(twin)
+        # the search: order lists the darts by new id and is its queue
+        new = [-1] * n
+        root = self.marked[0]
+        new[root] = 0
+        order = [root]
+        for d in order:
+            e = nxt[d]
+            if new[e] < 0:
+                new[e] = len(order)
+                order.append(e)
+            e = twin[d]
+            if new[e] < 0:
+                new[e] = len(order)
+                order.append(e)
+        # new id i holds the relabelled next, twin and face of order[i]
+        at = new.__getitem__
+        words = [len(self.marked), n // 2]
+        words += map(at, map(nxt.__getitem__, order))
+        words += map(at, map(twin.__getitem__, order))
+        words += map(self.face.__getitem__, order)
+        words += map(at, self.marked)
         if n <= 0x10000:
             code = struct.pack(f">{len(words)}H", *words).hex()
         else:
             code = "w" + struct.pack(f">{len(words)}I", *words).hex()
-        _set_canonical(self, (order, code))
-        return order, code
+        _set_canonical(self, (new, code))
+        return new, code
 
     def to_json(self) -> str:
         import json  # on first call: most processes never serialize a map

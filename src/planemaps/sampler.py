@@ -20,7 +20,7 @@ import random
 from functools import lru_cache
 
 from .bijections import grow_same, transfer1_left, transfer_right
-from .counting import check_type, classify, odd_positions
+from .counting import _odd_pair, _odd_positions, check_type
 from .errors import BadParity, BadSchedule, BadSeed, OddCoordinate
 from .maps import PlaneMap
 from .metric import directed_darts
@@ -69,14 +69,7 @@ def default_schedule(a) -> Schedule:
     intermediate types (a_1,), (a_1, a_2), ... appear, so prefixes of
     the target type are sampled for free.
     """
-    t = _even_type(a)
-    out = [(2,)]
-    for i, deg in enumerate(t):
-        if i:
-            out.append(t[:i] + (2,))
-        for x in range(4, deg + 2, 2):
-            out.append(t[:i] + (x,))
-    return tuple(out)
+    return _route(_even_type(a))[0]
 
 
 def check_schedule(schedule, a=None, start=None) -> Schedule:
@@ -91,8 +84,8 @@ def check_schedule(schedule, a=None, start=None) -> Schedule:
         raise BadSchedule("empty schedule")
     if start is not None and steps[0] != tuple(start):
         raise BadSchedule(f"schedule starts at {steps[0]}, expected {tuple(start)}")
-    if a is not None and steps[-1] != check_type(a):
-        raise BadSchedule(f"schedule ends at {steps[-1]}, expected {check_type(a)}")
+    if a is not None and steps[-1] != (want := check_type(a)):
+        raise BadSchedule(f"schedule ends at {steps[-1]}, expected {want}")
     for j, prev, cur in zip(_moves(steps), steps, steps[1:]):
         if cur != (prev[: j - 1] + (prev[j - 1] + 2,) + prev[j:] if j else prev + (2,)):
             raise BadSchedule(f"illegal schedule step {prev} -> {cur}")
@@ -109,7 +102,14 @@ def _moves(steps: Schedule) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)  # keyed by checked type: one route per type, not per sample
 def _route(t: tuple[int, ...]) -> tuple[Schedule, tuple[int, ...]]:
-    steps = default_schedule(t)
+    """default_schedule of a checked even type, and the face each step widens."""
+    out = [(2,)]
+    for i, deg in enumerate(t):
+        if i:
+            out.append(t[:i] + (2,))
+        for x in range(4, deg + 2, 2):
+            out.append(t[:i] + (x,))
+    steps = tuple(out)
     return steps, _moves(steps)
 
 
@@ -143,6 +143,16 @@ def sample_bipartite(a, rng, schedule=None, initial=None) -> PlaneMap:
                 raise BadSchedule(f"type {start} is not on the default route to {t}")
             cut = steps.index(start)
             steps, moves = steps[cut:], moves[cut:]
+    return _follow(m, steps, moves, r)
+
+
+def _default_map(t: tuple[int, ...], r: random.Random) -> PlaneMap:
+    """sample_bipartite of a checked even type on its default route."""
+    return _follow(_ONE_EDGE, *_route(t), r)
+
+
+def _follow(m: PlaneMap, steps: Schedule, moves: tuple[int, ...], r: random.Random) -> PlaneMap:
+    """Grow m along a checked route that starts at its type."""
     for j, cur in zip(moves, steps[1:]):
         if j:  # decoration counts E * (deg+1) * (deg+2), a function of the type only
             deg = m.degree(j)
@@ -163,15 +173,19 @@ def sample_quasibipartite(a, rng) -> PlaneMap:
     recreates the degree-one face in place.
     """
     t = check_type(a)
-    odd = odd_positions(t)
+    odd = _odd_positions(t)
     if len(odd) != 2:
         raise BadParity(f"type {t} has {len(odd)} odd degrees, need exactly two")
+    return _quasi(t, odd, _as_rng(rng))
+
+
+def _quasi(t: tuple[int, ...], odd: tuple[int, ...], r: random.Random) -> PlaneMap:
+    """sample_quasibipartite of a checked type and its two odd positions."""
     i, j = odd
-    r = _as_rng(rng)
     if t[j - 1] == 1:
         tt = [x for pos, x in enumerate(t, start=1) if pos != j]
         tt[i - 1] += 1
-        m = sample_bipartite(tuple(tt), r)
+        m = _default_map(tuple(tt), r)
         # decoration counts V * deg_i/2: a vertex and a dart of face i
         # toward it, uniform because the toward count per vertex is fixed
         v = r.randrange(m.n_vertices)
@@ -179,7 +193,7 @@ def sample_quasibipartite(a, rng) -> PlaneMap:
     tt = list(t)
     tt[i - 1] += 1
     tt[j - 1] -= 1
-    m = sample_bipartite(tuple(tt), r)
+    m = _default_map(tuple(tt), r)
     # decoration counts (deg_j+1) * deg_i/2: a slot of face j and a dart
     # of face i away from the slot vertex, again fixed per vertex
     slot = r.randrange(m.degree(j) + 1)
@@ -190,6 +204,6 @@ def sample_quasibipartite(a, rng) -> PlaneMap:
 def sample(a, rng) -> PlaneMap:
     """Uniform map of type a; dispatches on the parity class."""
     t = check_type(a)
-    if classify(t) == "bipartite":
-        return sample_bipartite(t, rng)
-    return sample_quasibipartite(t, rng)
+    odd = _odd_pair(t)
+    r = _as_rng(rng)
+    return _quasi(t, odd, r) if odd else _default_map(t, r)

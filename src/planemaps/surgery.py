@@ -125,21 +125,6 @@ class Slit(namedtuple("Slit", "walk nl nr entry_dart exit_dart")):
         return len(self.walk)
 
 
-def _between(rot: list[int], after: int, stop: int, whole: bool = False) -> list[int]:
-    """Rays strictly between after and stop, clockwise around their vertex.
-
-    rot is the rotation of that vertex from any start.  When after is
-    stop the result is empty, or with whole every other ray.
-    """
-    i = rot.index(after)
-    j = rot.index(stop)
-    if i < j:
-        return rot[i + 1 : j]
-    if i == j and not whole:
-        return []
-    return rot[i + 1 :] + rot[:j]
-
-
 def _split(rot: list[int], arrive: int, new_l: int, new_r: int) -> list[list[int]]:
     """Left and right copy of a walk vertex, as ray cycles from the mouth.
 
@@ -149,36 +134,6 @@ def _split(rot: list[int], arrive: int, new_l: int, new_r: int) -> list[list[int
     """
     q = rot.index(arrive)
     return [[new_l, *rot[q + 1 :], rot[0]], [new_r, *rot[1:q], arrive]]
-
-
-def _mouth(rot: list[int], corner: int, dart: int, new: int) -> list[list[int]]:
-    """Both copies of a walk end cut through the corner before corner.
-
-    dart is the walk dart at that end, leaving or arriving reversed.
-    The first copy runs clockwise from corner to dart, the second is
-    new followed by the rays after dart up to corner.
-    """
-    near = [dart] if corner == dart else [corner, *_between(rot, corner, dart), dart]
-    return [near, [new, *_between(rot, dart, corner, True)]]
-
-
-def _walk_rotations(ws: Workspace, p) -> list[list[int]]:
-    """Rotation at the origin of each walk dart; checks the walk chains."""
-    twin, nxt = ws.twin, ws.next
-    n = len(twin)
-    rotations = []
-    for k, dart in enumerate(p):
-        if not (0 <= dart < n and twin[dart] is not None):
-            raise InvalidWalk(f"unknown dart {dart}")
-        rot = [dart]
-        e = nxt[twin[dart]]
-        while e != dart:
-            rot.append(e)
-            e = nxt[twin[e]]
-        if k and twin[p[k - 1]] not in rot:
-            raise InvalidWalk("walk darts do not chain head to tail")
-        rotations.append(rot)
-    return rotations
 
 
 def slit(
@@ -237,24 +192,41 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     The walk is sa, ch, the twins of ch in reverse, then sb.  Without
     a chain sb is empty and the far end of sa is the exit mouth, or
     the whole far vertex of a blind slit when exit is None.  Every
-    vertex copy is cut from the rotations the walk check takes and
-    written back as a vertex cycle on the lists themselves.
+    vertex copy is sliced out of the rotations the walk check takes,
+    each from its walk dart, and written back as a vertex cycle on the
+    lists themselves.
     """
     d_c, entry_split = entry
     d_ex, exit_split = exit if exit is not None else (None, 0)
     a, n_ch, b = len(sa), len(ch), len(sb)
     twin, nxt, prv = ws.twin, ws.next, ws.prev
-    p = tuple(sa + ch + [twin[x] for x in reversed(ch)] + sb)
+    p = [*sa, *ch]
+    for x in reversed(ch):  # the chain climbed back
+        p.append(twin[x])
+    p += sb
     length = len(p)
-    # the walk chains, so the head of each dart is the origin of the
-    # next one: only the final head needs a rotation of its own
-    rots = _walk_rotations(ws, p)
-    rots.append(ws.rotation_from(twin[p[-1]]))
-    # a rotation names its vertex by its least dart
-    keys = [*map(min, rots)]
-    # the vertices down to the chain tip, then those of spine_b
-    visited = keys[: a + n_ch + 1] + keys[a + 2 * n_ch + 1 :]
-    if len(set(visited)) != len(visited):
+    # rots[k] is the rotation from p[k]: it must hold told[k - 1], the
+    # head of the dart before, so only the final head needs its own
+    n = len(twin)
+    rots: list[list[int]] = []
+    told: list[int] = []
+    for dart in p:
+        if not (0 <= dart < n and twin[dart] is not None):
+            raise InvalidWalk(f"unknown dart {dart}")
+        rot = [dart]
+        e = nxt[twin[dart]]
+        while e != dart:
+            rot.append(e)
+            e = nxt[twin[e]]
+        if told and told[-1] not in rot:
+            raise InvalidWalk("walk darts do not chain head to tail")
+        rots.append(rot)
+        told.append(twin[dart])
+    rots.append(ws.rotation_from(told[-1]))
+    # a rotation names its vertex by its least dart; the vertices down
+    # to the chain tip and those of spine_b must be distinct
+    seen = rots[: a + n_ch + 1] + rots[a + 2 * n_ch + 1 :] if ch else rots
+    if len(set(map(min, seen))) != len(seen):
         raise InvalidWalk("walk revisits a vertex")
     if d_c not in rots[0]:
         raise CornerMismatch("entry corner is not at the walk start")
@@ -266,26 +238,27 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     ):
         raise CornerMismatch("corner split order contradicts the pinch side")
 
-    told = tuple([twin[d] for d in p])
     # fresh ids in the order x, y, mdn, mup (chain only), then the left
-    # and the right copies of the spine darts, 2 per walk dart
-    fresh = [*range(len(twin), len(twin) + 2 * length)]
-    for links in (twin, nxt, prv):
-        links += [None] * (2 * length)
+    # and the right copies of the spine darts, one each per walk dart
+    fresh = ws.new_darts(2 * length)
     k = length + 2 * n_ch
     nl, nr = fresh[4 * n_ch : k], fresh[k:]
     if ch:
-        x_new, y_new, mdn, mup = (fresh[q * n_ch : (q + 1) * n_ch] for q in range(4))
+        x_new, y_new = fresh[:n_ch], fresh[n_ch : 2 * n_ch]
+        mdn, mup = fresh[2 * n_ch : 3 * n_ch], fresh[3 * n_ch : 4 * n_ch]
         # the new twins of the chain darts, down the chain and back up
         if side == "left":
             nl[a:a], nr[a:a] = x_new + y_new[::-1], mdn + mup[::-1]
         else:
             nl[a:a], nr[a:a] = mup + mdn[::-1], y_new + x_new[::-1]
 
-    # cut every vertex copy from the rotations taken above
+    # cut every vertex copy from the rotations taken above; a mouth keeps
+    # the rays from its corner dart round to the walk dart
     cycles: list[list[int]] = []
     if a:
-        cycles += _mouth(rots[0], d_c, p[0], nr[0])
+        rot = rots[0]
+        q = rot.index(d_c) or len(rot)
+        cycles += [[*rot[q:], rot[0]], [nr[0], *rot[1:q]]]
     for s in range(a - 1):
         cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
     if ch:
@@ -296,7 +269,8 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
         cycles.append([x_new[-1], *rots[a + n_ch][1:], e_last])
         cycles.append([mup[-1]])
 
-        # the attachment vertex, where the chain hangs
+        # the attachment vertex, where the chain hangs: its rotation runs
+        # from d1, and the arrival ray sits at i_in, the departure at i_out
         rot = rots[a]
         d1 = ch[0]
         dep = sb[0] if b else None
@@ -304,34 +278,35 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
         lead = nl[a - 1] if a else d_c
         out_anchor = dep if b else d_ex
         nr_b = nr[a + 2 * n_ch] if b else None
+        i_in, i_out = rot.index(base_in), rot.index(out_anchor)
         if same_corner:
-            cycles += _mouth(rot, d_c, d1, y_new[0])
-            cycles.append([mdn[0]])
+            q = i_in or len(rot)
+            cycles += [[*rot[q:], d1], [y_new[0], *rot[1:q]], [mdn[0]]]
         elif side == "left":
-            cycles.append([d1] if lead == d1 else [lead, *_between(rot, base_in, d1), d1])
-            cycles.append(
-                [y_new[0]] + _between(rot, d1, out_anchor) + ([dep] if b else [])
-            )
+            cycles.append([lead, *rot[i_in + 1 :], d1] if i_in else [d1])
+            cycles.append([y_new[0], *rot[1:i_out]] + ([dep] if b else []))
+            # the rays strictly between the departure and the arrival
             fused = [mdn[0], nr_b if b else d_ex]
-            fused += _between(rot, out_anchor, base_in)
+            fused += rot[i_out + 1 : i_in] if i_out <= i_in else rot[i_out + 1 :] + rot[:i_in]
             if a and not (b == 0 and d_ex == base_in):
                 fused.append(base_in)
             cycles.append(fused)
         elif b == 0 and a and d_ex == base_in:
             # exit corner right where the walk first arrives: the arrival
             # ray sits alone between the two cuts, next to the middle
-            cycles.append([nl[a - 1]] + _between(rot, base_in, d1) + [d1])
-            cycles.append([y_new[0]] + _between(rot, d1, base_in))
+            cycles.append([nl[a - 1], *rot[i_in + 1 :], d1])
+            cycles.append([y_new[0], *rot[1:i_in]])
             cycles.append([mdn[0], d_ex])
         else:
-            fused = [lead] + _between(rot, base_in, out_anchor)
+            # the rays strictly between the arrival and the departure
+            fused = [lead]
+            fused += rot[i_in + 1 : i_out] if i_in <= i_out else rot[i_in + 1 :] + rot[:i_out]
             if b and dep != lead:
                 fused.append(dep)
             fused.append(mdn[0])
             cycles.append(fused)
-            head = [nr_b] if b else ([d_ex] if d_ex != d1 else [])
-            cycles.append(head + _between(rot, out_anchor, d1) + [d1])
-            cap = [y_new[0]] + _between(rot, d1, base_in)
+            cycles.append([nr_b if b else d_ex, *rot[i_out + 1 :], d1] if i_out else [d1])
+            cap = [y_new[0], *rot[1:i_in]]
             if a:
                 cap.append(base_in)
             cycles.append(cap)
@@ -340,8 +315,9 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     if exit is None:  # blind: the far vertex, from told[-1], stays whole
         cycles.append([nl[-1], *rots[-1][1:], told[-1]])
     elif b or not ch:
-        near, far = _mouth(rots[-1], d_ex, told[-1], nl[-1])
-        cycles += [far, near]
+        rot = rots[-1]
+        q = rot.index(d_ex) or len(rot)
+        cycles += [[nl[-1], *rot[1:q]], [*rot[q:], rot[0]]]
 
     # triple the chain, double the spines
     for t in range(n_ch):
@@ -376,8 +352,8 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
             ws.markers[nr[0]] = near
         ws.markers[d_c] = stay
     else:
-        entry_marks = ws.markers.get(d_c, [])
         if entry_split:
+            entry_marks = ws.markers.get(d_c, [])
             ws.markers[nr[0]] = entry_marks[:entry_split]
             ws.markers[d_c] = entry_marks[entry_split:]
         if exit_split:
@@ -387,7 +363,7 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
 
     # an assert: python -O skips the check
     assert (j := _bad_copy(ws, cycles)) is None, f"copy {j} of the slit is not a vertex cycle"
-    return Slit(p, tuple(nl), tuple(nr), d_c, d_ex)
+    return Slit(tuple(p), tuple(nl), tuple(nr), d_c, d_ex)
 
 
 def _bad_copy(ws: Workspace, cycles: list[list[int]]) -> int | None:
@@ -549,26 +525,27 @@ def workspace_with_arrows(m: PlaneMap) -> Workspace:
     return ws
 
 
-def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
+def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None]]:
     """Rebuild a plane map from the workspace.
 
     Surviving darts keep their order and are numbered from 0, so the
     darts below the first deleted one keep their ids and only the tail
     is renumbered.  Face i is the contour that carries arrow(i); every
-    contour must carry exactly one.  Returns the map, the dart renaming
-    as a list (rename[d] is the new id of d, None for a deleted dart),
-    and the surviving corner token lists (arrows included, in corner
-    order) keyed by new dart id.
+    contour must carry exactly one.  Returns the map and the dart
+    renaming as a list (rename[d] is the new id of d, None for a
+    deleted dart).  The workspace is left as it is: the token lists of
+    the corners stay in ws.markers, keyed by the old ids.
     """
     ws_twin, ws_next, ws_prev = ws.twin, ws.next, ws.prev
     k = ws.intact
-    rename: list[int | None] = list(range(k))
-    rename += [None] * (len(ws_twin) - k)
+    rename: list[int | None] = [*range(k), *[None] * (len(ws_twin) - k)]
+    tail = []
+    for d in range(k, len(ws_twin)):
+        if ws_twin[d] is not None:
+            rename[d] = k + len(tail)
+            tail.append(d)
     twin = ws_twin[:k]
     next_ = ws_next[:k]
-    tail = [d for d in range(k, len(ws_twin)) if ws_twin[d] is not None]
-    for r, d in enumerate(tail, k):
-        rename[d] = r
     # entries below k that name a tail survivor are found through its
     # twin and prev, which must name it back; an entry below k that
     # names a deleted dart is then left out of range or repeated, and
@@ -589,7 +566,8 @@ def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
     marked_at: dict[int, int] = {}
     for d, toks in ws.markers.items():
         for tok in toks:
-            if is_arrow(tok):
+            # is_arrow, inlined: it runs once per token
+            if isinstance(tok, tuple) and tok and tok[0] == ARROW_KIND:
                 i = tok[1]
                 assert i >= 1 and i not in marked_at, f"face label {i} reused or below 1"
                 marked_at[i] = rename[d]
@@ -598,11 +576,7 @@ def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None], dict[int, list]]:
         f"face labels are {sorted(marked_at)}"
     )
     marked = [marked_at[i] for i in range(1, r + 1)]
-    m = PlaneMap(twin, next_, None, marked)
-    corners = {
-        rename[d]: list(toks) for d, toks in ws.markers.items() if toks
-    }
-    return m, rename, corners
+    return PlaneMap(twin, next_, None, marked), rename
 
 
 def edge_to_digon(m: PlaneMap, edge_index: int, mark_side: int) -> PlaneMap:

@@ -7,7 +7,26 @@ library's slits against, call by call.
 """
 
 from planemaps.errors import CornerMismatch, InvalidWalk
-from planemaps.surgery import Slit, Workspace, _walk_rotations
+from planemaps.surgery import Slit, Workspace
+
+
+def _walk_rotations(ws: Workspace, p) -> list[list[int]]:
+    """Rotation at the origin of each walk dart; checks the walk chains."""
+    twin, nxt = ws.twin, ws.next
+    n = len(twin)
+    rotations = []
+    for k, dart in enumerate(p):
+        if not (0 <= dart < n and twin[dart] is not None):
+            raise InvalidWalk(f"unknown dart {dart}")
+        rot = [dart]
+        e = nxt[twin[dart]]
+        while e != dart:
+            rot.append(e)
+            e = nxt[twin[e]]
+        if k and twin[p[k - 1]] not in rot:
+            raise InvalidWalk("walk darts do not chain head to tail")
+        rotations.append(rot)
+    return rotations
 
 
 def _set_rotation(ws: Workspace, cycle: list[int]) -> None:

@@ -235,6 +235,16 @@ class TestExport:
         assert status != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_binary_file(self, tmp_path, capsys):
+        # the head of an ELF executable: not UTF-8, so not JSON either
+        src = tmp_path / "binary"
+        src.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)) + b"\n")
+        status, text = invoke(["export", "--input", str(src)])
+        assert status == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: input is not text") and "Traceback" not in err
+
 
 class TestAdmissibleTypes:
     def test_small_census(self):

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import chisquare
 
 from planemaps import sampler
+from planemaps.counting import tutte_count
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadParity,
@@ -142,6 +143,60 @@ class TestUniformity:
             assert seen == support
 
 
+class Odometer(random.Random):
+    """A generator that runs through every sequence of draws, in order.
+
+    Each _randbelow(n) (randrange and choice go through it) reads the
+    next digit of the current sequence, appending 0 with radix n past
+    its end.  advance() steps to the next sequence like an odometer:
+    the last digit counts up and carries into the one before it.
+    """
+
+    def __init__(self):
+        super().__init__(0)
+        self.digits, self.radices, self.pos = [], [], 0
+
+    def _randbelow(self, n):
+        if self.pos == len(self.digits):
+            self.digits.append(0)
+            self.radices.append(n)
+        assert self.radices[self.pos] == n, "a prefix fixes the next radix"
+        self.pos += 1
+        return self.digits[self.pos - 1]
+
+    def advance(self) -> bool:
+        """Step to the next sequence; False once every one was run."""
+        assert self.pos == len(self.digits), "a sample read every digit"
+        while self.digits and self.digits[-1] + 1 == self.radices[-1]:
+            self.digits.pop()
+            self.radices.pop()
+        if self.digits:
+            self.digits[-1] += 1
+        self.pos = 0
+        return bool(self.digits)
+
+
+class TestExactUniformity:
+    """sample() over every draw sequence: each map comes out equally often.
+
+    Multiplicities: (2,2) 1, (4,2) 6, (3,1) 24, (4,4) 48, (3,3) 24 and
+    (2,6) 144 per map.  (2,6) is the smallest type whose second face
+    grows from degree 4, so a draw range off by one there shows here.
+    """
+
+    @pytest.mark.parametrize("a", [(2, 2), (4, 2), (3, 1), (4, 4), (3, 3), (2, 6)], ids=str)
+    def test_every_draw_sequence(self, a):
+        rng = Odometer()
+        codes = Counter()
+        while True:
+            codes[sample(a, rng).canonical_code()] += 1
+            if not rng.advance():
+                break
+        assert set(codes) == {m.canonical_code() for m in enumerate_maps(a)}
+        assert len(codes) == tutte_count(a)
+        assert len(set(codes.values())) == 1, sorted(Counter(codes.values()).items())
+
+
 def binned_chisquare(observed, law):
     """chisquare of observed counts against law, a count per value.
 
@@ -264,9 +319,10 @@ class TestRouteCache:
             r = rng if isinstance(rng, random.Random) else random.Random(rng)
             return real(a, r, initial=(real(start, r), start))
 
-        # sample and sample_quasibipartite reach it through the module
+        # sample and sample_quasibipartite grow every bipartite map
+        # through the module's _default_map
         for route in (by_schedule, by_initial):
-            monkeypatch.setattr(sampler, "sample_bipartite", route)
+            monkeypatch.setattr(sampler, "_default_map", route)
             assert self.codes() == default, route.__name__
 
     def test_cache_stays_bounded(self):

@@ -200,7 +200,7 @@ class TestSlitDigon:
         ws, s = self.run()
         sew_forward(ws, s)
         assert live(ws.next) == {0: 2, 1: 3, 2: 1, 3: 0}
-        m, rename, corners = finish(ws)
+        m, rename = finish(ws)
         assert m.twin == (2, 3, 0, 1)
         assert m.next == (2, 3, 1, 0)
         assert m.face == (1, 1, 1, 1)
@@ -209,12 +209,12 @@ class TestSlitDigon:
         assert m.n_vertices == 3
         # the merged vertex carries the marked corner
         assert len(m.vertex_darts(m.vertex_of(0))) == 2
-        assert corners == {0: [arrow(1)]}
+        assert corners_of(ws, rename) == {0: [arrow(1)]}
 
     def test_backward_sew_gives_path_too(self):
         ws, s = self.run()
         sew_backward(ws, s)
-        m, rename, corners = finish(ws)
+        m, rename = finish(ws)
         assert m.degrees == (4,)
         assert m.n_vertices == 3
 
@@ -248,14 +248,14 @@ class TestSlitDoubleEdge:
         target = suppress_pendant(ws, s.walk[0], out_marker="out")
         assert target == 1
         assert ws.marks_of(1) == [arrow(2), "out"]
-        m, rename, corners = finish(ws)
+        m, rename = finish(ws)
         assert m.twin == (1, 0, 3, 2)
         assert m.next == (3, 1, 0, 2)
         assert m.face == (1, 2, 1, 1)
         assert m.marked == (0, 1)
         assert m.degrees == (3, 1)
         assert rename[s.nr[0]] == 3
-        assert corners == {0: [arrow(1)], 1: [arrow(2), "out"]}
+        assert corners_of(ws, rename) == {0: [arrow(1)], 1: [arrow(2), "out"]}
 
 
 class TestSlitPath:
@@ -284,7 +284,7 @@ class TestSlitPath:
         sew_backward(ws, s)
         assert live(ws.twin) == {0: 4, 4: 0, 1: 2, 2: 1, 3: 7, 7: 3}
         assert live(ws.next) == {0: 2, 1: 4, 2: 7, 3: 1, 4: 0, 7: 3}
-        m, rename, corners = finish(ws)
+        m, rename = finish(ws)
         assert m.degrees == (6,)
         assert m.n_vertices == 4
         assert sorted(len(v) for v in m.vertices()) == [1, 1, 2, 2]
@@ -294,7 +294,7 @@ class TestSlitPath:
         sew_forward(ws, s)
         assert live(ws.twin) == {0: 3, 3: 0, 1: 6, 6: 1, 2: 5, 5: 2}
         assert live(ws.next) == {0: 2, 1: 6, 2: 5, 3: 1, 5: 3, 6: 0}
-        m, rename, corners = finish(ws)
+        m, rename = finish(ws)
         assert m.degrees == (6,)
         assert m.n_vertices == 4
 
@@ -338,12 +338,12 @@ class TestBlindSlit:
         assert contour_from(ws, 0) == [0, 2, 3, 1, 4]
         suppress_pendant(ws, s.walk[0], out_marker="out")
         ws.add_marker(5, arrow(2))
-        m, rename, corners = finish(ws)
+        m, rename = finish(ws)
         assert m.degrees == (3, 1)
         # loop plus pendant edge, out marker at the loop vertex
         assert m.n_vertices == 2
         d, rank = next(
-            (d, toks.index("out")) for d, toks in corners.items() if "out" in toks
+            (d, toks.index("out")) for d, toks in corners_of(ws, rename).items() if "out" in toks
         )
         assert len(m.vertex_darts(m.vertex_of(d))) == 3
 
@@ -383,13 +383,13 @@ class TestSuppress:
         target = suppress_pendant(ws, 3, out_marker="c")
         assert target == 0
         assert ws.marks_of(0) == ["c", arrow(1)]
-        m, rename, corners = finish(ws)
+        m, rename = finish(ws)
         ref = loop_map()
         assert m.twin == ref.twin
         assert m.next == ref.next
         assert m.face == ref.face
         assert m.marked == ref.marked
-        assert corners == {0: ["c", arrow(1)], 1: [arrow(2)]}
+        assert corners_of(ws, rename) == {0: ["c", arrow(1)], 1: [arrow(2)]}
 
     def test_not_a_leaf(self):
         ws = Workspace(loop_pendant())
@@ -565,8 +565,12 @@ def full_renumbering_finish(ws):
                     face[e] = tok[1]
                     e = next_[e]
     marked = [marked_at[i] for i in range(1, len(marked_at) + 1)]
-    corners = {rename[d]: list(toks) for d, toks in ws.markers.items() if toks}
-    return PlaneMap(twin, next_, face, marked), rename, corners
+    return PlaneMap(twin, next_, face, marked), rename
+
+
+def corners_of(ws, rename):
+    """The non-empty corner token lists after finish, keyed by new dart id."""
+    return {rename[d]: toks for d, toks in ws.markers.items() if toks}
 
 
 BIJECTIONS = (
