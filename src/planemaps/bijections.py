@@ -295,16 +295,16 @@ def _transfer1_right_impl(
     toks = ws.marks_of(lam)
     toks.remove(arrow(lose))
     assert not toks, "the dying unit face carries stray markers"
+    marks0 = ws.marks_of(anchor)
+    if split_fn is not None:
+        n_star = split_fn(marks0)
+    else:
+        n_star = _cut_split(marks0, gain, slot, m.degree(gain))
 
     if m.vertex_of(lam) == cv:
         # the slot corner sits at the loop vertex: no channel to cut,
         # the vertex is resliced between the two corners and the loop
         # edge re-twinned through the fresh dart
-        marks0 = ws.marks_of(anchor)
-        if split_fn is not None:
-            n_star = split_fn(marks0)
-        else:
-            n_star = _cut_split(marks0, gain, slot, m.degree(gain))
         y = ws.prev_of(anchor)
         h_new = ws.new_dart()
         ws.twin[h_new] = told
@@ -321,12 +321,7 @@ def _transfer1_right_impl(
         dist = distances(m, cv)
         walk = rightmost_geodesic(m, cv, from_corner=lam, dist=dist)
         assert walk and dist[m.vertex_of(walk[0])] == dist[m.vertex_of(lam)]
-        marks0 = ws.marks_of(anchor)
-        if split_fn is not None:
-            exit_split = split_fn(marks0)
-        else:
-            exit_split = _cut_split(marks0, gain, slot, m.degree(gain))
-        s = slit(ws, walk, (lam, 0), (anchor, exit_split))
+        s = slit(ws, walk, (lam, 0), (anchor, n_star))
         sew_onto(ws, s, lam)
         out_ref, v_ref = s.nl[-1], told
 
@@ -590,14 +585,7 @@ def grow_via_transfers(
 
     def prepare(ws):
         # pin the second cut point before the first transfer disturbs it
-        toks = ws.marks_of(anchor_2)
-        if u2 == 0:
-            rank = toks.index(arrow(kk))
-        elif u2 == deg_k:
-            rank = toks.index(arrow(kk)) + 1
-        else:
-            rank = 0
-        ws.add_marker(anchor_2, _POINT, rank)
+        ws.add_marker(anchor_2, _POINT, _cut_split(ws.marks_of(anchor_2), kk, u2, deg_k))
 
     split3 = None
     if same and u2 == c:

@@ -203,6 +203,8 @@ def cmd_verify_identities(args, out) -> int:
                     file=out,
                 )
         print(f"set cardinalities: {len(sides)} instances checked", file=out)
+    else:
+        print(f"set cardinalities: skipped above {DEFAULT_MAX_EDGES} edges", file=out)
     return _verdict(failures, out, "identity checks")
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from enum import Enum
-from math import factorial
+from math import factorial, prod
 from operator import index
 
-from .errors import BadArgument, BadParity, BadType, NonPositiveV, OddSum, TooManyOddFaces
+from .errors import BadArgument, BadFace, BadParity, BadType, NonPositiveV, OddSum, TooManyOddFaces
 
 
 def check_type(a: Iterable[int]) -> tuple[int, ...]:
@@ -153,20 +153,42 @@ def identity_target(identity: Identity, a: Iterable[int]) -> tuple[int, ...]:
     raise BadArgument(f"unknown identity {identity!r}")
 
 
+def decoration_radices(
+    identity: Identity, side: str, t: tuple[int, ...], first: int = 1, second: int | None = None
+) -> tuple[int, ...]:
+    """Per-coordinate radices of one side's decorations on a map of type t.
+
+    For the rhs, t is the target type.  first and second are the faces
+    in the identity's two roles: face 1, then the last face (face 2 for
+    CORNER_EACH_TWO_FACES).  A dart's radix is the length of its
+    directed_darts list, which is the same at every vertex.
+    """
+    if side not in ("lhs", "rhs"):
+        raise BadArgument("side must be 'lhs' or 'rhs'")
+    r = len(t)
+    if second is None:
+        second = 2 if identity is Identity.CORNER_EACH_TWO_FACES else r
+    if not (0 < first <= r and 0 < second <= r):
+        raise BadFace(f"faces {first} and {second} outside 1..{r}")
+    a, b, e = t[first - 1], t[second - 1], sum(t) // 2
+    v = e - r + 2
+    if identity is Identity.TWO_CORNERS_SAME_FACE:
+        lhs, rhs = (e, a + 1, a + 2), (v, a // 2, a // 2 - 1)
+    elif identity is Identity.CORNER_EACH_TWO_FACES:
+        lhs, rhs = (e, a + 1, b + 1), (v, a // 2, b // 2)
+    elif identity is Identity.FACE_TO_FACE:
+        lhs, rhs = (a + 1, b // 2), (b + 1, a // 2)
+    elif identity is Identity.UNIT_FACE:
+        lhs, rhs = (a + 1,), (v, a // 2)
+    else:
+        raise BadArgument(f"unknown identity {identity!r}")
+    return lhs if side == "lhs" else rhs
+
+
 def identity_sides(identity: Identity, a: Iterable[int]) -> tuple[int, int]:
-    """Evaluate both sides of the identity at type a."""
+    """Evaluate both sides of the identity at type a: decorations per map times maps."""
     t = check_type(a)
     tt = identity_target(identity, t)
-    if identity is Identity.TWO_CORNERS_SAME_FACE:
-        lhs = (t[0] + 1) * (t[0] + 2) * edge_count(t) * tutte_count(t)
-        rhs = (tt[0] // 2) * ((tt[0] - 1) // 2) * vertex_count(tt) * tutte_count(tt)
-    elif identity is Identity.CORNER_EACH_TWO_FACES:
-        lhs = (t[0] + 1) * (t[1] + 1) * edge_count(t) * tutte_count(t)
-        rhs = (tt[0] // 2) * (tt[1] // 2) * vertex_count(tt) * tutte_count(tt)
-    elif identity is Identity.FACE_TO_FACE:
-        lhs = (t[0] + 1) * (t[-1] // 2) * tutte_count(t)
-        rhs = (tt[0] // 2) * (tt[-1] + 1) * tutte_count(tt)
-    else:
-        lhs = (t[0] + 1) * tutte_count(t)
-        rhs = (tt[0] // 2) * vertex_count(tt) * tutte_count(tt)
+    lhs = prod(decoration_radices(identity, "lhs", t)) * tutte_count(t)
+    rhs = prod(decoration_radices(identity, "rhs", tt)) * tutte_count(tt)
     return lhs, rhs

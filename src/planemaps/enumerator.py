@@ -24,7 +24,7 @@ from collections.abc import Iterator, Sequence
 from itertools import product
 from operator import index
 
-from .counting import Identity, check_type, edge_count
+from .counting import Identity, check_type, decoration_radices, edge_count, identity_target
 from .errors import BadArgument, Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap
 from .metric import directed_darts, distances
@@ -126,46 +126,33 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
 def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tuple]:
     """All decorations of one side of a counting identity on one map.
 
-    Input-side decorations ('lhs') use corner slots of the stated
-    faces and edge indices; output-side decorations ('rhs') consist of
-    vertices and darts with the stated directions.  The face playing
-    the first role is face 1, the face playing the last role is the
-    final face of the map.
+    Faces play the default roles of decoration_radices.  Vertex, edge
+    and slot coordinates range over its radices, and darts come from
+    directed_darts.  An lhs map of a type the identity does not apply
+    to raises BadParity.
     """
-    if side not in ("lhs", "rhs"):
-        raise BadArgument("side must be 'lhs' or 'rhs'")
-    r = m.n_faces
-    a1 = m.degree(1)
+    if side == "lhs":
+        identity_target(identity, m.degrees)
+    radices = decoration_radices(identity, side, m.degrees)
+    if side == "lhs" and identity is not Identity.FACE_TO_FACE:
+        return list(product(*map(range, radices)))
     out: list[tuple] = []
-    if identity is Identity.TWO_CORNERS_SAME_FACE:
-        if side == "lhs":
-            return list(product(range(m.n_edges), range(a1 + 1), range(a1 + 2)))
-        for v in range(m.n_vertices):
-            hs = directed_darts(m, 1, v, "toward")
-            out += [(v, h, h2) for h in hs for h2 in hs if h != h2]
-        return out
-    if identity is Identity.CORNER_EACH_TWO_FACES:
-        if side == "lhs":
-            return list(product(range(m.n_edges), range(a1 + 1), range(m.degree(2) + 1)))
-        for v in range(m.n_vertices):
-            dist = distances(m, v)
-            hs2 = directed_darts(m, 2, v, "toward", dist)
-            out += [(v, h, h2) for h in directed_darts(m, 1, v, "toward", dist) for h2 in hs2]
-        return out
     if identity is Identity.FACE_TO_FACE:
-        if side == "lhs":
-            for c in range(a1 + 1):
-                v = m.vertex_of(m.slot_anchor(1, c))
-                out += [(c, h2) for h2 in directed_darts(m, r, v, "toward")]
-            return out
-        for c2 in range(m.degree(r) + 1):
-            v = m.vertex_of(m.slot_anchor(r, c2))
-            out += [(c2, h) for h in directed_darts(m, 1, v, "away")]
+        # a slot of one face, then the darts of the other at its vertex
+        f, g, direction = (1, m.n_faces, "toward") if side == "lhs" else (m.n_faces, 1, "away")
+        for c in range(radices[0]):
+            v = m.vertex_of(m.slot_anchor(f, c))
+            out += [(c, h) for h in directed_darts(m, g, v, direction)]
         return out
-    if identity is Identity.UNIT_FACE:
-        if side == "lhs":
-            return [(c,) for c in range(a1 + 1)]
-        for v in range(m.n_vertices):
-            out += [(v, h) for h in directed_darts(m, 1, v, "toward")]
-        return out
-    raise BadArgument(f"unknown identity {identity!r}")
+    # an rhs vertex, then darts of face 1 (and face 2) toward it
+    for v in range(radices[0]):
+        if identity is Identity.CORNER_EACH_TWO_FACES:
+            dist = distances(m, v)
+            hs, hs2 = (directed_darts(m, f, v, "toward", dist) for f in (1, 2))
+        else:
+            hs = hs2 = directed_darts(m, 1, v, "toward")
+        if identity is Identity.UNIT_FACE:
+            out += [(v, h) for h in hs]
+        else:  # darts of two different faces always differ
+            out += [(v, h, h2) for h in hs for h2 in hs2 if h != h2]
+    return out

@@ -20,7 +20,7 @@ import random
 from functools import lru_cache
 
 from .bijections import grow_same, transfer1_left, transfer_right
-from .counting import _odd_pair, _odd_positions, check_type
+from .counting import Identity, _odd_pair, _odd_positions, check_type, decoration_radices
 from .errors import BadParity, BadSchedule, BadSeed, OddCoordinate
 from .maps import PlaneMap
 from .metric import directed_darts
@@ -86,23 +86,15 @@ def check_schedule(schedule, a=None, start=None) -> Schedule:
         raise BadSchedule(f"schedule starts at {steps[0]}, expected {tuple(start)}")
     if a is not None and steps[-1] != (want := check_type(a)):
         raise BadSchedule(f"schedule ends at {steps[-1]}, expected {want}")
-    for j, prev, cur in zip(_moves(steps), steps, steps[1:]):
+    for (j, _), prev, cur in zip(_plan(steps), steps, steps[1:]):
         if cur != (prev[: j - 1] + (prev[j - 1] + 2,) + prev[j:] if j else prev + (2,)):
             raise BadSchedule(f"illegal schedule step {prev} -> {cur}")
     return steps
 
 
-def _moves(steps: Schedule) -> tuple[int, ...]:
-    """The face each step widens, or 0 where it does not change a face."""
-    return tuple(
-        next((i for i, (x, y) in enumerate(zip(prev, cur), 1) if x != y), 0)
-        for prev, cur in zip(steps, steps[1:])
-    )
-
-
 @lru_cache(maxsize=256)  # keyed by checked type: one route per type, not per sample
-def _route(t: tuple[int, ...]) -> tuple[Schedule, tuple[int, ...]]:
-    """default_schedule of a checked even type, and the face each step widens."""
+def _route(t: tuple[int, ...]) -> tuple[Schedule, tuple]:
+    """default_schedule of a checked even type, and the _plan of its steps."""
     out = [(2,)]
     for i, deg in enumerate(t):
         if i:
@@ -110,7 +102,20 @@ def _route(t: tuple[int, ...]) -> tuple[Schedule, tuple[int, ...]]:
         for x in range(4, deg + 2, 2):
             out.append(t[:i] + (x,))
     steps = tuple(out)
-    return steps, _moves(steps)
+    return steps, _plan(steps)
+
+
+def _plan(steps: Schedule) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per step, the face it widens (0 for a digon) and its draws' radices.
+
+    Widening face j draws an lhs of TWO_CORNERS_SAME_FACE with j first;
+    a digon draws one of E edges and one of its two sides.
+    """
+    grow, plan = Identity.TWO_CORNERS_SAME_FACE, []
+    for prev, cur in zip(steps, steps[1:]):
+        j = next((i for i, (x, y) in enumerate(zip(prev, cur), 1) if x != y), 0)
+        plan.append((j, decoration_radices(grow, "lhs", prev, j) if j else (sum(prev) // 2, 2)))
+    return tuple(plan)
 
 
 def sample_bipartite(a, rng, schedule=None, initial=None) -> PlaneMap:
@@ -135,15 +140,15 @@ def sample_bipartite(a, rng, schedule=None, initial=None) -> PlaneMap:
             )
     if schedule is not None:
         steps = check_schedule(schedule, a=t, start=start)
-        moves = _moves(steps)
+        plan = _plan(steps)
     else:
-        steps, moves = _route(t)
+        steps, plan = _route(t)
         if initial is not None:
             if start not in steps:
                 raise BadSchedule(f"type {start} is not on the default route to {t}")
             cut = steps.index(start)
-            steps, moves = steps[cut:], moves[cut:]
-    return _follow(m, steps, moves, r)
+            steps, plan = steps[cut:], plan[cut:]
+    return _follow(m, steps, plan, r)
 
 
 def _default_map(t: tuple[int, ...], r: random.Random) -> PlaneMap:
@@ -151,15 +156,11 @@ def _default_map(t: tuple[int, ...], r: random.Random) -> PlaneMap:
     return _follow(_ONE_EDGE, *_route(t), r)
 
 
-def _follow(m: PlaneMap, steps: Schedule, moves: tuple[int, ...], r: random.Random) -> PlaneMap:
+def _follow(m: PlaneMap, steps: Schedule, plan: tuple, r: random.Random) -> PlaneMap:
     """Grow m along a checked route that starts at its type."""
-    for j, cur in zip(moves, steps[1:]):
-        if j:  # decoration counts E * (deg+1) * (deg+2), a function of the type only
-            deg = m.degree(j)
-            e, c = r.randrange(m.n_edges), r.randrange(deg + 1)
-            m = grow_same(m, e, c, r.randrange(deg + 2), face=j)[0]
-        else:  # a digon on one of E edges, marked on one of its two sides
-            m = edge_to_digon(m, r.randrange(m.n_edges), r.randrange(2))
+    for (j, radices), cur in zip(plan, steps[1:]):
+        dec = map(r.randrange, radices)
+        m = grow_same(m, *dec, face=j)[0] if j else edge_to_digon(m, *dec)
         assert m.degrees == cur, "schedule step produced the wrong type"
     return m
 
@@ -186,17 +187,17 @@ def _quasi(t: tuple[int, ...], odd: tuple[int, ...], r: random.Random) -> PlaneM
         tt = [x for pos, x in enumerate(t, start=1) if pos != j]
         tt[i - 1] += 1
         m = _default_map(tuple(tt), r)
-        # decoration counts V * deg_i/2: a vertex and a dart of face i
-        # toward it, uniform because the toward count per vertex is fixed
-        v = r.randrange(m.n_vertices)
+        # an rhs of UNIT_FACE: a vertex and a dart of face i toward it,
+        # uniform because the toward count per vertex is fixed
+        v = r.randrange(decoration_radices(Identity.UNIT_FACE, "rhs", m.degrees, i)[0])
         return transfer1_left(m, i, j, v, r.choice(directed_darts(m, i, v, "toward")))[0]
     tt = list(t)
     tt[i - 1] += 1
     tt[j - 1] -= 1
     m = _default_map(tuple(tt), r)
-    # decoration counts (deg_j+1) * deg_i/2: a slot of face j and a dart
-    # of face i away from the slot vertex, again fixed per vertex
-    slot = r.randrange(m.degree(j) + 1)
+    # an rhs of FACE_TO_FACE: a slot of face j and a dart of face i away
+    # from the slot vertex, again fixed per vertex
+    slot = r.randrange(decoration_radices(Identity.FACE_TO_FACE, "rhs", m.degrees, i, j)[0])
     cv = m.vertex_of(m.slot_anchor(j, slot))
     return transfer_right(m, j, i, slot, r.choice(directed_darts(m, i, cv, "away")))[0]
 

@@ -8,13 +8,13 @@ PASS/FAIL line per criterion.
 import io
 import time
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 
 from scipy.stats import chisquare
 
 from planemaps.bijections import IDENTITIES, grow_same, grow_two, grow_via_transfers
 from planemaps.cli import admissible_types, identity_families, run
-from planemaps.counting import Identity, identity_sides, tutte_count
+from planemaps.counting import Identity, decoration_radices, identity_sides, tutte_count
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.maps import PlaneMap
 from planemaps.sampler import sample
@@ -87,16 +87,17 @@ def _family_bijective(t, ident, tt):
     """Forward images coincide with the enumerated target family."""
     row = IDENTITIES[ident]
     lhs_v, rhs_v = identity_sides(ident, t)
-    inputs = [
-        (m, dec)
-        for m in all_maps(t)
-        for dec in enumerate_decorations(m, ident, "lhs")
-    ]
-    want = {
-        row.rhs_key(m, dec)
-        for m in all_maps(tt)
-        for dec in enumerate_decorations(m, ident, "rhs")
-    }
+    inputs, want = [], set()
+    for side, a in (("lhs", t), ("rhs", tt)):
+        per_map = prod(decoration_radices(ident, side, a))
+        for m in all_maps(a):
+            decs = enumerate_decorations(m, ident, side)
+            # each map carries the table's count, not only the sum over maps
+            assert len(decs) == per_map, (t, ident, side, m)
+            if side == "lhs":
+                inputs += [(m, dec) for dec in decs]
+            else:
+                want |= {row.rhs_key(m, dec) for dec in decs}
     img = {row.rhs_key(*row.forward(m, dec)[:2]) for m, dec in inputs}
     assert len(inputs) == lhs_v, (t, ident, len(inputs), lhs_v)
     assert len(want) == rhs_v, (t, ident, len(want), rhs_v)

@@ -113,6 +113,16 @@ class TestVerify:
         assert "all identity checks passed" in text
         assert "set cardinalities" in text
 
+    def test_identities_say_when_cardinalities_are_skipped(self):
+        # above the enumerator's bound only the arithmetic runs, and says so
+        status, text = invoke(["verify-identities", "--max-edges", "7"])
+        assert status == 0
+        assert text.splitlines() == [
+            f"identity arithmetic: {len(list(cli.identity_families(7)))} instances checked",
+            "set cardinalities: skipped above 6 edges",
+            "all identity checks passed",
+        ]
+
     def test_roundtrip(self):
         status, text = invoke(["verify-roundtrip", "--max-edges", "2"])
         assert status == 0

@@ -12,6 +12,7 @@ from planemaps.counting import (
     alpha,
     check_type,
     classify,
+    decoration_radices,
     edge_count,
     identity_sides,
     identity_target,
@@ -23,6 +24,7 @@ from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadArgument,
+    BadFace,
     BadParity,
     BadType,
     NonPositiveV,
@@ -228,3 +230,47 @@ class TestIdentities:
             assert lhs == rhs, (identity, a)
             checked += 1
         assert checked > 50
+
+
+class TestRadices:
+    """decoration_radices: the per-map decoration counts, one coordinate each."""
+
+    def test_frozen_instances(self):
+        # E = 3 on (4, 2), V = 4 on its targets (6, 2) and (5, 3)
+        t = (4, 2)
+        assert decoration_radices(Identity.TWO_CORNERS_SAME_FACE, "lhs", t) == (3, 5, 6)
+        assert decoration_radices(Identity.TWO_CORNERS_SAME_FACE, "rhs", (6, 2)) == (4, 3, 2)
+        assert decoration_radices(Identity.CORNER_EACH_TWO_FACES, "lhs", t) == (3, 5, 3)
+        assert decoration_radices(Identity.CORNER_EACH_TWO_FACES, "rhs", (5, 3)) == (4, 2, 1)
+        assert decoration_radices(Identity.FACE_TO_FACE, "lhs", t) == (5, 1)
+        assert decoration_radices(Identity.FACE_TO_FACE, "rhs", (5, 1)) == (2, 2)
+        assert decoration_radices(Identity.UNIT_FACE, "lhs", (3, 1)) == (4,)
+        assert decoration_radices(Identity.UNIT_FACE, "rhs", (4,)) == (3, 2)
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("identity", list(Identity))
+    def test_roles_are_face_positions(self, identity, side):
+        # at roles (i, j) the table reads t as its default roles read t
+        # with face i moved first and face j to the second role's place
+        compared = 0
+        for t in admissible_types(5):
+            for i, j in itertools.permutations(range(1, len(t) + 1), 2):
+                rest = [x for k, x in enumerate(t, start=1) if k not in (i, j)]
+                if identity is Identity.CORNER_EACH_TWO_FACES:
+                    moved = (t[i - 1], t[j - 1], *rest)
+                else:
+                    moved = (t[i - 1], *rest, t[j - 1])
+                got = decoration_radices(identity, side, t, i, j)
+                assert got == decoration_radices(identity, side, moved), (t, i, j)
+                compared += 1
+        assert compared > 1000
+
+    def test_refusals(self):
+        with pytest.raises(BadFace):
+            decoration_radices(Identity.CORNER_EACH_TWO_FACES, "rhs", (4,))
+        with pytest.raises(BadFace):
+            decoration_radices(Identity.UNIT_FACE, "lhs", (3, 1), 0)
+        with pytest.raises(BadArgument):
+            decoration_radices(Identity.UNIT_FACE, "both", (3, 1))
+        with pytest.raises(BadArgument):
+            decoration_radices(Identity.UNIT_FACE.value, "lhs", (3, 1))

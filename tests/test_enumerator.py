@@ -8,7 +8,14 @@ from planemaps import enumerator
 from planemaps.cli import admissible_types
 from planemaps.counting import Identity, identity_sides, identity_target, tutte_count
 from planemaps.enumerator import DEFAULT_MAX_EDGES, enumerate_decorations, enumerate_maps
-from planemaps.errors import BadArgument, Disconnected, PlaneMapError, TooManyEdges, WrongGenus
+from planemaps.errors import (
+    BadArgument,
+    BadParity,
+    Disconnected,
+    PlaneMapError,
+    TooManyEdges,
+    WrongGenus,
+)
 from planemaps.maps import PlaneMap
 
 SMALL_TYPES = [
@@ -197,6 +204,23 @@ class TestDecorations:
             for m in enumerate_maps(target)
         )
         assert total == rhs
+
+    def test_lhs_refuses_where_the_identity_does_not_apply(self):
+        # FACE_TO_FACE on (4,) listed "face 1 to face 1" decorations and
+        # UNIT_FACE on (4, 2) listed slots, though neither identity applies
+        refused = 0
+        for t in admissible_types(3):
+            m = enumerate_maps(t)[0]
+            for identity in Identity:
+                try:
+                    identity_target(identity, t)
+                except BadParity:
+                    refused += 1
+                    with pytest.raises(BadParity):
+                        enumerate_decorations(m, identity, "lhs")
+                else:
+                    assert enumerate_decorations(m, identity, "lhs"), (t, identity)
+        assert refused > 20
 
     def test_bad_side(self):
         # a library error, and still the ValueError it was before

@@ -9,7 +9,8 @@ import pytest
 from scipy.stats import chisquare
 
 from planemaps import sampler
-from planemaps.counting import tutte_count
+from planemaps.cli import admissible_types
+from planemaps.counting import Identity, decoration_radices, odd_positions, tutte_count
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadParity,
@@ -195,6 +196,45 @@ class TestExactUniformity:
         assert set(codes) == {m.canonical_code() for m in enumerate_maps(a)}
         assert len(codes) == tutte_count(a)
         assert len(set(codes.values())) == 1, sorted(Counter(codes.values()).items())
+
+
+class TestDrawsReadTheTable:
+    """Each bound sample() hands its generator is a decoration_radices radix.
+
+    Step by step along the default route: an lhs of
+    TWO_CORNERS_SAME_FACE with the widened face first, (E, 2) for a new
+    digon, then for a quasibipartite type the rhs of its final transfer
+    at the two odd faces.  The dart draws are checked too, since their
+    bounds are directed_darts lengths, which the table does not read.
+    """
+
+    @staticmethod
+    def expected(t):
+        i, j = odd_positions(t) or (0, 0)
+        # the bipartite relative; a degree-one face j drops out
+        tt = [x + (k == i) - (k == j) for k, x in enumerate(t, start=1)]
+        tt = tuple(x for x in tt if x)
+        steps = default_schedule(tt)
+        want = []
+        for prev, cur in zip(steps, steps[1:]):
+            if len(cur) > len(prev):
+                want += [sum(prev) // 2, 2]
+            else:
+                face = next(k for k, (x, y) in enumerate(zip(prev, cur), start=1) if x != y)
+                want += decoration_radices(Identity.TWO_CORNERS_SAME_FACE, "lhs", prev, face)
+        if not i:
+            return want
+        if t[j - 1] == 1:
+            return want + list(decoration_radices(Identity.UNIT_FACE, "rhs", tt, i))
+        return want + list(decoration_radices(Identity.FACE_TO_FACE, "rhs", tt, i, j))
+
+    def test_every_type_to_eight_edges(self):
+        types = list(admissible_types(8))
+        assert len(types) == 4863
+        for t in types:
+            rng = Odometer()
+            sample(t, rng)
+            assert rng.radices == self.expected(t), t
 
 
 def binned_chisquare(observed, law):
