@@ -55,9 +55,10 @@ from .surgery import (
 
 _OUT = ("out",)
 _POINT = ("point",)
+_CUT = ("cut",)
 _CUT_A = ("cut", "entry")
 _CUT_B = ("cut", "exit")
-_SERVICE = (_OUT, _POINT, _CUT_A, _CUT_B)
+_SERVICE = (_OUT, _POINT, _CUT, _CUT_A, _CUT_B)
 
 
 def _check_face(m: PlaneMap, i: int) -> None:
@@ -86,7 +87,9 @@ def _check_dart(m: PlaneMap, dart: int, i: int) -> None:
 
 
 def _cut_split(tokens: list, face_i: int, slot: int, deg: int) -> int:
-    """Token count preceding the slot cut inside the anchor corner."""
+    """Token count preceding the cut in the anchor corner: a planted _CUT's, else the slot's."""
+    if _CUT in tokens:
+        return tokens.index(_CUT)
     if slot == 0:
         return tokens.index(arrow(face_i))
     if slot == deg:
@@ -94,10 +97,36 @@ def _cut_split(tokens: list, face_i: int, slot: int, deg: int) -> int:
     return 0
 
 
-def _plant_carry(ws, carry) -> None:
-    if carry:
-        for tok, (d, rank) in sorted(carry.items(), key=lambda kv: kv[1][1]):
+def _check_carry(m: PlaneMap, carry) -> dict:
+    """carry as {token: (dart, rank)} of ints, or BadDecoration.
+
+    At each dart of m the ranks must be distinct and below the size the
+    corner reaches, arrow included, so planting neither clamps nor
+    shifts a token.  Arrows and service markers are refused as tokens.
+    """
+    if not isinstance(carry, dict):
+        raise BadDecoration(f"carry {carry!r} is not a dict")
+    out, ranks = {}, {}
+    for tok, place in carry.items():
+        if is_arrow(tok) or tok in _SERVICE:
+            raise BadDecoration(f"carried token {tok!r} is reserved")
+        pair = out[tok] = _ints(place, BadDecoration, "carried places are")
+        if len(pair) != 2 or not 0 <= pair[0] < m.n_darts:
+            raise BadDecoration(f"carried place {place!r} is not a (dart, rank) of the map")
+        ranks.setdefault(pair[0], []).append(pair[1])
+    for d, rs in ranks.items():
+        if len(set(rs)) < len(rs) or not 0 <= min(rs) <= max(rs) < len(rs) + (d in m.marked):
+            raise BadDecoration(f"carried ranks {sorted(rs)} do not fit dart {d}'s corner")
+    return out
+
+
+def _planted(m: PlaneMap, carry):
+    """Workspace of m with its arrows and the checked carry planted."""
+    ws = workspace_with_arrows(m)
+    if carry is not None:
+        for tok, (d, rank) in sorted(_check_carry(m, carry).items(), key=lambda kv: kv[1][1]):
             ws.add_marker(d, tok, rank)
+    return ws
 
 
 def _carry_out(ws, rename: list, carry) -> dict:
@@ -106,8 +135,7 @@ def _carry_out(ws, rename: list, carry) -> dict:
     for tok in carry or ():
         for d, toks in ws.markers.items():
             if tok in toks:
-                visible = [t for t in toks if t not in _SERVICE]
-                out[tok] = (rename[d], visible.index(tok))
+                out[tok] = (rename[d], sum(t not in _SERVICE for t in toks[: toks.index(tok)]))
                 break
         else:
             raise AssertionError(f"carried token {tok!r} was lost")
@@ -196,8 +224,7 @@ def transfer_left(
     if classify_dart(m, dart, cv, dist) != "toward":
         raise BadDecoration("the dart must point toward the slot vertex")
 
-    ws = workspace_with_arrows(m)
-    _plant_carry(ws, carry)
+    ws = _planted(m, carry)
     walk = leftmost_geodesic(m, cv, from_corner=dart, dist=dist)
     assert walk and walk[0] == dart
     exit_split = _cut_split(ws.marks_of(anchor), gain, slot, m.degree(gain))
@@ -212,23 +239,8 @@ def transfer_left(
     return m2, slot2, dart2, _carry_out(ws, rename, carry)
 
 
-def _transfer_right_impl(
-    m: PlaneMap,
-    gain: int,
-    lose: int,
-    slot: int,
-    dart: int,
-    *,
-    carry=None,
-    prepare=None,
-    split_fn=None,
-):
-    """transfer_right body with workspace hooks, returning the raw finish.
-
-    prepare(ws) runs after carry planting and may add markers;
-    split_fn(tokens) overrides the exit cut position in the anchor
-    corner.  Returns (m2, slot2, dart2, carry_out, rename, ws).
-    """
+def _transfer_right(m: PlaneMap, gain: int, lose: int, slot: int, dart: int, ws):
+    """transfer_right on a planted workspace of m: (map, slot, dart, rename)."""
     _check_dart(m, dart, lose)
     anchor = m.slot_anchor(gain, slot)
     cv = m.vertex_of(anchor)
@@ -236,18 +248,10 @@ def _transfer_right_impl(
     if classify_dart(m, dart, cv, dist) != "away":
         raise BadDecoration("the dart must point away from the slot vertex")
 
-    ws = workspace_with_arrows(m)
-    _plant_carry(ws, carry)
-    if prepare is not None:
-        prepare(ws)
     entry = m.next[dart]
     walk = rightmost_geodesic(m, cv, from_corner=entry, dist=dist)
     assert walk and walk[0] == m.twin[dart]
-    marks = ws.marks_of(anchor)
-    if split_fn is not None:
-        exit_split = split_fn(marks)
-    else:
-        exit_split = _cut_split(marks, gain, slot, m.degree(gain))
+    exit_split = _cut_split(ws.marks_of(anchor), gain, slot, m.degree(gain))
     s = slit(ws, walk, (entry, 0), (anchor, exit_split))
     sew_forward(ws, s)
     suppress_pendant(ws, s.nr[0], out_marker=_OUT)
@@ -256,7 +260,7 @@ def _transfer_right_impl(
     assert face2 == lose, "the freed corner drifted off the losing face"
     dart2 = rename[s.nl[-1]]
     assert m2.face_of(dart2) == gain
-    return m2, slot2, dart2, _carry_out(ws, rename, carry), rename, ws
+    return m2, slot2, dart2, rename
 
 
 def transfer_right(
@@ -271,35 +275,22 @@ def transfer_right(
     swapped, transfer_right undoes transfer_left and vice versa.
     """
     gain, lose, slot, dart = _check_transfer(m, gain, lose, slot, dart)
-    m2, slot2, dart2, carried, _, _ = _transfer_right_impl(
-        m, gain, lose, slot, dart, carry=carry
-    )
-    return m2, slot2, dart2, carried
+    ws = _planted(m, carry)
+    m2, slot2, dart2, rename = _transfer_right(m, gain, lose, slot, dart, ws)
+    return m2, slot2, dart2, _carry_out(ws, rename, carry)
 
 
-def _transfer1_right_impl(
-    m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None, split_fn=None
-):
-    """transfer1_right body with a split hook, returning the raw finish.
-
-    split_fn(tokens) overrides the cut position in the anchor corner.
-    Returns (m2, vertex, dart2, carry_out, rename, ws).
-    """
+def _transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, ws):
+    """transfer1_right on a planted workspace of m: (map, vertex, dart, rename)."""
     lam = m.marked[lose - 1]
     told = m.twin[lam]
     anchor = m.slot_anchor(gain, slot)
     cv = m.vertex_of(anchor)
 
-    ws = workspace_with_arrows(m)
-    _plant_carry(ws, carry)
     toks = ws.marks_of(lam)
     toks.remove(arrow(lose))
     assert not toks, "the dying unit face carries stray markers"
-    marks0 = ws.marks_of(anchor)
-    if split_fn is not None:
-        n_star = split_fn(marks0)
-    else:
-        n_star = _cut_split(marks0, gain, slot, m.degree(gain))
+    n_star = _cut_split(ws.marks_of(anchor), gain, slot, m.degree(gain))
 
     if m.vertex_of(lam) == cv:
         # the slot corner sits at the loop vertex: no channel to cut,
@@ -329,7 +320,7 @@ def _transfer1_right_impl(
     m2, rename = finish(ws)
     dart2 = rename[out_ref]
     assert m2.face_of(dart2) == gain - (1 if gain > lose else 0)
-    return m2, m2.vertex_of(rename[v_ref]), dart2, _carry_out(ws, rename, carry), rename, ws
+    return m2, m2.vertex_of(rename[v_ref]), dart2, rename
 
 
 def transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None):
@@ -352,10 +343,9 @@ def transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None)
     if len(_odd_faces(m)) != 2:
         raise BadParity("absorbing the unit face needs exactly two odd faces")
     _check_slot(m, gain, slot)
-    m2, v, dart2, carried, _, _ = _transfer1_right_impl(
-        m, gain, lose, slot, carry=carry
-    )
-    return m2, v, dart2, carried
+    ws = _planted(m, carry)
+    m2, v, dart2, rename = _transfer1_right(m, gain, lose, slot, ws)
+    return m2, v, dart2, _carry_out(ws, rename, carry)
 
 
 def transfer1_left(
@@ -385,8 +375,7 @@ def transfer1_left(
     if classify_dart(m, dart, vertex, dist) != "toward":
         raise BadDecoration("the dart must point toward the chosen vertex")
 
-    ws = workspace_with_arrows(m)
-    _plant_carry(ws, carry)
+    ws = _planted(m, carry)
     walk = leftmost_geodesic(m, vertex, from_corner=dart, dist=dist)
     assert walk and walk[0] == dart
     s = slit(ws, walk, (dart, 0), None)
@@ -489,8 +478,7 @@ def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: 
 def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool, carry):
     kind, parts, anchor_c, anchor_2, u2, ebar = _growth_channel(m, e, j, k, c, c2, same)
     kk = j if same else k
-    ws = workspace_with_arrows(m)
-    _plant_carry(ws, carry)
+    ws = _planted(m, carry)
     s_en = _cut_split(ws.marks_of(anchor_c), j, c, m.degree(j))
     s_ex = _cut_split(ws.marks_of(anchor_2), kk, u2, m.degree(kk))
     if kind == "simple":
@@ -567,47 +555,40 @@ def grow_via_transfers(
     e, c, c2, mark_side = _decoration(e, c, c2, mark_side)
     same = j == k
     _validate_grow(m, e, j, k, c, c2, same)
+    if carry is not None:
+        carry = _check_carry(m, carry)
     # refuses a mark_side outside 0, 1 before the channel's BFS runs
     m1 = edge_to_digon(m, e, mark_side)
-    kind = _growth_channel(m, e, j, k, c, c2, same)[0]
+    # edge_to_digon keeps every dart, corner and mark of m
+    kind, _, anchor_c, anchor_2, u2, _ = _growth_channel(m, e, j, k, c, c2, same)
     case = kind if kind == "simple" else f"{kind}-pinched"
     kk = j if same else k
-    u2 = c2 - 1 if same and c2 > c else c2
-    r = m.n_faces
-    cv = m1.vertex_of(m1.slot_anchor(j, c))
-    n0 = m.n_darts
+    cv = m1.vertex_of(anchor_c)
     dist1 = distances(m1, cv)
-    away = [d for d in (n0, n0 + 1) if classify_dart(m1, d, cv, dist1) == "away"]
+    away = [d for d in range(m.n_darts, m1.n_darts) if classify_dart(m1, d, cv, dist1) == "away"]
     assert len(away) == 1, "one digon dart points away from the first cut"
-    h_dd = away[0]
-    anchor_2 = m1.slot_anchor(kk, u2)
-    deg_k = m1.degree(kk)
 
-    def prepare(ws):
-        # pin the second cut point before the first transfer disturbs it
-        ws.add_marker(anchor_2, _POINT, _cut_split(ws.marks_of(anchor_2), kk, u2, deg_k))
-
-    split3 = None
+    # pin the second cut point before the first transfer disturbs it;
+    # when both points share one corner, the first cut runs beside it
+    ws = _planted(m1, carry)
+    toks = ws.marks_of(anchor_2)
+    toks.insert(_cut_split(toks, kk, u2, m.degree(kk)), _POINT)
     if same and u2 == c:
-        # both cut points in one corner: the point marker is the cut
-        split3 = lambda toks: toks.index(_POINT) + (1 if c2 == c else 0)
-    m2_, _slot2, h_mid, carry2, ren3, ws3 = _transfer_right_impl(
-        m1, j, r + 1, c, h_dd, carry=carry, prepare=prepare, split_fn=split3
-    )
-    toks = next(t for t in ws3.markers.values() if _POINT in t)
-    pt_rank = [t for t in toks if t != _OUT].index(_POINT)
-    face_pt, slot_pt = _token_slot(m2_, ws3, ren3, _POINT)
-    assert face_pt == kk, "the cut point drifted off its face"
-    m3, v, h2, carry3, ren4, _ws4 = _transfer1_right_impl(
-        m2_, kk, r + 1, slot_pt, carry=carry2, split_fn=lambda toks: pt_rank
-    )
-    h = ren4[h_mid]
+        toks.insert(toks.index(_POINT) + (c2 == c), _CUT)
+    m2, _, h_mid, rename = _transfer_right(m1, j, m1.n_faces, c, away[0], ws)
+    carry2 = _carry_out(ws, rename, [*(carry or ()), _POINT])
+    # the second transfer cuts where the point came to rest
+    d_pt, rank_pt = carry2.pop(_POINT)
+    assert m2.face_of(d_pt) == kk, "the cut point drifted off its face"
+    ws = _planted(m2, carry2)
+    ws.add_marker(d_pt, _CUT, rank_pt)
+    m3, v, h2, rename = _transfer1_right(m2, kk, m2.n_faces, m2.contour(kk).index(d_pt), ws)
+    h = rename[h_mid]
     assert h != h2
     assert m3.face_of(h) == j and m3.face_of(h2) == kk
     dv = distances(m3, v)
-    assert classify_dart(m3, h, v, dv) == "toward"
-    assert classify_dart(m3, h2, v, dv) == "toward"
-    return m3, v, h, h2, case, carry3
+    assert classify_dart(m3, h, v, dv) == classify_dart(m3, h2, v, dv) == "toward"
+    return m3, v, h, h2, case, _carry_out(ws, rename, carry2)
 
 
 def _validate_shrink(m: PlaneMap, v: int, h: int, h2: int, j: int, k: int):
@@ -642,8 +623,7 @@ def _shrink(
     if (im, jm) == (0, 0):
         raise BadDecoration("the two darts leave the same vertex")
 
-    ws = workspace_with_arrows(m)
-    _plant_carry(ws, carry)
+    ws = _planted(m, carry)
     if im == len(geo_h):
         # the geodesics stay disjoint until the vertex itself
         walk = list(geo_h) + [m.twin[x] for x in reversed(geo_2)]

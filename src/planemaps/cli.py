@@ -189,12 +189,19 @@ def cmd_verify_identities(args, out) -> int:
             print(f"FAIL {ident.value} {t}: {lhs} != {rhs}", file=out)
     print(f"identity arithmetic: {len(sides)} instances checked", file=out)
     if k <= DEFAULT_MAX_EDGES:
-        for t, ident, tt, lhs, rhs in sides:
-            nl, nr = (
-                sum(len(enumerate_decorations(m, ident, side))
-                    for m in enumerate_maps(a, max_edges=b))
-                for side, a, b in (("lhs", t, k), ("rhs", tt, k + 1))
-            )
+        # each type is enumerated once, for every family side it is on,
+        # and only one type's maps are held at a time
+        readers: dict[tuple[int, ...], list] = {}
+        for n, (t, ident, tt, _, _) in enumerate(sides):
+            readers.setdefault(t, []).append((n, ident, "lhs"))
+            readers.setdefault(tt, []).append((n, ident, "rhs"))
+        counts = [{"lhs": 0, "rhs": 0} for _ in sides]
+        for a, uses in readers.items():
+            for m in enumerate_maps(a, max_edges=k + 1):
+                for n, ident, side in uses:
+                    counts[n][side] += len(enumerate_decorations(m, ident, side))
+        for (t, ident, _, lhs, rhs), got in zip(sides, counts):
+            nl, nr = got["lhs"], got["rhs"]
             if (nl, nr) != (lhs, rhs):
                 failures += 1
                 print(

@@ -181,6 +181,25 @@ class TestVerify:
         assert text == "round trips: 32 family sweeps\nall round trips passed\n"
         assert len(calls) == len(set(calls)) == 32
 
+    def test_identities_enumerate_each_type_once(self, monkeypatch):
+        # a type is enumerated once for all the family sides it is on,
+        # as source or as target, not once per family (64 calls at k=3)
+        calls = []
+        real = cli.enumerate_maps
+
+        def counting(t, **kwargs):
+            calls.append(tuple(t))
+            return real(t, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_maps", counting)
+        status, text = invoke(["verify-identities", "--max-edges", "3"])
+        assert status == 0
+        assert text.splitlines()[1:] == [
+            "set cardinalities: 32 instances checked",
+            "all identity checks passed",
+        ]
+        assert len(calls) == len(set(calls)) == 32
+
     @pytest.mark.parametrize("ident", list(Identity), ids=lambda i: i.value)
     def test_roundtrip_failure_reported(self, ident, monkeypatch, capsys):
         # an inverse that, undoing a forward step, lands on the next lhs

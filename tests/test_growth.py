@@ -161,22 +161,28 @@ def test_via_transfers_matches_direct(types, ident, faces):
 
 @pytest.mark.parametrize("types,ident,faces", VIA_FAMILIES)
 def test_via_transfers_carries_like_direct(types, ident, faces):
-    # a token at rank 0 of every corner, and after the face arrow in
-    # every marked corner, lands where the direct growth puts it
+    # one token at rank 0 of every corner and after the face arrow in
+    # every marked corner, then two tokens at ranks 0 and 1 of every
+    # corner and at ranks (0, 2) and (1, 2) of every marked one, each
+    # laid beside the composite's own cut tokens: all land where the
+    # direct growth puts them
     grow, _ = growers(faces)
-    tok = ("tag", "x")
+    toks = (("tag", "x"), ("tag", "y"))
 
     def landing(out):
-        d, rank = out[5][tok]
-        return out[0].canonical_code(), out[0].canonical_relabeling()[d], rank
+        relabel = out[0].canonical_relabeling()
+        return out[0].canonical_code(), {t: (relabel[d], r) for t, (d, r) in out[5].items()}
 
     for m in enumerate_maps(types):
-        places = [(d, 0) for d in range(m.n_darts)] + [(d, 1) for d in m.marked]
+        ranks = [(d, (0,)) for d in range(m.n_darts)] + [(d, (1,)) for d in m.marked]
+        ranks += [(d, (0, 1)) for d in range(m.n_darts)]
+        ranks += [(d, rs) for d in m.marked for rs in ((0, 2), (1, 2))]
+        places = [{t: (d, r) for t, r in zip(toks, rs)} for d, rs in ranks]
         for e, c, c2 in enumerate_decorations(m, ident, "lhs"):
-            for place in places:
-                want = grow(m, e, c, c2, carry={tok: place})
-                got = grow_via_transfers(m, e, c, c2, faces=faces, carry={tok: place})
-                assert landing(got) == landing(want), (e, c, c2, place)
+            for carry in places:
+                want = grow(m, e, c, c2, carry=carry)
+                got = grow_via_transfers(m, e, c, c2, faces=faces, carry=carry)
+                assert landing(got) == landing(want), (e, c, c2, carry)
 
 
 def check_sampled_round_trip(a, seed, data):
@@ -383,6 +389,67 @@ class TestErrors:
             dart = m.contour(3)[0]
             with pytest.raises(BadParity):
                 transfer_left(m, 1, 3, 0, dart)
+
+
+def carry_calls():
+    """Each bijection that takes carry, on an input it accepts: (map, call)."""
+    even, unit = sample((4, 4), 1), sample((3, 1), 0)
+    same = grow_same(even, 0, 0, 0)
+    two = grow_two(even, 0, 0, 0)
+    slot, dart = enumerate_decorations(even, Identity.FACE_TO_FACE, "lhs")[0]
+    left = transfer_left(even, 1, 2, slot, dart)
+    absorbed = transfer1_right(unit, 1, 2, 0)
+    return {
+        "grow_same": (even, lambda c: grow_same(even, 0, 0, 0, carry=c)),
+        "grow_two": (even, lambda c: grow_two(even, 0, 0, 0, carry=c)),
+        "grow_via_transfers": (even, lambda c: grow_via_transfers(even, 0, 0, 0, carry=c)),
+        "shrink_same": (same[0], lambda c: shrink_same(*same[:4], carry=c)),
+        "shrink_two": (two[0], lambda c: shrink_two(*two[:4], carry=c)),
+        "transfer_left": (even, lambda c: transfer_left(even, 1, 2, slot, dart, carry=c)),
+        "transfer_right": (left[0], lambda c: transfer_right(left[0], 2, 1, *left[1:3], carry=c)),
+        "transfer1_right": (unit, lambda c: transfer1_right(unit, 1, 2, 0, carry=c)),
+        "transfer1_left": (
+            absorbed[0], lambda c: transfer1_left(absorbed[0], 1, 2, *absorbed[1:3], carry=c)
+        ),
+    }
+
+
+CARRY_CALLS = carry_calls()
+
+
+@pytest.mark.parametrize("name", CARRY_CALLS)
+def test_bad_carry_refused(name):
+    # carry comes from the caller, so each bad one is refused at the
+    # door; unchecked, a dart outside the map (the composite's digon
+    # darts too) got through, ranks were clamped or shifted, and a
+    # reserved token failed deep inside or, under python -O, moved a
+    # face mark
+    m, call = CARRY_CALLS[name]
+    d = next(x for x in range(m.n_darts) if x not in m.marked)
+    mk, n = m.marked[0], m.n_darts
+    for good in ({"t": (d, 0)}, {"t": (mk, 1)}, {"t": (mk, 2), "u": (mk, 0)}):
+        assert set(call(good)[-1]) == set(good)
+    bad = [
+        [("t", (d, 0))],
+        {"t": (d,)},
+        {"t": (d, 0, 0)},
+        {"t": (float(d), 0)},
+        {"t": d},
+        {"t": (n, 0)},
+        {"t": (n + 1, 0)},
+        {"t": (-1, 0)},
+        {"t": (999, 0)},
+        {"t": (d, 1)},
+        {"t": (mk, 2)},
+        {"t": (d, -1)},
+        {"t": (d, 0), "u": (d, 0)},
+        {("arrow", 1): (d, 0)},
+    ]
+    reserved = [("out",), ("point",), ("cut",), ("cut", "entry"), ("cut", "exit")]
+    bad += [{tok: (d, 0)} for tok in reserved]
+    for carry in bad:
+        with pytest.raises(BadDecoration, match="carr"):
+            call(carry)
 
 
 class TestStrictDecorations:
