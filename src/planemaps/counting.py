@@ -16,7 +16,7 @@ counts one family of decorated maps in two ways.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from math import factorial, prod
 from operator import index
@@ -38,6 +38,25 @@ def check_type(a: Iterable[int]) -> tuple[int, ...]:
     if not t or min(t) < 1:
         raise BadType("degrees must be positive and at least one face given")
     return t
+
+
+def admissible_types(max_edges: int) -> Iterator[tuple[int, ...]]:
+    """All degree tuples with at most max_edges edges, by size then lex.
+
+    Covers every composition of 2, 4, ..., 2*max_edges with zero or
+    two odd parts: exactly the types carrying plane maps.
+    """
+
+    def compositions(total: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if total == 0:
+            yield prefix
+        for part in range(1, total + 1):
+            yield from compositions(total - part, prefix + (part,))
+
+    for e in range(1, max_edges + 1):
+        for t in compositions(2 * e, ()):
+            if sum(x % 2 for x in t) in (0, 2):
+                yield t
 
 
 def odd_positions(a: Iterable[int]) -> tuple[int, ...]:
@@ -151,6 +170,20 @@ def identity_target(identity: Identity, a: Iterable[int]) -> tuple[int, ...]:
             raise BadParity("needs a final degree-one face and one more odd face")
         return (t[0] + 1,) + t[1:-1]
     raise BadArgument(f"unknown identity {identity!r}")
+
+
+def identity_families(max_edges: int) -> Iterator[tuple]:
+    """(t, identity, target) for every identity that applies to an admissible type.
+
+    Types come as admissible_types lists them and, per type, the
+    identities in Identity order; the rest raise BadParity.
+    """
+    for t in admissible_types(max_edges):
+        for ident in Identity:
+            try:
+                yield t, ident, identity_target(ident, t)
+            except BadParity:
+                continue
 
 
 def decoration_radices(

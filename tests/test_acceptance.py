@@ -13,8 +13,15 @@ from math import factorial, prod
 from scipy.stats import chisquare
 
 from planemaps.bijections import IDENTITIES, grow_same, grow_two, grow_via_transfers
-from planemaps.cli import admissible_types, identity_families, run
-from planemaps.counting import Identity, decoration_radices, identity_sides, tutte_count
+from planemaps.cli import run
+from planemaps.counting import (
+    Identity,
+    admissible_types,
+    decoration_radices,
+    identity_families,
+    identity_sides,
+    tutte_count,
+)
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.maps import PlaneMap
 from planemaps.sampler import sample

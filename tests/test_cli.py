@@ -2,14 +2,25 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from planemaps import cli
-from planemaps.cli import admissible_types, run, to_dot
+from planemaps import verify
+from planemaps.cli import run, to_dot
 from planemaps.bijections import IDENTITIES
-from planemaps.counting import Identity, identity_sides, tutte_count
+from planemaps.counting import (
+    Identity,
+    admissible_types,
+    identity_families,
+    identity_sides,
+    tutte_count,
+)
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
+from planemaps.errors import TooManyEdges
 from planemaps.maps import PlaneMap
 
 from common import digon
@@ -118,7 +129,7 @@ class TestVerify:
         status, text = invoke(["verify-identities", "--max-edges", "7"])
         assert status == 0
         assert text.splitlines() == [
-            f"identity arithmetic: {len(list(cli.identity_families(7)))} instances checked",
+            f"identity arithmetic: {len(list(identity_families(7)))} instances checked",
             "set cardinalities: skipped above 6 edges",
             "all identity checks passed",
         ]
@@ -145,7 +156,7 @@ class TestVerify:
 
     def test_skewed_census_fails(self, monkeypatch, capsys):
         # a census that miscounts one face at one vertex must not pass
-        true_census = cli.direction_census
+        true_census = verify.direction_census
         calls = []
 
         def skewed(m, v):
@@ -156,7 +167,7 @@ class TestVerify:
                 census[0] = (toward + 1, away, par)
             return census
 
-        monkeypatch.setattr(cli, "direction_census", skewed)
+        monkeypatch.setattr(verify, "direction_census", skewed)
         status, text = invoke(["verify-props", "--max-edges", "3"])
         assert status == 1
         fails = [ln for ln in text.splitlines() if ln.startswith("FAIL")]
@@ -169,13 +180,13 @@ class TestVerify:
         # the four families share one enumeration per source and target
         # type; the report stays as it was with one call per family side
         calls = []
-        real = cli.enumerate_maps
+        real = verify.enumerate_maps
 
         def counting(t, **kwargs):
             calls.append(tuple(t))
             return real(t, **kwargs)
 
-        monkeypatch.setattr(cli, "enumerate_maps", counting)
+        monkeypatch.setattr(verify, "enumerate_maps", counting)
         status, text = invoke(["verify-roundtrip", "--max-edges", "3"])
         assert status == 0
         assert text == "round trips: 32 family sweeps\nall round trips passed\n"
@@ -185,13 +196,13 @@ class TestVerify:
         # a type is enumerated once for all the family sides it is on,
         # as source or as target, not once per family (64 calls at k=3)
         calls = []
-        real = cli.enumerate_maps
+        real = verify.enumerate_maps
 
         def counting(t, **kwargs):
             calls.append(tuple(t))
             return real(t, **kwargs)
 
-        monkeypatch.setattr(cli, "enumerate_maps", counting)
+        monkeypatch.setattr(verify, "enumerate_maps", counting)
         status, text = invoke(["verify-identities", "--max-edges", "3"])
         assert status == 0
         assert text.splitlines()[1:] == [
@@ -224,12 +235,32 @@ class TestVerify:
         status, text = invoke(["verify-roundtrip", "--max-edges", "2"])
         assert status == 1
         fails = [ln for ln in text.splitlines() if ln.startswith("FAIL")]
-        sources = [t for t, i, _ in cli.identity_families(2) if i is ident]
+        sources = [t for t, i, _ in identity_families(2) if i is ident]
         assert len(fails) == sum(identity_sides(ident, t)[0] for t in sources) > 0
         for ln in fails:
             assert any(ln.startswith(f"FAIL {ident.value} lhs at {t} ") for t in sources), ln
+        # the sweep goes type by type, yet the report keeps family order,
+        # then map order, then decoration order
+        assert fails == [
+            f"FAIL {ident.value} lhs at {t} {dec}"
+            for t in sources
+            for m in enumerate_maps(t)
+            for dec in enumerate_decorations(m, ident, "lhs")
+        ]
         assert f"error: {len(fails)} round trips failed" in capsys.readouterr().err
         assert "all round trips passed" not in text
+
+    def test_roundtrip_refused_above_bound(self, monkeypatch, capsys):
+        # the lhs maps of a 7-edge family are above the enumerator's bound,
+        # so the sweep is refused before any type is enumerated
+        def refuse(t, **kwargs):
+            raise AssertionError(f"enumerate_maps({t}) called")
+
+        monkeypatch.setattr(verify, "enumerate_maps", refuse)
+        assert invoke(["verify-roundtrip", "--max-edges", "7"]) == (2, "")
+        assert capsys.readouterr().err == "error: round trips run up to 6 edges, not 7\n"
+        with pytest.raises(TooManyEdges):
+            verify.round_trips(7)
 
     def test_sweep_counts(self):
         _, text = invoke(["verify-roundtrip", "--max-edges", "1"])
@@ -238,6 +269,28 @@ class TestVerify:
         assert text == (
             "direction censuses: 2 maps swept\nall direction censuses passed\n"
         )
+
+
+def test_closed_stdout_is_quiet():
+    # a reader that stops after one line is not a bad input: no error
+    # line, and a status other than 0 (all written) and 2 (bad input);
+    # 500 DOT maps of 20 edges overfill the pipe, so the writer sees it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = ["sample", "--type", "40", "--count", "500", "--format", "dot"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "planemaps.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"graph sample0 {")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=120)
+    assert err == b""
+    assert status == 1
 
 
 class TestExport:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import planemaps.counting as counting_module
 from planemaps.counting import (
     Identity,
+    admissible_types,
     alpha,
     check_type,
     classify,
@@ -20,7 +21,6 @@ from planemaps.counting import (
     tutte_count,
     vertex_count,
 )
-from planemaps.cli import admissible_types
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadArgument,

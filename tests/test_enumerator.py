@@ -5,8 +5,13 @@ from itertools import islice
 import pytest
 
 from planemaps import enumerator
-from planemaps.cli import admissible_types
-from planemaps.counting import Identity, identity_sides, identity_target, tutte_count
+from planemaps.counting import (
+    Identity,
+    admissible_types,
+    identity_sides,
+    identity_target,
+    tutte_count,
+)
 from planemaps.enumerator import DEFAULT_MAX_EDGES, enumerate_decorations, enumerate_maps
 from planemaps.errors import (
     BadArgument,

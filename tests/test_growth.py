@@ -16,8 +16,7 @@ from planemaps.bijections import (
     transfer_left,
     transfer_right,
 )
-from planemaps.cli import admissible_types
-from planemaps.counting import Identity
+from planemaps.counting import Identity, admissible_types
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.errors import (
     BadDecoration,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import planemaps.maps as maps_module
-from planemaps.cli import admissible_types
+from planemaps.counting import admissible_types
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadDecoration,

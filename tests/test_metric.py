@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from planemaps.cli import admissible_types
+from planemaps.counting import admissible_types
 from planemaps.enumerator import enumerate_maps
 import planemaps.metric as metric
 from planemaps.errors import BadArgument, BadDecoration, BadFace, PlaneMapError

@@ -9,8 +9,13 @@ import pytest
 from scipy.stats import chisquare
 
 from planemaps import sampler
-from planemaps.cli import admissible_types
-from planemaps.counting import Identity, decoration_radices, odd_positions, tutte_count
+from planemaps.counting import (
+    Identity,
+    admissible_types,
+    decoration_radices,
+    odd_positions,
+    tutte_count,
+)
 from planemaps.enumerator import enumerate_maps
 from planemaps.errors import (
     BadParity,

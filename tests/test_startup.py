@@ -30,16 +30,28 @@ trips = sum(PlaneMap.from_json(m.to_json()) == m for m in maps)
 print(repr((new, tables, sorted(_tables), trips, len(maps), "json" in sys.modules)))
 """
 
+# the verification engines and the type lists are library code: a
+# caller that only checks or lists types parses no arguments
+LIBRARY_PROBE = """
+import sys
+import planemaps.verify, planemaps.counting
+print(repr(sorted(name for name in ("argparse", "planemaps.cli") if name in sys.modules)))
+"""
 
-def test_cli_import_loads_no_unused_module():
+
+def _probe(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
+
+
+def test_cli_import_loads_no_unused_module():
+    out = _probe(PROBE)
     new, tables, used, trips, n_maps, json_loaded = ast.literal_eval(out.strip().splitlines()[-1])
     assert "planemaps.cli" in new
     # the matching tables fill on first use, so start-up builds none
@@ -47,3 +59,7 @@ def test_cli_import_loads_no_unused_module():
     assert [name for name in UNUSED if name in new] == []
     assert n_maps == 11 and trips == n_maps
     assert json_loaded
+
+
+def test_verify_import_loads_no_argparse():
+    assert ast.literal_eval(_probe(LIBRARY_PROBE).strip().splitlines()[-1]) == []
