@@ -152,8 +152,7 @@ def _token_slot(m: PlaneMap, ws, rename: list, token) -> tuple[int, int]:
     """Face and refined corner slot of a marker in the map finish(ws) made."""
     for d, toks in ws.markers.items():
         if token in toks:
-            i = m.face_of(rename[d])
-            s = m.contour(i).index(rename[d])
+            i, s = m.corner_slot(rename[d])
             if s == 0 and toks.index(arrow(i)) < toks.index(token):
                 return i, m.degree(i)
             return i, s
@@ -582,7 +581,7 @@ def grow_via_transfers(
     assert m2.face_of(d_pt) == kk, "the cut point drifted off its face"
     ws = _planted(m2, carry2)
     ws.add_marker(d_pt, _CUT, rank_pt)
-    m3, v, h2, rename = _transfer1_right(m2, kk, m2.n_faces, m2.contour(kk).index(d_pt), ws)
+    m3, v, h2, rename = _transfer1_right(m2, kk, m2.n_faces, m2.corner_slot(d_pt).slot, ws)
     h = rename[h_mid]
     assert h != h2
     assert m3.face_of(h) == j and m3.face_of(h2) == kk

@@ -25,7 +25,7 @@ from itertools import product
 from operator import index
 
 from .counting import Identity, check_type, decoration_radices, edge_count, identity_target
-from .errors import BadArgument, Disconnected, TooManyEdges, WrongGenus
+from .errors import BadArgument, BadParity, Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap
 from .metric import directed_darts, distances
 
@@ -123,16 +123,35 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
     return out
 
 
+def _check_target(identity: Identity, t: tuple[int, ...]) -> None:
+    """BadParity unless t is the identity's target of the one type that could lead to it."""
+    h, rest = t[0] - 1, t[1:]
+    if identity is Identity.TWO_CORNERS_SAME_FACE:
+        s = (h - 1, *rest)
+    elif identity is Identity.CORNER_EACH_TWO_FACES:
+        s = (h, *[x - 1 for x in rest[:1]], *rest[1:])
+    elif identity is Identity.FACE_TO_FACE:
+        s = (h, *rest[:-1], rest[-1] + 1) if rest else ()
+    elif identity is Identity.UNIT_FACE:
+        s = (h, *rest, 1)
+    else:
+        raise BadArgument(f"unknown identity {identity!r}")
+    if min(s, default=0) < 1 or identity_target(identity, s) != t:
+        raise BadParity(f"type {t} is not a target of {identity.value}")
+
+
 def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tuple]:
     """All decorations of one side of a counting identity on one map.
 
     Faces play the default roles of decoration_radices.  Vertex, edge
     and slot coordinates range over its radices, and darts come from
-    directed_darts.  An lhs map of a type the identity does not apply
-    to raises BadParity.
+    directed_darts.  A map of a type the identity does not apply to
+    (lhs) or does not lead to (rhs) raises BadParity.
     """
     if side == "lhs":
         identity_target(identity, m.degrees)
+    elif side == "rhs":
+        _check_target(identity, m.degrees)
     radices = decoration_radices(identity, side, m.degrees)
     if side == "lhs" and identity is not Identity.FACE_TO_FACE:
         return list(product(*map(range, radices)))

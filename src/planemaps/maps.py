@@ -87,24 +87,6 @@ def _pairs_darts(twin: tuple[int, ...]) -> bool:
     return len(twin) > 0
 
 
-def _inverse(perm: tuple[int, ...]) -> list[int] | None:
-    """perm^-1, or None unless perm is a permutation of 0..n-1.
-
-    One pass: a value above n - 1 raises IndexError and a repeated one
-    leaves a -1 behind; negative values index from the end, so they
-    are refused on their own.
-    """
-    inv = [-1] * len(perm)
-    try:
-        for d, e in enumerate(perm):
-            inv[e] = d
-    except IndexError:
-        return None
-    if -1 in inv or min(perm, default=0) < 0:
-        return None
-    return inv
-
-
 def _walk_labels(
     next_t: tuple[int, ...], marked_t: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]] | None:
@@ -149,55 +131,24 @@ def _walk_labels(
     return tuple(contours), tuple(prev), tuple(face)
 
 
-def _walk_all(
-    next_t: tuple[int, ...], face_t: tuple[int, ...], marked_t: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Contours and prev of given labels, walking every dart.
+def _refusal(next_t: tuple[int, ...], face: tuple[int, ...] | None) -> FaceMismatch | BadMark:
+    """The error for next and labels that the constructor refuses.
 
-    Checks that next is a permutation, that each next-orbit carries one
-    face label, that the labels are exactly 1..r and that face i is
-    marked at a dart of its own contour, raising the error class of the
-    first check that fails.  It accepts exactly the inputs whose labels
-    _walk_labels writes, so the constructor runs it only to name an error.
+    NotPermutation, which _as_perm raises, when next is not a
+    permutation; FaceMismatch when given labels do not name the contours
+    one to one as 1..r, that is when the walks from the first dart of
+    each label do not write them back; BadMark otherwise, for marks that
+    do not sit one on each contour (on its own contour, given labels).
     """
-    n = len(next_t)
-    prev_t = _inverse(next_t)
-    if prev_t is None:
-        raise NotPermutation(f"next is not a permutation of 0..{n - 1}")
-    if len(face_t) != n:
-        raise FaceMismatch("face labelling does not cover the dart set")
-
-    # walk next-orbits; each orbit is one face and must carry one label
-    contours: dict[int, list[int]] = {}
-    seen = [False] * n
-    for d in range(n):
-        if seen[d]:
-            continue
-        label = face_t[d]
-        if label in contours:
-            raise FaceMismatch(f"two contours share the label {label}")
-        orbit = contours[label] = []
-        e = d
-        while not seen[e]:
-            if face_t[e] != label:
-                raise FaceMismatch("face label changes along a contour")
-            seen[e] = True
-            orbit.append(e)
-            e = next_t[e]
-    r = len(contours)
-    if sorted(contours) != list(range(1, r + 1)):
-        raise FaceMismatch("face labels are not exactly 1..r")
-
-    if len(marked_t) != r:
-        raise BadMark("need exactly one marked dart per face")
-    normed = []
-    for i, d in enumerate(marked_t, start=1):
-        if not 0 <= d < n or face_t[d] != i:
-            raise BadMark(f"marked dart of face {i} does not lie on it")
-        orbit = contours[i]
-        k = orbit.index(d)
-        normed.append(tuple(orbit[k:] + orbit[:k]))
-    return tuple(normed), tuple(prev_t)
+    _as_perm(next_t, "next")
+    if face is not None:
+        r = len(set(face))
+        found = set(face) == set(range(1, r + 1)) and _walk_labels(
+            next_t, [*map(face.index, range(1, r + 1))]
+        )
+        if not found or found[2] != face:
+            return FaceMismatch("face labels do not name the contours one to one as 1..r")
+    return BadMark("need exactly one marked dart per contour")
 
 
 # The last next and marked that _walk_labels accepted, its result and the degrees.
@@ -255,11 +206,7 @@ class PlaneMap:
                 degrees = tuple(map(len, found[0]))
                 _last_faces = (next_t, marked_t, found, degrees)
         if found is None or face is not None and face != found[2]:
-            if face is not None:
-                _walk_all(next_t, face, marked_t)  # raises: it refuses the same inputs
-            if _inverse(next_t) is None:
-                raise NotPermutation(f"next is not a permutation of 0..{n - 1}")
-            raise BadMark("need exactly one marked dart per contour")
+            raise _refusal(next_t, face)
         contours, prev_t, face_t = found
         r = len(contours)
 
@@ -548,13 +495,7 @@ class PlaneMap:
                 raise ParseError(f"key {key!r} must be a list of integers")
         if len(obj["twin"]) % 2:
             raise ParseError("odd number of darts")
-        m = cls(obj["twin"], obj["next"], obj["face"], obj["marked"])
-        if list(m.degrees) != obj["type"]:
-            raise FaceMismatch(
-                f"declared type {obj['type']} but contours have degrees "
-                f"{list(m.degrees)}"
-            )
-        return m
+        return build(obj["type"], obj["twin"], obj["next"], obj["face"], obj["marked"])
 
     # comparison
 

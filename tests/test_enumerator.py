@@ -8,6 +8,7 @@ from planemaps import enumerator
 from planemaps.counting import (
     Identity,
     admissible_types,
+    identity_families,
     identity_sides,
     identity_target,
     tutte_count,
@@ -212,20 +213,30 @@ class TestDecorations:
 
     def test_lhs_refuses_where_the_identity_does_not_apply(self):
         # FACE_TO_FACE on (4,) listed "face 1 to face 1" decorations and
-        # UNIT_FACE on (4, 2) listed slots, though neither identity applies
-        refused = 0
-        for t in admissible_types(3):
-            m = enumerate_maps(t)[0]
+        # UNIT_FACE on (4, 2) listed slots, though neither identity applies;
+        # on the rhs, FACE_TO_FACE on (2,) and CORNER_EACH_TWO_FACES on
+        # (2, 2) listed decorations that the inverse bijections refuse,
+        # though neither type is a target of the identity
+        targets = {(ident, tt) for _, ident, tt in identity_families(4)}
+        refused = {"lhs": 0, "rhs": 0}
+        for t in admissible_types(4):
+            maps = enumerate_maps(t)
             for identity in Identity:
                 try:
                     identity_target(identity, t)
                 except BadParity:
-                    refused += 1
+                    refused["lhs"] += 1
                     with pytest.raises(BadParity):
-                        enumerate_decorations(m, identity, "lhs")
+                        enumerate_decorations(maps[0], identity, "lhs")
                 else:
-                    assert enumerate_decorations(m, identity, "lhs"), (t, identity)
-        assert refused > 20
+                    assert enumerate_decorations(maps[0], identity, "lhs"), (t, identity)
+                if (identity, t) in targets:
+                    assert any(enumerate_decorations(m, identity, "rhs") for m in maps), t
+                else:
+                    refused["rhs"] += 1
+                    with pytest.raises(BadParity):
+                        enumerate_decorations(maps[0], identity, "rhs")
+        assert refused["lhs"] > 20 and refused["rhs"] > 20, refused
 
     def test_bad_side(self):
         # a library error, and still the ValueError it was before

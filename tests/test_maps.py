@@ -12,6 +12,7 @@ from planemaps.errors import (
     BadDecoration,
     BadFace,
     BadMark,
+    BadType,
     Disconnected,
     FaceMismatch,
     NotInvolution,
@@ -25,6 +26,7 @@ from planemaps.sampler import sample
 from planemaps.surgery import edge_to_digon, finish, workspace_with_arrows
 
 from common import ALL_EXAMPLES, digon, double_edge, loop_map, loop_pendant, path_map
+from contour_reference import _walk_all
 
 
 def with_marked(m, i, d):
@@ -485,38 +487,41 @@ def single_changes(m):
 class TestContourWalk:
     """_walk_labels (one walk per contour) against _walk_all (every dart).
 
-    _walk_all is the contour validation the constructor ran before the
-    one-walk version, kept as the reference and to name the error.
+    _walk_all, in contour_reference, is the contour validation the
+    constructor ran before the one-walk version: it accepts the same
+    inputs and names the error class the constructor must raise.
     """
 
     def test_walks_agree_on_single_changes(self):
         # every map with E <= 3: 690 changed inputs pass, 22878 do not
-        accepted = 0
+        accepted = refused = 0
         errors = set()
         for t in admissible_types(3):
             for m in enumerate_maps(t):
                 for args in single_changes(m):
                     try:
-                        want = maps_module._walk_all(*args)
+                        want = _walk_all(*args)
                     except PlaneMapError as exc:
                         want = type(exc)
                     next_, face, marked = args
                     got = maps_module._walk_labels(BoundedReads(next_), marked)
                     if isinstance(want, type):
+                        refused += 1
                         errors.add(want)
                         assert got is None or got[2] != face, args
-                        with pytest.raises(want):
+                        with pytest.raises(PlaneMapError) as info:
                             PlaneMap(m.twin, *args)
+                        assert info.type is want, args
                     else:
                         accepted += 1
                         assert got == want + (face,), args
-        assert accepted == 690
+        assert (accepted, refused) == (690, 22878)
         assert errors == {NotPermutation, FaceMismatch, BadMark}
 
     def test_walks_agree_on_valid_maps(self):
         for t in admissible_types(4):
             for m in enumerate_maps(t):
-                want = maps_module._walk_all(m.next, m.face, m.marked)
+                want = _walk_all(m.next, m.face, m.marked)
                 assert want == (m._contours, m._prev)
                 assert maps_module._walk_labels(m.next, m.marked) == want + (m.face,)
 
@@ -550,17 +555,28 @@ class TestLabelsFromMarks:
             PlaneMap(twin, (2, 3, 0, -1), None, marked)
 
     def test_single_changes(self):
-        # every one-entry change of next or marked on the maps with E <= 3
-        # is refused with a typed error or labelled by its own marks
+        # every one-entry change of next or marked on the maps with E <= 3:
+        # a changed next is no permutation and raises exactly NotPermutation;
+        # moved marks either still sit one on each contour of m and label
+        # the map, or raise exactly BadMark
         for t in admissible_types(3):
             for m in enumerate_maps(t):
                 for next_, face, marked in single_changes(m):
                     if face != m.face:
                         continue
+                    on = sorted(m.face[d] for d in marked if 0 <= d < m.n_darts)
+                    if next_ != m.next:
+                        want = NotPermutation
+                    elif on != list(range(1, m.n_faces + 1)):
+                        want = BadMark
+                    else:
+                        want = None
                     try:
                         got = PlaneMap(m.twin, next_, None, marked)
-                    except PlaneMapError:
+                    except PlaneMapError as exc:
+                        assert type(exc) is want, (next_, marked)
                         continue
+                    assert want is None, (next_, marked)
                     labels = [0] * m.n_darts
                     for i, d in enumerate(marked, start=1):
                         for e in got.contour(i):
@@ -604,6 +620,14 @@ class TestSerialization:
         text = '{"type": [4], "twin": [1, 0], "next": [1, 0], "face": [1, 1],' \
             ' "marked": [0]}'
         with pytest.raises(FaceMismatch):
+            PlaneMap.from_json(text)
+
+    @pytest.mark.parametrize("declared", ["[]", "[0]", "[-2]"])
+    def test_declared_type_not_a_degree_tuple(self, declared):
+        # build checks the declared type before it builds the map
+        text = f'{{"type": {declared}, "twin": [1, 0], "next": [1, 0], "face": [1, 1],' \
+            ' "marked": [0]}'
+        with pytest.raises(BadType):
             PlaneMap.from_json(text)
 
 
