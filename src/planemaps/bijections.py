@@ -648,9 +648,7 @@ def _shrink(
     fb, cb = _token_slot(m2, ws, rename, _CUT_B)
     kk = j if same else k
     assert fa == j and fb == kk, "a cut point drifted off its face"
-    if not same:
-        c2 = cb
-    elif cb < ca:
+    if not same or cb < ca:
         c2 = cb
     elif cb > ca:
         c2 = cb + 1

@@ -40,6 +40,14 @@ def check_type(a: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
+def _index(x: int, name: str) -> int:
+    """x through operator.index; a float, a string or None raises BadArgument."""
+    try:
+        return index(x)
+    except TypeError:
+        raise BadArgument(f"{name} must be an integer, not {x!r}") from None
+
+
 def admissible_types(max_edges: int) -> Iterator[tuple[int, ...]]:
     """All degree tuples with at most max_edges edges, by size then lex.
 
@@ -53,7 +61,7 @@ def admissible_types(max_edges: int) -> Iterator[tuple[int, ...]]:
         for part in range(1, total + 1):
             yield from compositions(total - part, prefix + (part,))
 
-    for e in range(1, max_edges + 1):
+    for e in range(1, _index(max_edges, "max_edges") + 1):
         for t in compositions(2 * e, ()):
             if sum(x % 2 for x in t) in (0, 2):
                 yield t
@@ -104,7 +112,7 @@ def vertex_count(a: Iterable[int]) -> int:
 
 def alpha(x: int) -> int:
     """x! / (floor(x/2)! * floor((x-1)/2)!), the per-face weight."""
-    if x < 1:
+    if _index(x, "a face degree") < 1:
         raise BadArgument("face degrees are positive")
     return factorial(x) // (factorial(x // 2) * factorial((x - 1) // 2))
 

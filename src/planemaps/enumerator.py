@@ -13,20 +13,19 @@ Cost: a type with E edges has (2E-1)!! matchings, 945 at E = 5 and
 built once, on first use, and kept for E <= DEFAULT_MAX_EDGES: one
 bytes string per size, one byte per dart, 9 KB at E = 5 and 122 KB at
 E = 6 (CPython 3.11).  Above that bound they are streamed and not
-kept.  Either way the genus screen still runs for every (type,
-matching) pair, and the full PlaneMap constructor, with every check,
-for every pair the screen passes.
+kept.  Either way the genus screen runs for every (type, matching)
+pair; the pairs it passes are built on one walk of the type's contours,
+with every constructor check that reads the twin, and share its tuples.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import product
-from operator import index
+from itertools import accumulate, product
 
-from .counting import Identity, check_type, decoration_radices, edge_count, identity_target
+from .counting import Identity, _index, check_type, decoration_radices, edge_count, identity_target
 from .errors import BadArgument, BadParity, Disconnected, TooManyEdges, WrongGenus
-from .maps import PlaneMap
+from .maps import PlaneMap, _Faces
 from .metric import directed_darts, distances
 
 DEFAULT_MAX_EDGES = 6
@@ -82,10 +81,7 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
     None raises BadArgument instead of being truncated or compared.
     """
     t = check_type(a)
-    try:
-        max_edges = index(max_edges)
-    except TypeError:
-        raise BadArgument(f"max_edges must be an integer, not {max_edges!r}") from None
+    max_edges = _index(max_edges, "max_edges")
     e = edge_count(t)
     if e > max_edges:
         raise TooManyEdges(
@@ -93,16 +89,12 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
             "raise max_edges explicitly to proceed"
         )
     n = 2 * e
-    next_ = [0] * n
-    marked = []
-    off = 0
-    for deg in t:
-        marked.append(off)
-        for k in range(deg):
-            next_[off + k] = off + (k + 1) % deg
-        off += deg
+    # polygon by polygon: each face's darts follow its mark round the polygon
+    marked = [*accumulate(t[:-1], initial=0)]
+    next_ = [o + (k + 1) % deg for o, deg in zip(marked, t) for k in range(deg)]
     out = []
     r = len(t)
+    faces = _Faces(next_, marked)  # every matching of the type shares this one walk
     for twin in _matchings(n):
         # sigma orbit count gives the genus; screen before building
         seen = [False] * n
@@ -117,7 +109,7 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
         if v != e + 2 - r:
             continue
         try:
-            out.append(PlaneMap(twin, next_, None, marked))
+            out.append(PlaneMap(twin, faces, None, marked))
         except (Disconnected, WrongGenus):
             continue
     return out

@@ -151,12 +151,20 @@ def _refusal(next_t: tuple[int, ...], face: tuple[int, ...] | None) -> FaceMisma
     return BadMark("need exactly one marked dart per contour")
 
 
-# The last next and marked that _walk_labels accepted, its result and the degrees.
-# One slot compared by value: enumerate_maps builds every matching of a
-# type from the same two tuples.  On the benchmark workloads 85% of
-# the verify-sweep constructions hit and none of the others do; 80-99%
-# of all misses differ from the slot in length.
-_last_faces: tuple | None = None
+class _Faces(tuple):
+    """next, marked, contours, prev, face and degrees that one walk accepted.
+
+    PlaneMap(twin, faces, None, marked) reads all six from it and so
+    checks only what involves twin; the maps built on one share its tuples.
+    """
+
+    def __new__(cls, next_: Iterable[int], marked: Iterable[int]) -> "_Faces":
+        next_t = _ints(next_, NotPermutation, "entries of next are")
+        marked_t = _ints(marked, BadMark, "marked darts are")
+        found = _walk_labels(next_t, marked_t)
+        if found is None:
+            raise _refusal(next_t, None)
+        return super().__new__(cls, (next_t, marked_t, *found, tuple(map(len, found[0]))))
 
 
 class PlaneMap:
@@ -182,7 +190,6 @@ class PlaneMap:
         face: Iterable[int] | None,
         marked: Iterable[int],
     ) -> None:
-        global _last_faces
         twin_t = _ints(twin, NotPermutation, "entries of twin are")
         n = len(twin_t)
         if not _pairs_darts(twin_t):
@@ -190,24 +197,23 @@ class PlaneMap:
             if n == 0 or n % 2:
                 raise NotInvolution("twin must pair an even, positive number of darts")
             raise NotInvolution("twin is not a fixed-point-free involution")
-        next_t = _ints(next_, NotPermutation, "entries of next are")
-        if len(next_t) != n:
-            raise NotPermutation("twin and next act on different dart sets")
-        if face is not None:
-            face = _ints(face, FaceMismatch, "face labels are")
-        marked_t = _ints(marked, BadMark, "marked darts are")
-        last = _last_faces
-        if last is not None and last[1] == marked_t and last[0] == next_t:
-            next_t, marked_t, found, degrees = last
+        if next_.__class__ is _Faces:  # walked already: face and marked are its own
+            next_t, marked_t, contours, prev_t, face_t, degrees = next_
+            if len(next_t) != n:
+                raise NotPermutation("twin and next act on different dart sets")
         else:
+            next_t = _ints(next_, NotPermutation, "entries of next are")
+            if len(next_t) != n:
+                raise NotPermutation("twin and next act on different dart sets")
+            if face is not None:
+                face = _ints(face, FaceMismatch, "face labels are")
+            marked_t = _ints(marked, BadMark, "marked darts are")
             # the walk from marked[i-1] writes label i
             found = _walk_labels(next_t, marked_t)
-            if found is not None:
-                degrees = tuple(map(len, found[0]))
-                _last_faces = (next_t, marked_t, found, degrees)
-        if found is None or face is not None and face != found[2]:
-            raise _refusal(next_t, face)
-        contours, prev_t, face_t = found
+            if found is None or face is not None and face != found[2]:
+                raise _refusal(next_t, face)
+            contours, prev_t, face_t = found
+            degrees = tuple(map(len, contours))
         r = len(contours)
 
         # connectivity: twin must join the face orbits into one piece
@@ -488,10 +494,8 @@ class PlaneMap:
         for key in ("type", "twin", "next", "face", "marked"):
             if key not in obj:
                 raise ParseError(f"missing key {key!r}")
-            val = obj[key]
-            if not isinstance(val, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in val
-            ):
+            # json.loads gives true and false as bools, every other integer as an int
+            if not isinstance(val := obj[key], list) or not all(type(x) is int for x in val):
                 raise ParseError(f"key {key!r} must be a list of integers")
         if len(obj["twin"]) % 2:
             raise ParseError("odd number of darts")

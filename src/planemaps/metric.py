@@ -103,7 +103,7 @@ def directed_darts(m: PlaneMap, i: int, v: int, direction: str, dist=None) -> li
     when given, is ``distances(m, v)`` already at hand, checked like
     the geodesics'.
     """
-    if direction not in _DIRECTIONS:
+    if not isinstance(direction, str) or direction not in _DIRECTIONS:
         raise BadArgument(f"unknown direction {direction!r}")
     want = _DIRECTIONS[direction]
     dist = _checked_dist(m, v, dist)

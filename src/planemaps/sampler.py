@@ -79,7 +79,10 @@ def check_schedule(schedule, a=None, start=None) -> Schedule:
     either by +2 on exactly one coordinate or by appending (2).  When
     given, start pins the first entry and a the last.
     """
-    steps = tuple(_even_type(s) for s in schedule)
+    try:  # _even_type turns its own TypeErrors into BadType
+        steps = tuple(map(_even_type, schedule))
+    except TypeError:
+        raise BadSchedule(f"schedule must be an iterable of types, not {schedule!r}") from None
     if not steps:
         raise BadSchedule("empty schedule")
     if start is not None and steps[0] != tuple(start):
@@ -132,12 +135,13 @@ def sample_bipartite(a, rng, schedule=None, initial=None) -> PlaneMap:
     if initial is None:
         m, start = _ONE_EDGE, (2,)
     else:
-        m, start = initial
+        pair = isinstance(initial, (tuple, list)) and len(initial) == 2
+        m, start = initial if pair else (None, None)
+        if not isinstance(m, PlaneMap):
+            raise BadSchedule(f"initial must be a (map, type) pair, not {initial!r}")
         start = _even_type(start)
         if m.degrees != start:
-            raise BadSchedule(
-                f"initial map has type {m.degrees}, declared {start}"
-            )
+            raise BadSchedule(f"initial map has type {m.degrees}, declared {start}")
     if schedule is not None:
         steps = check_schedule(schedule, a=t, start=start)
         plan = _plan(steps)

@@ -572,9 +572,7 @@ def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None]]:
                 assert i >= 1 and i not in marked_at, f"face label {i} reused or below 1"
                 marked_at[i] = rename[d]
     r = len(marked_at)
-    assert sorted(marked_at) == list(range(1, r + 1)), (
-        f"face labels are {sorted(marked_at)}"
-    )
+    assert sorted(marked_at) == list(range(1, r + 1)), f"face labels are {sorted(marked_at)}"
     marked = [marked_at[i] for i in range(1, r + 1)]
     return PlaneMap(twin, next_, None, marked), rename
 
@@ -617,13 +615,9 @@ def digon_to_edge(m: PlaneMap, i: int) -> tuple[PlaneMap, int, int]:
     old = [d for d in range(m.n_darts) if d not in (a, b)]
     rename = {d: k for k, d in enumerate(old)}
     # ta and tb pair up; nothing else had a or b as twin or next
-    twin = [
-        rename[{ta: tb, tb: ta}.get(d, m.twin[d])] for d in old
-    ]
+    twin = [rename[{ta: tb, tb: ta}.get(d, m.twin[d])] for d in old]
     next_ = [rename[m.next[d]] for d in old]
-    marked = [
-        rename[d] for j, d in enumerate(m.marked, start=1) if j != i
-    ]
+    marked = [rename[d] for j, d in enumerate(m.marked, start=1) if j != i]
     m2 = PlaneMap(twin, next_, None, marked)
     lo = min(rename[ta], rename[tb])
     edge_index = m2.edge_index(lo)

@@ -15,6 +15,7 @@ from planemaps.counting import (
     classify,
     decoration_radices,
     edge_count,
+    identity_families,
     identity_sides,
     identity_target,
     odd_positions,
@@ -50,12 +51,21 @@ class TestBasics:
     def test_alpha(self):
         assert [alpha(x) for x in range(1, 8)] == [1, 2, 6, 12, 30, 60, 140]
 
-    @pytest.mark.parametrize("x", [0, -1])
+    @pytest.mark.parametrize("x", [0, -1, 1.0, "1", None, 2.5])
     def test_alpha_refuses_nonpositive(self, x):
+        # the non-integers raised a bare TypeError
         with pytest.raises(BadArgument) as info:
             alpha(x)
         assert isinstance(info.value, PlaneMapError)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("bound", [1.0, "1", None, 2.5])
+    @pytest.mark.parametrize("listing", [admissible_types, identity_families])
+    def test_type_listings_refuse_a_non_integer_bound(self, listing, bound):
+        # each raised a bare TypeError, or listed up to a float bound
+        with pytest.raises(BadArgument):
+            list(listing(bound))
+        assert len(list(listing(True))) == len(list(listing(1)))
 
     def test_edge_vertex_count(self):
         assert edge_count((4, 4)) == 4

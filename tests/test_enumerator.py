@@ -160,6 +160,14 @@ class TestEnumeration:
         maps = enumerate_maps((3, 1, 1, 1))
         assert all(m.degrees == (3, 1, 1, 1) for m in maps)
 
+    def test_maps_of_a_type_share_their_face_tuples(self):
+        # one copy per type: the E <= 5 round-trip sweep's peak memory rests on it
+        first, *rest = enumerate_maps((4, 2, 2))
+        assert rest
+        for m in rest:
+            for name in ("next", "marked", "_contours", "_prev", "face"):
+                assert getattr(m, name) is getattr(first, name), name
+
     def test_no_genus_zero_gluing(self):
         assert enumerate_maps((1, 1, 1, 1)) == []
 

@@ -176,9 +176,8 @@ class TestDegreesAtConstruction:
         walks = []
         real = maps_module._walk_labels
         monkeypatch.setattr(maps_module, "_walk_labels", lambda *a: walks.append(a) or real(*a))
-        monkeypatch.setattr(maps_module, "_last_faces", None)
         maps = enumerate_maps((4, 2, 2))
-        assert len(walks) == 1 < len(maps)  # every map after the first hit the slot
+        assert len(walks) == 1 < len(maps)  # the type's one walk serves every map
         self.assert_filled(maps)
 
     def test_other_paths(self):
@@ -371,7 +370,7 @@ class TestValidation:
 
 
 class TestFaceValidationSlot:
-    """The constructor validates next, face and marked once per distinct input."""
+    """The constructor keeps nothing between calls: a bad input after a good one is refused."""
 
     DOUBLE_EDGE = ((1, 0, 3, 2), (2, 3, 0, 1), (1, 2, 1, 2), (0, 3))
 
@@ -429,7 +428,6 @@ class TestFaceValidationSlot:
             return real(*args)
 
         monkeypatch.setattr(maps_module, "_walk_labels", counting)
-        monkeypatch.setattr(maps_module, "_last_faces", None)
         assert len(enumerate_maps((2, 2, 2))) == 8
         assert len(enumerate_maps((3, 3))) == 12
         assert len(calls) == 2
@@ -438,13 +436,12 @@ class TestFaceValidationSlot:
         types = [(4, 2), (3, 1), (2, 2, 2), (6,), (3, 3)]
         fresh = {}
         for t in types:
-            maps_module._last_faces = None
             fresh[t] = [
                 (m.twin, m.next, m.face, m.marked, m._contours, m._prev,
                  m._vertices, m._vertex_of)
                 for m in enumerate_maps(t)
             ]
-        # rebuild them one map of each type at a time, so every call misses
+        # rebuild them through the constructor, one map of each type at a time
         rows = {t: [row[:4] for row in fresh[t]] for t in types}
         built = {t: [] for t in types}
         for k in range(max(map(len, rows.values()))):
@@ -456,6 +453,52 @@ class TestFaceValidationSlot:
                          m._prev, m._vertices, m._vertex_of)
                     )
         assert built == fresh
+
+
+def built(twin, next_, marked):
+    """Every field of PlaneMap(twin, next_, None, marked), or the class it raises."""
+    try:
+        m = PlaneMap(twin, next_, None, marked)
+    except PlaneMapError as exc:
+        return type(exc)
+    return (m.twin, m.next, m.face, m.marked, m._contours, m._prev, m._vertices,
+            m._vertex_of, m.degrees)
+
+
+class TestWalkedFaces:
+    """A walk made once by _Faces and a twin: the enumerator's construction path."""
+
+    SQUARE = ((1, 2, 3, 0), (0,))
+    TWO_DIGONS = ((1, 0, 3, 2), (0, 2))
+
+    @pytest.mark.parametrize(
+        "contours, twin",
+        [
+            (SQUARE, (1, 0, 3, 2)),  # a path of three vertices
+            (SQUARE, (3, 2, 1, 0)),
+            (SQUARE, (2, 3, 0, 1)),  # WrongGenus
+            (SQUARE, (1, 2, 3, 0)),  # NotInvolution
+            (SQUARE, (1, 0, 2, 3)),  # NotInvolution, fixed points
+            (SQUARE, (1, 0, 3, 2, 5, 4)),  # NotPermutation, other dart set
+            (SQUARE, (1, 0)),  # NotPermutation, other dart set
+            (SQUARE, ("1", 0, 3, 2)),  # NotPermutation, not integers
+            (TWO_DIGONS, (1, 0, 3, 2)),  # Disconnected
+            (TWO_DIGONS, (2, 3, 0, 1)),  # a double edge
+        ],
+    )
+    def test_twin_checks_as_the_constructor(self, contours, twin):
+        next_, marked = contours
+        want = built(twin, next_, marked)
+        assert built(twin, maps_module._Faces(next_, marked), marked) == want
+
+    @pytest.mark.parametrize(
+        "next_, marked", [((1, 1), (0,)), ((1, 0, 3, 2), (0,)), ((1, 0), (0, 1)), ((1, 0), (2,))]
+    )
+    def test_walk_refused_as_the_constructor(self, next_, marked):
+        want = built(tuple(range(len(next_)))[::-1], next_, marked)
+        assert isinstance(want, type)
+        with pytest.raises(want):
+            maps_module._Faces(next_, marked)
 
 
 class BoundedReads(tuple):

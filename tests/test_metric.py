@@ -418,6 +418,9 @@ class TestDirectedDarts:
             directed_darts(m, 1, w, "towards")
         assert isinstance(info.value, BadArgument)
         assert isinstance(info.value, PlaneMapError)
+        # an unhashable direction raised a bare TypeError
+        with pytest.raises(BadArgument):
+            directed_darts(m, 1, w, [1])
 
 
 class TestDirectionStatistics:

@@ -62,6 +62,11 @@ class TestSchedule:
             check_schedule([(2,), (4,)], a=(6,))
         with pytest.raises(BadSchedule):
             check_schedule([(4,), (6,)], start=(2,))
+        # a schedule that is not iterable raised a bare TypeError
+        with pytest.raises(BadSchedule):
+            check_schedule(None)
+        with pytest.raises(BadSchedule):
+            check_schedule(5)
 
     def test_step_legality_on_all_small_pairs(self):
         # legal: append a digon, or widen exactly one face by two
@@ -313,6 +318,14 @@ class TestResume:
         m0 = sample_bipartite((4,), 0)
         with pytest.raises(BadSchedule):
             sample_bipartite((4, 4), 0, initial=(m0, (2, 2)))
+
+    def test_initial_not_a_map_type_pair(self):
+        # TypeError, ValueError and AttributeError before
+        m0 = sample_bipartite((4,), 0)
+        for initial in (5, (m0,), (5, (4,))):
+            with pytest.raises(BadSchedule):
+                sample_bipartite((4, 4), 0, initial=initial)
+        assert sample_bipartite((4, 4), 0, initial=[m0, (4,)]).degrees == (4, 4)
 
     def test_initial_off_route(self):
         m0 = sample_bipartite((2, 2), 0)

@@ -63,3 +63,15 @@ def test_cli_import_loads_no_unused_module():
 
 def test_verify_import_loads_no_argparse():
     assert ast.literal_eval(_probe(LIBRARY_PROBE).strip().splitlines()[-1]) == []
+
+
+def test_oracles_are_assert_rewritten():
+    # rewritten asserts are plain raises, so the oracles still check under python -O
+    from _pytest.assertion.rewrite import AssertionRewritingHook
+
+    import contour_reference
+    import geodesic_reference
+    import slit_reference
+
+    for oracle in (slit_reference, contour_reference, geodesic_reference):
+        assert isinstance(oracle.__loader__, AssertionRewritingHook), oracle.__name__
