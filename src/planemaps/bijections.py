@@ -703,8 +703,9 @@ class Row(namedtuple("Row", "forward inverse lhs_key rhs_key")):
     forward(m, dec) and inverse(m, dec) return (map, decoration, case),
     case None for the transfers.  Faces follow enumerate_decorations:
     the first role is face 1, the last is face m.n_faces.  lhs_key and
-    rhs_key turn a map and a decoration of either side into a value
-    that ignores dart names, so a round trip can be compared.
+    rhs_key turn a map and a decoration of either side into a tuple
+    that ignores dart names, so a round trip can be compared; it starts
+    with the map's canonical code.
     """
 
     __slots__ = ()

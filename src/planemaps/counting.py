@@ -52,16 +52,20 @@ def admissible_types(max_edges: int) -> Iterator[tuple[int, ...]]:
     """All degree tuples with at most max_edges edges, by size then lex.
 
     Covers every composition of 2, 4, ..., 2*max_edges with zero or
-    two odd parts: exactly the types carrying plane maps.
+    two odd parts: exactly the types carrying plane maps.  A bound that
+    is not an integer raises BadArgument at the call.
     """
+    return _admissible_types(_index(max_edges, "max_edges"))
 
+
+def _admissible_types(max_edges: int) -> Iterator[tuple[int, ...]]:
     def compositions(total: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield prefix
         for part in range(1, total + 1):
             yield from compositions(total - part, prefix + (part,))
 
-    for e in range(1, _index(max_edges, "max_edges") + 1):
+    for e in range(1, max_edges + 1):
         for t in compositions(2 * e, ()):
             if sum(x % 2 for x in t) in (0, 2):
                 yield t
@@ -184,9 +188,14 @@ def identity_families(max_edges: int) -> Iterator[tuple]:
     """(t, identity, target) for every identity that applies to an admissible type.
 
     Types come as admissible_types lists them and, per type, the
-    identities in Identity order; the rest raise BadParity.
+    identities in Identity order; the rest raise BadParity.  A bad
+    bound raises as admissible_types does, at the call.
     """
-    for t in admissible_types(max_edges):
+    return _identity_families(admissible_types(max_edges))
+
+
+def _identity_families(types: Iterator[tuple[int, ...]]) -> Iterator[tuple]:
+    for t in types:
         for ident in Identity:
             try:
                 yield t, ident, identity_target(ident, t)
@@ -206,9 +215,11 @@ def decoration_radices(
     """
     if side not in ("lhs", "rhs"):
         raise BadArgument("side must be 'lhs' or 'rhs'")
+    t, first = check_type(t), _index(first, "first")
     r = len(t)
     if second is None:
         second = 2 if identity is Identity.CORNER_EACH_TWO_FACES else r
+    second = _index(second, "second")
     if not (0 < first <= r and 0 < second <= r):
         raise BadFace(f"faces {first} and {second} outside 1..{r}")
     a, b, e = t[first - 1], t[second - 1], sum(t) // 2

@@ -1,8 +1,8 @@
 """Exhaustive checks up to k edges: identities, round trips, censuses.
 
 Each engine returns its report (FAIL lines, then summaries) and its
-failure count.  The two family engines share one sweep, which
-enumerates each type once and holds one type's maps at a time.
+failure count.  The two family engines walk one family at a time,
+its lhs type, then its rhs type, holding one type's maps at a time.
 """
 
 from __future__ import annotations
@@ -16,20 +16,11 @@ from .errors import TooManyEdges
 from .metric import census_fits, direction_census
 
 
-def _family_maps(families: list[tuple]) -> Iterator[tuple]:
-    """(n, identity, side, type, map) for each map on a side of family n.
-
-    Family n = (t, identity, target) reads t on its lhs and the target on
-    its rhs; types come in the order the sides first use them.
-    """
-    uses: dict[tuple[int, ...], list[tuple]] = {}
-    for n, (t, ident, tt) in enumerate(families):
-        uses.setdefault(t, []).append((n, ident, "lhs"))
-        uses.setdefault(tt, []).append((n, ident, "rhs"))
-    for a, sides in uses.items():
+def _family_maps(t: tuple[int, ...], target: tuple[int, ...]) -> Iterator[tuple]:
+    """(side, type, map) for each map of type t, the lhs, then of the target, the rhs."""
+    for side, a in (("lhs", t), ("rhs", target)):
         for m in enumerate_maps(a, max_edges=DEFAULT_MAX_EDGES + 1):
-            for n, ident, side in sides:
-                yield n, ident, side, a, m
+            yield side, a, m
 
 
 def identities(k: int) -> tuple[list[str], int]:
@@ -44,12 +35,12 @@ def identities(k: int) -> tuple[list[str], int]:
     if k > DEFAULT_MAX_EDGES:
         lines.append(f"set cardinalities: skipped above {DEFAULT_MAX_EDGES} edges")
     else:
-        got = [[0, 0] for _ in families]
-        for n, ident, side, _, m in _family_maps(families):
-            got[n][side == "rhs"] += len(enumerate_decorations(m, ident, side))
-        for (t, ident, _), want, have in zip(families, sides, map(tuple, got)):
-            if have != want:
-                lines.append(f"FAIL {ident.value} {t}: enumerated {have}, formula {want}")
+        for (t, ident, tt), want in zip(families, sides):
+            have = [0, 0]
+            for side, _, m in _family_maps(t, tt):
+                have[side == "rhs"] += len(enumerate_decorations(m, ident, side))
+            if tuple(have) != want:
+                lines.append(f"FAIL {ident.value} {t}: enumerated {tuple(have)}, formula {want}")
         lines.append(f"set cardinalities: {len(families)} instances checked")
     return lines, sum(line.startswith("FAIL") for line in lines)
 
@@ -57,27 +48,46 @@ def identities(k: int) -> tuple[list[str], int]:
 def round_trips(k: int) -> tuple[list[str], int]:
     """Each lhs decoration forward and back, each rhs one inverse and forward.
 
-    A trip passes when the case and the side's key come back equal.
+    A trip passes when the case and the side's key come back equal.  A
+    family's forward map is a bijection when the rhs keys of its images
+    are distinct and are those of the rhs decorations, also distinct.
     Above DEFAULT_MAX_EDGES, TooManyEdges before any enumeration.
     """
     if k > DEFAULT_MAX_EDGES:
         raise TooManyEdges(f"round trips run up to {DEFAULT_MAX_EDGES} edges, not {k}")
     families = list(identity_families(k))
-    fails = []
-    for n, ident, side, a, m in _family_maps(families):
+    lines, bijective = [], 0
+    for t, ident, tt in families:
         row = IDENTITIES[ident]
-        if side == "lhs":
-            there, back, key = row.forward, row.inverse, row.lhs_key
-        else:
-            there, back, key = row.inverse, row.forward, row.rhs_key
-        for dec in enumerate_decorations(m, ident, side):
-            m2, dec2, case = there(m, dec)
-            m3, dec3, case3 = back(m2, dec2)
-            if case3 != case or key(m3, dec3) != key(m, dec):
-                fails.append((n, side, f"FAIL {ident.value} {side} at {a} {dec}"))
-    # a stable sort: family by family, lhs before rhs, each side in sweep order
-    lines = [line for *_, line in sorted(fails, key=lambda fail: fail[:2])]
-    return lines + [f"round trips: {len(families)} family sweeps"], len(lines)
+        # the rhs keys of the forward images and of the rhs decorations
+        images, targets, swept, codes = set(), set(), {"lhs": 0, "rhs": 0}, {}
+        for side, a, m in _family_maps(t, tt):
+            if side == "lhs":
+                there, back, key = row.forward, row.inverse, row.lhs_key
+            else:
+                there, back, key = row.inverse, row.forward, row.rhs_key
+            for dec in enumerate_decorations(m, ident, side):
+                m2, dec2, case = there(m, dec)
+                m3, dec3, case3 = back(m2, dec2)
+                was = key(m, dec)
+                if case3 != case or key(m3, dec3) != was:
+                    lines.append(f"FAIL {ident.value} {side} at {a} {dec}")
+                swept[side] += 1
+                if side == "rhs":
+                    targets.add(was)
+                else:  # the images are few maps: their keys share one copy of each code
+                    code, *rest = row.rhs_key(m2, dec2)
+                    images.add((codes.setdefault(code, code), *rest))
+        faults = [fault for fault, bad in (
+            ("not one to one", len(images) < swept["lhs"]),
+            ("rhs decorations repeat", len(targets) < swept["rhs"]),
+            ("images differ from the rhs family", images != targets),
+        ) if bad]
+        if faults:
+            lines.append(f"FAIL {ident.value} {t}: {', '.join(faults)}")
+        bijective += not faults
+    summary = f"forward maps: {bijective} of {len(families)} families one to one and onto"
+    return lines + [summary, f"round trips: {len(families)} family sweeps"], len(lines)
 
 
 def censuses(k: int) -> tuple[list[str], int]:

@@ -12,6 +12,7 @@ from math import factorial, prod
 
 from scipy.stats import chisquare
 
+from planemaps import verify
 from planemaps.bijections import IDENTITIES, grow_same, grow_two, grow_via_transfers
 from planemaps.cli import run
 from planemaps.counting import (
@@ -22,11 +23,12 @@ from planemaps.counting import (
     identity_sides,
     tutte_count,
 )
-from planemaps.enumerator import enumerate_decorations, enumerate_maps
+from planemaps.enumerator import enumerate_maps
 from planemaps.maps import PlaneMap
 from planemaps.sampler import sample
 
 _MAPS: dict = {}
+_ROUND_TRIPS: dict = {}
 VERDICTS: list[str] = []
 
 
@@ -81,40 +83,59 @@ def test_criterion_3_identity_arithmetic():
     verdict(3, True, f"{checked} identity instances, lhs == rhs exactly")
 
 
+def round_trip_run(k):
+    """verify-roundtrip --max-edges k, run once: (status, lines, seconds, tables).
+
+    tables[identity, side, type] lists, map by map, how many decorations
+    the run swept on that side of that identity's family.
+    """
+    if k not in _ROUND_TRIPS:
+        tables, real, out = {}, verify.enumerate_decorations, io.StringIO()
+
+        def recorded(m, ident, side):
+            decs = real(m, ident, side)
+            tables.setdefault((ident, side, m.degrees), []).append(len(decs))
+            return decs
+
+        verify.enumerate_decorations = recorded
+        try:
+            t0 = time.perf_counter()
+            status = run(["verify-roundtrip", "--max-edges", str(k)], out=out)
+            took = time.perf_counter() - t0
+        finally:
+            verify.enumerate_decorations = real
+        _ROUND_TRIPS[k] = status, out.getvalue().splitlines(), took, tables
+    return _ROUND_TRIPS[k]
+
+
 def test_criterion_4_round_trips():
-    t0 = time.perf_counter()
-    out = io.StringIO()
-    status = run(["verify-roundtrip", "--max-edges", "4"], out=out)
-    took = time.perf_counter() - t0
+    status, _, took, _ = round_trip_run(4)
     ok = status == 0 and took < 300
     verdict(4, ok, f"exhaustive E<=4 sweep, case tags preserved, {took:.0f}s")
 
 
-def _family_bijective(t, ident, tt):
-    """Forward images coincide with the enumerated target family."""
-    row = IDENTITIES[ident]
-    lhs_v, rhs_v = identity_sides(ident, t)
-    inputs, want = [], set()
-    for side, a in (("lhs", t), ("rhs", tt)):
-        per_map = prod(decoration_radices(ident, side, a))
-        for m in all_maps(a):
-            decs = enumerate_decorations(m, ident, side)
-            # each map carries the table's count, not only the sum over maps
-            assert len(decs) == per_map, (t, ident, side, m)
-            if side == "lhs":
-                inputs += [(m, dec) for dec in decs]
-            else:
-                want |= {row.rhs_key(m, dec) for dec in decs}
-    img = {row.rhs_key(*row.forward(m, dec)[:2]) for m, dec in inputs}
-    assert len(inputs) == lhs_v, (t, ident, len(inputs), lhs_v)
-    assert len(want) == rhs_v, (t, ident, len(want), rhs_v)
-    assert len(img) == len(inputs), (t, ident, "forward map not injective")
-    assert img == want, (t, ident, "forward map not onto the target family")
-    return len(inputs)
-
-
 def test_criterion_5_cardinality_bijectivity():
-    done = sum(_family_bijective(*family) for family in identity_families(4))
+    # the counts and verdicts of the round-trip run: acceptance 4's
+    _, lines, _, tables = round_trip_run(4)
+    # a family whose forward map is no bijection has one "FAIL <identity> <type>: ..." line
+    faults = {ln.split(": ")[0]: ln for ln in lines if ln.startswith("FAIL") and ": " in ln}
+    families = list(identity_families(4))
+    done = 0
+    for t, ident, tt in families:
+        lhs_v, rhs_v = identity_sides(ident, t)
+        swept = {}
+        for side, a in (("lhs", t), ("rhs", tt)):
+            per_map = prod(decoration_radices(ident, side, a))
+            swept[side] = tables[ident, side, a]
+            # each map carries the table's count, not only the sum over maps
+            assert swept[side] == [per_map] * tutte_count(a), (t, ident, side)
+        fault = faults.get(f"FAIL {ident.value} {t}", "")
+        assert sum(swept["lhs"]) == lhs_v, (t, ident, swept["lhs"], lhs_v)
+        assert sum(swept["rhs"]) == rhs_v and "rhs decorations repeat" not in fault, (t, ident)
+        assert "not one to one" not in fault, (t, ident, "forward map not injective")
+        assert "images differ" not in fault, (t, ident, "forward map not onto the target family")
+        done += lhs_v
+    assert f"forward maps: {len(families)} of {len(families)} families one to one and onto" in lines
     verdict(5, True, f"{done} decorated inputs, all four forward maps bijective")
 
 

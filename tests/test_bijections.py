@@ -14,10 +14,12 @@ from planemaps.enumerator import enumerate_decorations, enumerate_maps
 from planemaps.errors import (
     BadDecoration,
     BadFace,
+    BadParity,
     DegreeTooSmall,
     NoDegreeOneFace,
     SameFace,
 )
+from planemaps.maps import PlaneMap
 from planemaps.metric import classify_dart, distances
 from planemaps.sampler import sample
 
@@ -165,6 +167,24 @@ class TestTransferErrors:
         with pytest.raises(BadDecoration):
             transfer_right(double_edge(), 1, 2, 1, 3)
 
+    def test_unit_face_needs_two_odd_faces(self):
+        # three loops at one vertex, type (3, 1, 1, 1): face 4 has degree
+        # one, but four faces are odd
+        m = PlaneMap((1, 0, 3, 2, 5, 4), (2, 1, 4, 3, 0, 5), (1, 2, 1, 3, 1, 4), (0, 1, 3, 5))
+        with pytest.raises(BadParity):
+            transfer1_right(m, 1, 4, 0)
+
+    def test_split_decoration_refused(self):
+        # the loop_pendant absorbed at slot 3: vertex 0, darts 3 and 2
+        # of face 1 toward it, 0 and 1 away
+        m2, v, dart, _ = transfer1_right(loop_pendant(), 1, 2, 3)
+        assert (v, dart, m2.n_vertices) == (0, 3, 3)
+        with pytest.raises(BadDecoration):
+            transfer1_left(m2, 1, 2, 3, dart)
+        for away in (0, 1):
+            with pytest.raises(BadDecoration):
+                transfer1_left(m2, 1, 2, v, away)
+
 
 P3_TYPES = [(2, 2), (1, 3), (3, 3), (2, 4)]
 
@@ -260,6 +280,16 @@ class TestUnitFaceFamilies:
         }
         assert len(images) == len(set(images)), "unit transfer not injective"
         assert set(images) == targets
+
+    def test_unit_face_below_the_last(self):
+        # lose=2 on (3, 1, 2): the last face drops from label 3 to 2, and
+        # splitting the unit face back off at index 2 lifts it again
+        for m in enumerate_maps((3, 1, 2)):
+            for c in range(m.degree(1) + 1):
+                m2, v, h, _ = transfer1_right(m, 1, 2, c)
+                assert m2.degrees == (4, 2)
+                m3, c3, _ = transfer1_left(m2, 1, 2, v, h)
+                assert keyed(m3, slot=c3) == keyed(m, slot=c)
 
     @pytest.mark.parametrize("a", P4_TYPES, ids=str)
     def test_round_trips_both_orders(self, a):

@@ -176,9 +176,11 @@ class TestVerify:
         assert "all direction censuses passed" not in text
         assert "error: 1 censuses failed" in capsys.readouterr().err
 
-    def test_roundtrip_enumerates_each_type_once(self, monkeypatch):
-        # the four families share one enumeration per source and target
-        # type; the report stays as it was with one call per family side
+    @pytest.mark.parametrize("command", ["verify-roundtrip", "verify-identities"])
+    def test_sweep_enumerates_each_family_side_once(self, command, monkeypatch):
+        # the families are walked one at a time, each enumerating its
+        # source type, then its target type, where the walk reaches it
+        # (64 calls at k=3): no plan groups the sides by type
         calls = []
         real = verify.enumerate_maps
 
@@ -187,29 +189,63 @@ class TestVerify:
             return real(t, **kwargs)
 
         monkeypatch.setattr(verify, "enumerate_maps", counting)
+        status, text = invoke([command, "--max-edges", "3"])
+        assert status == 0
+        assert calls == [a for t, _, tt in identity_families(3) for a in (t, tt)]
+        assert len(calls) == 64 and len(set(calls)) == 32
+        if command == "verify-roundtrip":
+            assert text == (
+                "forward maps: 32 of 32 families one to one and onto\n"
+                "round trips: 32 family sweeps\nall round trips passed\n"
+            )
+        else:
+            assert text.splitlines()[1:] == [
+                "set cardinalities: 32 instances checked",
+                "all identity checks passed",
+            ]
+
+    @pytest.mark.parametrize("fault", ["loses", "repeats"])
+    def test_roundtrip_reports_a_family_that_is_not_bijective(self, fault, monkeypatch, capsys):
+        # one rhs list of one family loses its last decoration, or
+        # repeats its first: every trip still passes, and the family's
+        # forward images no longer match its rhs decorations one to one
+        ident, target = Identity.FACE_TO_FACE, (4, 2)
+        source = next(t for t, i, tt in identity_families(3) if (i, tt) == (ident, target))
+        real = verify.enumerate_decorations
+        spoiled = []
+
+        def spoil(m, identity, side):
+            decs = real(m, identity, side)
+            if (identity, side, m.degrees) == (ident, "rhs", target) and not spoiled:
+                spoiled.append(m)
+                return decs[:-1] if fault == "loses" else decs + decs[:1]
+            return decs
+
+        monkeypatch.setattr(verify, "enumerate_decorations", spoil)
         status, text = invoke(["verify-roundtrip", "--max-edges", "3"])
-        assert status == 0
-        assert text == "round trips: 32 family sweeps\nall round trips passed\n"
-        assert len(calls) == len(set(calls)) == 32
-
-    def test_identities_enumerate_each_type_once(self, monkeypatch):
-        # a type is enumerated once for all the family sides it is on,
-        # as source or as target, not once per family (64 calls at k=3)
-        calls = []
-        real = verify.enumerate_maps
-
-        def counting(t, **kwargs):
-            calls.append(tuple(t))
-            return real(t, **kwargs)
-
-        monkeypatch.setattr(verify, "enumerate_maps", counting)
-        status, text = invoke(["verify-identities", "--max-edges", "3"])
-        assert status == 0
-        assert text.splitlines()[1:] == [
-            "set cardinalities: 32 instances checked",
-            "all identity checks passed",
+        assert status == 1
+        fails = [ln for ln in text.splitlines() if ln.startswith("FAIL")]
+        assert len(fails) == 1 and spoiled
+        assert fails[0].startswith(f"FAIL {ident.value} {source}: ")
+        assert ("rhs decorations repeat" in fails[0]) == (fault == "repeats")
+        assert ("images differ from the rhs family" in fails[0]) == (fault == "loses")
+        assert "not one to one" not in fails[0]
+        assert text.splitlines()[-2:] == [
+            "forward maps: 31 of 32 families one to one and onto",
+            "round trips: 32 family sweeps",
         ]
-        assert len(calls) == len(set(calls)) == 32
+        assert "all round trips passed" not in text
+        assert "error: 1 round trips failed" in capsys.readouterr().err
+
+    def test_keys_start_with_the_canonical_code(self):
+        # round_trips keeps one copy of each code among a family's image
+        # keys, which holds the k=5 sweep under CI's 64 MB peak-RSS gate
+        for t, ident, tt in identity_families(2):
+            row = IDENTITIES[ident]
+            for side, a, key in (("lhs", t, row.lhs_key), ("rhs", tt, row.rhs_key)):
+                for m in enumerate_maps(a):
+                    for dec in enumerate_decorations(m, ident, side):
+                        assert key(m, dec)[0] == m.canonical_code()
 
     @pytest.mark.parametrize("ident", list(Identity), ids=lambda i: i.value)
     def test_roundtrip_failure_reported(self, ident, monkeypatch, capsys):
@@ -239,8 +275,8 @@ class TestVerify:
         assert len(fails) == sum(identity_sides(ident, t)[0] for t in sources) > 0
         for ln in fails:
             assert any(ln.startswith(f"FAIL {ident.value} lhs at {t} ") for t in sources), ln
-        # the sweep goes type by type, yet the report keeps family order,
-        # then map order, then decoration order
+        # the report keeps family order, then map order, then decoration
+        # order
         assert fails == [
             f"FAIL {ident.value} lhs at {t} {dec}"
             for t in sources
@@ -264,7 +300,10 @@ class TestVerify:
 
     def test_sweep_counts(self):
         _, text = invoke(["verify-roundtrip", "--max-edges", "1"])
-        assert text == "round trips: 2 family sweeps\nall round trips passed\n"
+        assert text == (
+            "forward maps: 2 of 2 families one to one and onto\n"
+            "round trips: 2 family sweeps\nall round trips passed\n"
+        )
         _, text = invoke(["verify-props", "--max-edges", "1"])
         assert text == (
             "direction censuses: 2 maps swept\nall direction censuses passed\n"

@@ -62,9 +62,10 @@ class TestBasics:
     @pytest.mark.parametrize("bound", [1.0, "1", None, 2.5])
     @pytest.mark.parametrize("listing", [admissible_types, identity_families])
     def test_type_listings_refuse_a_non_integer_bound(self, listing, bound):
-        # each raised a bare TypeError, or listed up to a float bound
+        # each raised a bare TypeError, or listed up to a float bound;
+        # the refusal comes at the call, not when the listing is iterated
         with pytest.raises(BadArgument):
-            list(listing(bound))
+            listing(bound)
         assert len(list(listing(True))) == len(list(listing(1)))
 
     def test_edge_vertex_count(self):
@@ -284,3 +285,19 @@ class TestRadices:
             decoration_radices(Identity.UNIT_FACE, "both", (3, 1))
         with pytest.raises(BadArgument):
             decoration_radices(Identity.UNIT_FACE.value, "lhs", (3, 1))
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            # a float degree was read as a degree: (1.0, 2.5, 3.5)
+            (((1.5, 2),), BadType),
+            (((2, "2"),), BadType),
+            (((2, 2), 1.0), BadArgument),  # a bare TypeError
+            (((2, 2), "1"), BadArgument),
+            (((2, 2), 1, 2.0), BadArgument),
+        ],
+        ids=lambda x: getattr(x, "__name__", repr(x)),
+    )
+    def test_non_integer_inputs_refused(self, args, error):
+        with pytest.raises(error):
+            decoration_radices(Identity.TWO_CORNERS_SAME_FACE, "lhs", *args)

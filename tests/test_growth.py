@@ -380,6 +380,9 @@ class TestErrors:
             shrink_same(m2, m2.n_vertices, h, h2)
         with pytest.raises(BadDecoration):
             shrink_same(m2, v, m2.twin[h], h2)
+        assert m2.twin[h2] != h
+        with pytest.raises(BadDecoration):
+            shrink_same(m2, v, h, m2.twin[h2])
 
     def test_transfer_parity(self):
         # moving degree out of the even face of a (3,1,2) map would

@@ -847,3 +847,8 @@ def test_slits_equal_reference(monkeypatch):
                 m2, v, h, h2, _, _ = bijections.grow_same(m, e, c, c2)
                 assert bijections.shrink_same(m2, v, h, h2)[1:4] == (e, c, c2)
     assert all(seen[k] > small[k] for k in seen), (small, seen)
+    # no bijection exits a right pinch through the arrival ray: there
+    # _pinch_side meets the chain first and answers left; on path_map
+    # the walk arrives by dart 0, hangs chain [2] and exits at dart 1
+    ws = workspace_with_arrows(path_map())
+    surgery.slit_pinched(ws, [0], [2], [], (0, 1), (1, 0), "right")
