@@ -19,17 +19,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .counting import Identity
-from .errors import (
-    BadDecoration,
-    BadFace,
-    BadParity,
-    DegreeTooSmall,
-    NoDegreeOneFace,
-    NotBipartite,
-    SameFace,
-    SameSlot,
-)
+from .counting import Identity, _side_rule
+from .errors import BadDecoration, BadFace, SameSlot
 from .maps import PlaneMap, _decoration, _ints
 from .metric import (
     _ball,
@@ -59,11 +50,6 @@ _CUT = ("cut",)
 _CUT_A = ("cut", "entry")
 _CUT_B = ("cut", "exit")
 _SERVICE = (_OUT, _POINT, _CUT, _CUT_A, _CUT_B)
-
-
-def _check_face(m: PlaneMap, i: int) -> None:
-    if not 1 <= i <= m.n_faces:
-        raise BadFace(f"face {i} out of range 1..{m.n_faces}")
 
 
 def _check_slot(m: PlaneMap, i: int, slot: int) -> None:
@@ -142,12 +128,6 @@ def _carry_out(ws, rename: list, carry) -> dict:
     return out
 
 
-def _odd_faces(m: PlaneMap) -> set[int]:
-    if not any(map((1).__and__, m.degrees)):  # all even, as every growth starts
-        return set()
-    return {i for i, deg in enumerate(m.degrees, start=1) if deg % 2}
-
-
 def _token_slot(m: PlaneMap, ws, rename: list, token) -> tuple[int, int]:
     """Face and refined corner slot of a marker in the map finish(ws) made."""
     for d, toks in ws.markers.items():
@@ -171,31 +151,13 @@ def _shift_arrows(ws, removed: int | None = None, inserted: int | None = None) -
                     toks[j] = arrow(i + 1)
 
 
-def _check_pair(m: PlaneMap, j: int, k: int) -> None:
-    """Both faces of a transfer or a two-face shrink exist and differ."""
-    _check_face(m, j)
-    _check_face(m, k)
-    if j == k:
-        raise SameFace(f"needs two distinct faces, not {j} twice")
-
-
-def _check_losing(m: PlaneMap, lose: int) -> None:
-    """The losing face can give up a unit of degree and keep the parity."""
-    if m.degree(lose) < 2:
-        raise DegreeTooSmall("the losing face needs degree at least 2")
-    odd = _odd_faces(m)
-    if odd and not (len(odd) == 2 and lose in odd):
-        raise BadParity("needs all degrees even, or two odd ones with lose odd")
-
-
 def _check_transfer(m: PlaneMap, gain, lose, slot, dart) -> tuple[int, ...]:
     """The checks transfer_left and transfer_right share; returns ints.
 
     The dart is left to the callers, which need opposite directions.
     """
     gain, lose, slot, dart = _decoration(gain, lose, slot, dart)
-    _check_pair(m, gain, lose)
-    _check_losing(m, lose)
+    _side_rule(Identity.FACE_TO_FACE, "lhs", m.degrees, gain, lose)
     _check_slot(m, gain, slot)
     return gain, lose, slot, dart
 
@@ -336,11 +298,7 @@ def transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None)
     inverse transfer1_left.
     """
     gain, lose, slot = _decoration(gain, lose, slot)
-    _check_pair(m, gain, lose)
-    if m.degree(lose) != 1:
-        raise NoDegreeOneFace(f"face {lose} has degree {m.degree(lose)}, not 1")
-    if len(_odd_faces(m)) != 2:
-        raise BadParity("absorbing the unit face needs exactly two odd faces")
+    _side_rule(Identity.UNIT_FACE, "lhs", m.degrees, gain, lose)
     _check_slot(m, gain, slot)
     ws = _planted(m, carry)
     m2, v, dart2, rename = _transfer1_right(m, gain, lose, slot, ws)
@@ -363,10 +321,9 @@ def transfer1_left(
     consumed by the inverse transfer1_right.
     """
     lose, insert_at, vertex, dart = _decoration(lose, insert_at, vertex, dart)
-    _check_face(m, lose)
     if not 1 <= insert_at <= m.n_faces + 1:
         raise BadFace(f"insertion index {insert_at} out of range")
-    _check_losing(m, lose)
+    _side_rule(Identity.UNIT_FACE, "rhs", m.degrees, lose)
     if not 0 <= vertex < m.n_vertices:
         raise BadDecoration(f"vertex {vertex} out of range")
     _check_dart(m, dart, lose)
@@ -394,12 +351,10 @@ def transfer1_left(
 
 
 def _validate_grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool):
-    if _odd_faces(m):
-        raise NotBipartite("growth starts from an all-even map")
-    _check_face(m, j)
-    _check_face(m, k)
-    if not same and j == k:
-        raise SameFace("the two-face growth needs distinct faces")
+    if same:
+        _side_rule(Identity.TWO_CORNERS_SAME_FACE, "lhs", m.degrees, j)
+    else:
+        _side_rule(Identity.CORNER_EACH_TWO_FACES, "lhs", m.degrees, j, k)
     if not 0 <= c <= m.degree(j):
         raise SameSlot(f"slot {c} out of range for face {j}")
     hi = m.degree(j) + 1 if same else m.degree(k)
@@ -670,9 +625,7 @@ def shrink_same(m: PlaneMap, v: int, h: int, h2: int, *, face: int = 1, carry=No
     Returns (map, e, c, c2, case, carry), the grow_same decoration.
     """
     v, h, h2, face = _decoration(v, h, h2, face)
-    _check_face(m, face)
-    if _odd_faces(m):
-        raise NotBipartite("shrinking within one face needs every degree even")
+    _side_rule(Identity.TWO_CORNERS_SAME_FACE, "rhs", m.degrees, face)
     dist = _validate_shrink(m, v, h, h2, face, face)
     return _shrink(m, v, h, h2, face, face, True, carry, dist)
 
@@ -687,9 +640,7 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
     """
     j, k = _face_pair(faces)
     v, h, h2 = _decoration(v, h, h2)
-    _check_pair(m, j, k)
-    if _odd_faces(m) != {j, k}:
-        raise BadParity("the two shrink faces must be exactly the odd ones")
+    _side_rule(Identity.CORNER_EACH_TWO_FACES, "rhs", m.degrees, j, k)
     dist = _validate_shrink(m, v, h, h2, j, k)
     return _shrink(m, v, h, h2, j, k, False, carry, dist)
 

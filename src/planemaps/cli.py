@@ -163,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-roundtrip", help="run the bijection round trips exhaustively")
     p.add_argument("--max-edges", type=_at_least(1), default=3)
-    p.set_defaults(func=cmd_verify, engine=verify.round_trips, verdict=("round trips",) * 2)
+    p.set_defaults(
+        func=cmd_verify, engine=verify.round_trips, verdict=("round-trip checks", "round trips")
+    )
 
     p = sub.add_parser("verify-props", help="sweep the toward/away/parallel censuses")
     p.add_argument("--max-edges", type=_at_least(1), default=4)

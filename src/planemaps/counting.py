@@ -21,7 +21,19 @@ from enum import Enum
 from math import factorial, prod
 from operator import index
 
-from .errors import BadArgument, BadFace, BadParity, BadType, NonPositiveV, OddSum, TooManyOddFaces
+from .errors import (
+    BadArgument,
+    BadFace,
+    BadParity,
+    BadType,
+    DegreeTooSmall,
+    NoDegreeOneFace,
+    NonPositiveV,
+    NotBipartite,
+    OddSum,
+    SameFace,
+    TooManyOddFaces,
+)
 
 
 def check_type(a: Iterable[int]) -> tuple[int, ...]:
@@ -78,6 +90,8 @@ def odd_positions(a: Iterable[int]) -> tuple[int, ...]:
 
 def _odd_positions(t: tuple[int, ...]) -> tuple[int, ...]:
     """odd_positions of a tuple that check_type returned."""
+    if not any(map((1).__and__, t)):  # all even, as every growth starts
+        return ()
     return tuple([i for i, x in enumerate(t, start=1) if x % 2])
 
 
@@ -159,29 +173,70 @@ class Identity(Enum):
     UNIT_FACE = "unit-face"
 
 
+def _side_rule(
+    identity: Identity, side: str, t: tuple[int, ...], first: int = 1, second: int | None = None
+) -> None:
+    """Refuse a checked type t that is not on this side of the identity.
+
+    first and second are the faces in the identity's two roles, with
+    the defaults of decoration_radices; for the rhs, t is the target.
+    A face outside t raises BadFace and two given roles on one face
+    SameFace; at the default roles a two-face side of a one-face type
+    raises BadParity.  A failing parity or degree clause raises the
+    BadParity subclass that names it.
+    """
+    if not isinstance(identity, Identity):
+        raise BadArgument(f"unknown identity {identity!r}")
+    if side not in ("lhs", "rhs"):
+        raise BadArgument("side must be 'lhs' or 'rhs'")
+    r = len(t)
+    one_role = identity is Identity.TWO_CORNERS_SAME_FACE or (
+        identity is Identity.UNIT_FACE and side == "rhs"
+    )
+    if second is None:
+        if r < 2 and not one_role:
+            raise BadParity(f"{identity.value} needs at least two faces")
+        second = 2 if identity is Identity.CORNER_EACH_TWO_FACES else r
+    if not (0 < first <= r and 0 < second <= r):
+        raise BadFace(f"faces {first} and {second} outside 1..{r}")
+    if first == second and not one_role:
+        raise SameFace(f"needs two distinct faces, not {first} twice")
+    odd = _odd_positions(t)
+    if identity is Identity.TWO_CORNERS_SAME_FACE or identity is Identity.CORNER_EACH_TWO_FACES:
+        same = identity is Identity.TWO_CORNERS_SAME_FACE
+        if side == "lhs" or same:
+            if odd:
+                raise NotBipartite(f"{identity.value} {side} needs every degree even")
+        elif set(odd) != {first, second}:
+            raise BadParity(f"faces {first} and {second} must be exactly the odd ones")
+        # the rhs faces are even lhs faces, at least 2, grown by 2 (same) or by 1
+        if side == "rhs" and (t[first - 1] < 4 if same else min(t[first - 1], t[second - 1]) < 3):
+            raise DegreeTooSmall(f"{identity.value} rhs needs larger faces than {t}")
+    elif identity is Identity.UNIT_FACE and side == "lhs":
+        if t[second - 1] != 1:
+            raise NoDegreeOneFace(f"face {second} has degree {t[second - 1]}, not 1")
+        if len(odd) != 2:
+            raise BadParity("absorbing the unit face needs exactly two odd faces")
+    else:
+        # the face that loses a unit of degree: the lhs's second, the rhs's first
+        lose = second if side == "lhs" else first
+        if t[lose - 1] < 2:
+            raise DegreeTooSmall(f"the losing face {lose} needs degree at least 2")
+        if odd and (len(odd) != 2 or lose not in odd):
+            raise BadParity(f"needs all degrees even, or two odd ones with face {lose} odd")
+
+
 def identity_target(identity: Identity, a: Iterable[int]) -> tuple[int, ...]:
     """Degree tuple on the right-hand side of the identity, or BadParity."""
     t = check_type(a)
-    odd = odd_positions(t)
+    _side_rule(identity, "lhs", t)
     if identity is Identity.TWO_CORNERS_SAME_FACE:
-        if odd:
-            raise BadParity("needs all face degrees even")
         return (t[0] + 2,) + t[1:]
     if identity is Identity.CORNER_EACH_TWO_FACES:
-        if odd or len(t) < 2:
-            raise BadParity("needs at least two faces, all degrees even")
         return (t[0] + 1, t[1] + 1) + t[2:]
     if identity is Identity.FACE_TO_FACE:
-        if len(t) < 2 or t[-1] < 2:
-            raise BadParity("needs two faces and last degree at least 2")
-        if odd and (len(odd) != 2 or t[-1] % 2 == 0):
-            raise BadParity("odd degrees must be exactly two, one of them last")
         return (t[0] + 1,) + t[1:-1] + (t[-1] - 1,)
-    if identity is Identity.UNIT_FACE:
-        if len(t) < 2 or t[-1] != 1 or len(odd) != 2:
-            raise BadParity("needs a final degree-one face and one more odd face")
-        return (t[0] + 1,) + t[1:-1]
-    raise BadArgument(f"unknown identity {identity!r}")
+    return (t[0] + 1,) + t[1:-1]
 
 
 def identity_families(max_edges: int) -> Iterator[tuple]:
@@ -211,17 +266,18 @@ def decoration_radices(
     For the rhs, t is the target type.  first and second are the faces
     in the identity's two roles: face 1, then the last face (face 2 for
     CORNER_EACH_TWO_FACES).  A dart's radix is the length of its
-    directed_darts list, which is the same at every vertex.
+    directed_darts list, which is the same at every vertex.  A face
+    outside t raises BadFace; then a type that is not on the side at
+    these faces raises BadParity (or its subclass) as _side_rule does.
     """
-    if side not in ("lhs", "rhs"):
-        raise BadArgument("side must be 'lhs' or 'rhs'")
     t, first = check_type(t), _index(first, "first")
     r = len(t)
-    if second is None:
-        second = 2 if identity is Identity.CORNER_EACH_TWO_FACES else r
-    second = _index(second, "second")
+    given = None if second is None else _index(second, "second")
+    second = (2 if identity is Identity.CORNER_EACH_TWO_FACES else r) if given is None else given
+    # faces before the rule, which refuses a one-face type at the default roles as BadParity
     if not (0 < first <= r and 0 < second <= r):
         raise BadFace(f"faces {first} and {second} outside 1..{r}")
+    _side_rule(identity, side, t, first, given)
     a, b, e = t[first - 1], t[second - 1], sum(t) // 2
     v = e - r + 2
     if identity is Identity.TWO_CORNERS_SAME_FACE:
@@ -230,10 +286,8 @@ def decoration_radices(
         lhs, rhs = (e, a + 1, b + 1), (v, a // 2, b // 2)
     elif identity is Identity.FACE_TO_FACE:
         lhs, rhs = (a + 1, b // 2), (b + 1, a // 2)
-    elif identity is Identity.UNIT_FACE:
-        lhs, rhs = (a + 1,), (v, a // 2)
     else:
-        raise BadArgument(f"unknown identity {identity!r}")
+        lhs, rhs = (a + 1,), (v, a // 2)
     return lhs if side == "lhs" else rhs
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, product
 
-from .counting import Identity, _index, check_type, decoration_radices, edge_count, identity_target
-from .errors import BadArgument, BadParity, Disconnected, TooManyEdges, WrongGenus
+from .counting import Identity, _index, _side_rule, check_type, decoration_radices, edge_count
+from .errors import Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap, _Faces
 from .metric import directed_darts, distances
 
@@ -115,35 +115,17 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
     return out
 
 
-def _check_target(identity: Identity, t: tuple[int, ...]) -> None:
-    """BadParity unless t is the identity's target of the one type that could lead to it."""
-    h, rest = t[0] - 1, t[1:]
-    if identity is Identity.TWO_CORNERS_SAME_FACE:
-        s = (h - 1, *rest)
-    elif identity is Identity.CORNER_EACH_TWO_FACES:
-        s = (h, *[x - 1 for x in rest[:1]], *rest[1:])
-    elif identity is Identity.FACE_TO_FACE:
-        s = (h, *rest[:-1], rest[-1] + 1) if rest else ()
-    elif identity is Identity.UNIT_FACE:
-        s = (h, *rest, 1)
-    else:
-        raise BadArgument(f"unknown identity {identity!r}")
-    if min(s, default=0) < 1 or identity_target(identity, s) != t:
-        raise BadParity(f"type {t} is not a target of {identity.value}")
-
-
 def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tuple]:
     """All decorations of one side of a counting identity on one map.
 
     Faces play the default roles of decoration_radices.  Vertex, edge
     and slot coordinates range over its radices, and darts come from
     directed_darts.  A map of a type the identity does not apply to
-    (lhs) or does not lead to (rhs) raises BadParity.
+    (lhs) or does not lead to (rhs) raises BadParity: the rule runs at
+    the default roles before the table, which would raise BadFace for
+    the second face of CORNER_EACH_TWO_FACES on a one-face map.
     """
-    if side == "lhs":
-        identity_target(identity, m.degrees)
-    elif side == "rhs":
-        _check_target(identity, m.degrees)
+    _side_rule(identity, side, m.degrees)
     radices = decoration_radices(identity, side, m.degrees)
     if side == "lhs" and identity is not Identity.FACE_TO_FACE:
         return list(product(*map(range, radices)))

@@ -67,15 +67,7 @@ class TooManyEdges(PlaneMapError, ValueError):
 
 # bijections
 
-class NotBipartite(PlaneMapError):
-    pass
-
-
 class BadFace(PlaneMapError):
-    pass
-
-
-class SameSlot(PlaneMapError):
     pass
 
 
@@ -84,19 +76,27 @@ class SameFace(PlaneMapError):
 
 
 class BadParity(PlaneMapError):
+    """A type off the side of the identity a call realises."""
+
+
+class NotBipartite(BadParity):
     pass
 
 
-class DegreeTooSmall(PlaneMapError):
+class DegreeTooSmall(BadParity):
     pass
 
 
-class NoDegreeOneFace(PlaneMapError):
+class NoDegreeOneFace(BadParity):
     pass
 
 
 class BadDecoration(PlaneMapError, ValueError):
     """A decoration that is not an integer or lies outside its range."""
+
+
+class SameSlot(BadDecoration):
+    pass
 
 
 class BadArgument(PlaneMapError, ValueError):

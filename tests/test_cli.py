@@ -235,7 +235,8 @@ class TestVerify:
             "round trips: 32 family sweeps",
         ]
         assert "all round trips passed" not in text
-        assert "error: 1 round trips failed" in capsys.readouterr().err
+        # the count names both kinds of check: trips and forward maps
+        assert capsys.readouterr().err == "error: 1 round-trip checks failed\n"
 
     def test_keys_start_with_the_canonical_code(self):
         # round_trips keeps one copy of each code among a family's image
@@ -283,7 +284,7 @@ class TestVerify:
             for m in enumerate_maps(t)
             for dec in enumerate_decorations(m, ident, "lhs")
         ]
-        assert f"error: {len(fails)} round trips failed" in capsys.readouterr().err
+        assert f"error: {len(fails)} round-trip checks failed" in capsys.readouterr().err
         assert "all round trips passed" not in text
 
     def test_roundtrip_refused_above_bound(self, monkeypatch, capsys):

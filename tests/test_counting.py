@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import planemaps.counting as counting_module
 from planemaps.counting import (
     Identity,
+    _side_rule,
     admissible_types,
     alpha,
     check_type,
@@ -28,9 +29,13 @@ from planemaps.errors import (
     BadFace,
     BadParity,
     BadType,
+    DegreeTooSmall,
+    NoDegreeOneFace,
     NonPositiveV,
+    NotBipartite,
     OddSum,
     PlaneMapError,
+    SameFace,
     TooManyOddFaces,
 )
 from planemaps.maps import build
@@ -243,6 +248,14 @@ class TestIdentities:
         assert checked > 50
 
 
+def _outcome(f, *args):
+    """f(*args), or the class of the library error it raises."""
+    try:
+        return f(*args)
+    except PlaneMapError as exc:
+        return type(exc)
+
+
 class TestRadices:
     """decoration_radices: the per-map decoration counts, one coordinate each."""
 
@@ -261,8 +274,9 @@ class TestRadices:
     @pytest.mark.parametrize("side", ["lhs", "rhs"])
     @pytest.mark.parametrize("identity", list(Identity))
     def test_roles_are_face_positions(self, identity, side):
-        # at roles (i, j) the table reads t as its default roles read t
-        # with face i moved first and face j to the second role's place
+        # at roles (i, j) the table reads t, or refuses it, as its default
+        # roles read t with face i moved first and face j to the second
+        # role's place
         compared = 0
         for t in admissible_types(5):
             for i, j in itertools.permutations(range(1, len(t) + 1), 2):
@@ -271,8 +285,8 @@ class TestRadices:
                     moved = (t[i - 1], t[j - 1], *rest)
                 else:
                     moved = (t[i - 1], *rest, t[j - 1])
-                got = decoration_radices(identity, side, t, i, j)
-                assert got == decoration_radices(identity, side, moved), (t, i, j)
+                got = _outcome(decoration_radices, identity, side, t, i, j)
+                assert got == _outcome(decoration_radices, identity, side, moved), (t, i, j)
                 compared += 1
         assert compared > 1000
 
@@ -285,6 +299,22 @@ class TestRadices:
             decoration_radices(Identity.UNIT_FACE, "both", (3, 1))
         with pytest.raises(BadArgument):
             decoration_radices(Identity.UNIT_FACE.value, "lhs", (3, 1))
+
+    @pytest.mark.parametrize(
+        "identity, side, t, error",
+        [
+            # these were read as if the identity applied: (1, 4, 5) on (3,)
+            (Identity.TWO_CORNERS_SAME_FACE, "lhs", (3,), NotBipartite),
+            (Identity.TWO_CORNERS_SAME_FACE, "rhs", (2, 2), DegreeTooSmall),
+            (Identity.CORNER_EACH_TWO_FACES, "rhs", (4, 4), BadParity),
+            (Identity.FACE_TO_FACE, "rhs", (1, 3), DegreeTooSmall),
+            (Identity.UNIT_FACE, "lhs", (2, 2), NoDegreeOneFace),
+        ],
+    )
+    def test_types_off_the_side_refused(self, identity, side, t, error):
+        with pytest.raises(BadParity) as info:
+            decoration_radices(identity, side, t)
+        assert type(info.value) is error
 
     @pytest.mark.parametrize(
         "args, error",
@@ -301,3 +331,49 @@ class TestRadices:
     def test_non_integer_inputs_refused(self, args, error):
         with pytest.raises(error):
             decoration_radices(Identity.TWO_CORNERS_SAME_FACE, "lhs", *args)
+
+
+class TestSideRule:
+    """_side_rule: the one type rule of each side of each identity."""
+
+    @pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
+    def test_rhs_is_the_image_of_the_lhs(self, identity):
+        # over every composition of 2E, E <= 6, of any parity: the rhs
+        # rule accepts exactly the targets of the types the lhs accepts
+        types = list(all_types(6))
+        lhs = [s for s in types if _outcome(_side_rule, identity, "lhs", s) is None]
+        rhs = {t for t in types if _outcome(_side_rule, identity, "rhs", t) is None}
+        images = {identity_target(identity, s) for s in lhs}
+        assert rhs == {t for t in images if sum(t) <= 12}
+        assert len(rhs) > 20
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
+    def test_roles_are_face_positions(self, identity, side):
+        # at roles (i, j) the rule accepts or refuses t as the default
+        # roles do t with face i moved first and face j to the second
+        # role's place, refusal class included, over every parity
+        outcomes = set()
+        for t in all_types(5):
+            for i, j in itertools.permutations(range(1, len(t) + 1), 2):
+                rest = [x for k, x in enumerate(t, start=1) if k not in (i, j)]
+                if identity is Identity.CORNER_EACH_TWO_FACES:
+                    moved = (t[i - 1], t[j - 1], *rest)
+                else:
+                    moved = (t[i - 1], *rest, t[j - 1])
+                got = _outcome(_side_rule, identity, side, t, i, j)
+                assert got == _outcome(_side_rule, identity, side, moved), (t, i, j)
+                outcomes.add(got)
+        assert None in outcomes and len(outcomes) > 1, outcomes
+
+    def test_faces_before_the_clauses(self):
+        # BadFace, then SameFace for two given roles, then the clauses;
+        # at the default roles a one-face type is off a two-face side
+        with pytest.raises(BadFace):
+            _side_rule(Identity.FACE_TO_FACE, "lhs", (3, 1, 1, 1), 1, 5)
+        with pytest.raises(SameFace):
+            _side_rule(Identity.FACE_TO_FACE, "lhs", (3, 1, 1, 1), 2, 2)
+        _side_rule(Identity.TWO_CORNERS_SAME_FACE, "lhs", (4,), 1, 1)
+        for identity in (Identity.CORNER_EACH_TWO_FACES, Identity.FACE_TO_FACE):
+            with pytest.raises(BadParity):
+                _side_rule(identity, "lhs", (4,))

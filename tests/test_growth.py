@@ -22,6 +22,8 @@ from planemaps.errors import (
     BadDecoration,
     BadFace,
     BadParity,
+    DegreeTooSmall,
+    NoDegreeOneFace,
     NotBipartite,
     SameFace,
     SameSlot,
@@ -362,6 +364,9 @@ class TestErrors:
             grow_same(EDGE, 0, 0, 4)
         with pytest.raises(SameSlot):
             grow_two(double_edge(), 0, 0, 3, faces=(1, 2))
+        # every decoration coordinate out of range is a BadDecoration
+        with pytest.raises(BadDecoration):
+            grow_via_transfers(EDGE, 0, 3, 0)
 
     def test_bad_edge(self):
         with pytest.raises(BadDecoration):
@@ -391,6 +396,58 @@ class TestErrors:
             dart = m.contour(3)[0]
             with pytest.raises(BadParity):
                 transfer_left(m, 1, 3, 0, dart)
+
+
+def first_map(t):
+    return enumerate_maps(t)[0]
+
+
+def heads(m, *faces):
+    """The first dart of each face's contour."""
+    return [m.contour(i)[0] for i in faces]
+
+
+UNIT = first_map((3, 1))
+
+
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (BadParity, lambda: transfer_left(first_map((3, 1, 2)), 1, 3, 0, 0)),
+        (BadParity, lambda: transfer_right(first_map((3, 1, 2)), 1, 3, 0, 0)),
+        (DegreeTooSmall, lambda: transfer_left(UNIT, 1, 2, 0, 0)),
+        (NoDegreeOneFace, lambda: transfer1_right(double_edge(), 1, 2, 0)),
+        (BadParity, lambda: transfer1_right(first_map((3, 1, 1, 1)), 1, 4, 0)),
+        (DegreeTooSmall, lambda: transfer1_left(UNIT, 2, 3, 0, 0)),
+        (BadParity, lambda: transfer1_left(first_map((3, 1, 2)), 3, 4, 0, 0)),
+        (NotBipartite, lambda: grow_same(UNIT, 0, 0, 0)),
+        (NotBipartite, lambda: grow_two(UNIT, 0, 0, 0)),
+        (NotBipartite, lambda: grow_via_transfers(UNIT, 0, 0, 0)),
+        (NotBipartite, lambda: shrink_same(UNIT, 0, 0, 1)),
+        (BadParity, lambda: shrink_two(double_edge(), 0, 0, 1)),
+        # a face of degree 2 (same) or 1 (two) cannot have lost a growth's
+        # corners: these ran a BFS, then raised BadDecoration
+        (DegreeTooSmall, lambda: shrink_same(double_edge(), 0, *double_edge().contour(1))),
+        (DegreeTooSmall, lambda: shrink_two(UNIT, 0, *heads(UNIT, 1, 2))),
+    ],
+    ids=[
+        "transfer_left", "transfer_right", "transfer_left-unit-lose",
+        "transfer1_right-no-unit", "transfer1_right", "transfer1_left-unit-lose",
+        "transfer1_left", "grow_same", "grow_two", "grow_via_transfers", "shrink_same",
+        "shrink_two", "shrink_same-degree-2", "shrink_two-degree-1",
+    ],
+)
+def test_off_side_types_refused_before_any_bfs(monkeypatch, error, call):
+    # each bijection reads its identity side's type rule at its own faces
+    # before it reads the map
+    def bfs(*args, **kwargs):
+        raise AssertionError("a BFS ran")
+
+    monkeypatch.setattr(bijections, "distances", bfs)
+    monkeypatch.setattr(bijections, "_ball", bfs)
+    with pytest.raises(BadParity) as info:
+        call()
+    assert type(info.value) is error
 
 
 def carry_calls():
