@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .counting import Identity, _side_rule
-from .errors import BadDecoration, BadFace, SameSlot
+from .errors import BadDecoration, BadFace
 from .maps import PlaneMap, _decoration, _ints
 from .metric import (
     _ball,
@@ -52,13 +52,6 @@ _CUT_B = ("cut", "exit")
 _SERVICE = (_OUT, _POINT, _CUT, _CUT_A, _CUT_B)
 
 
-def _check_slot(m: PlaneMap, i: int, slot: int) -> None:
-    if not 0 <= slot <= m.degree(i):
-        raise BadDecoration(
-            f"slot {slot} out of range for face {i} of degree {m.degree(i)}"
-        )
-
-
 def _face_pair(faces) -> tuple[int, ...]:
     """faces as two ints; BadDecoration for any other length or entry."""
     pair = _ints(faces, BadDecoration, "faces are")
@@ -68,7 +61,7 @@ def _face_pair(faces) -> tuple[int, ...]:
 
 
 def _check_dart(m: PlaneMap, dart: int, i: int) -> None:
-    if not 0 <= dart < m.n_darts or m.face_of(dart) != i:
+    if m.face_of(dart) != i:  # face_of refuses a dart outside the map
         raise BadDecoration(f"dart {dart} is not on face {i}")
 
 
@@ -154,11 +147,11 @@ def _shift_arrows(ws, removed: int | None = None, inserted: int | None = None) -
 def _check_transfer(m: PlaneMap, gain, lose, slot, dart) -> tuple[int, ...]:
     """The checks transfer_left and transfer_right share; returns ints.
 
-    The dart is left to the callers, which need opposite directions.
+    The dart and the slot are left to the callers, which need opposite
+    directions and read the slot through slot_anchor.
     """
     gain, lose, slot, dart = _decoration(gain, lose, slot, dart)
     _side_rule(Identity.FACE_TO_FACE, "lhs", m.degrees, gain, lose)
-    _check_slot(m, gain, slot)
     return gain, lose, slot, dart
 
 
@@ -299,7 +292,6 @@ def transfer1_right(m: PlaneMap, gain: int, lose: int, slot: int, *, carry=None)
     """
     gain, lose, slot = _decoration(gain, lose, slot)
     _side_rule(Identity.UNIT_FACE, "lhs", m.degrees, gain, lose)
-    _check_slot(m, gain, slot)
     ws = _planted(m, carry)
     m2, v, dart2, rename = _transfer1_right(m, gain, lose, slot, ws)
     return m2, v, dart2, _carry_out(ws, rename, carry)
@@ -324,8 +316,6 @@ def transfer1_left(
     if not 1 <= insert_at <= m.n_faces + 1:
         raise BadFace(f"insertion index {insert_at} out of range")
     _side_rule(Identity.UNIT_FACE, "rhs", m.degrees, lose)
-    if not 0 <= vertex < m.n_vertices:
-        raise BadDecoration(f"vertex {vertex} out of range")
     _check_dart(m, dart, lose)
     dist = distances(m, vertex)
     if classify_dart(m, dart, vertex, dist) != "toward":
@@ -350,20 +340,6 @@ def transfer1_left(
 # -------------------------------------------------- growing and shrinking
 
 
-def _validate_grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool):
-    if same:
-        _side_rule(Identity.TWO_CORNERS_SAME_FACE, "lhs", m.degrees, j)
-    else:
-        _side_rule(Identity.CORNER_EACH_TWO_FACES, "lhs", m.degrees, j, k)
-    if not 0 <= c <= m.degree(j):
-        raise SameSlot(f"slot {c} out of range for face {j}")
-    hi = m.degree(j) + 1 if same else m.degree(k)
-    if not 0 <= c2 <= hi:
-        raise SameSlot(f"second slot {c2} out of range")
-    if not 0 <= e < m.n_edges:
-        raise BadDecoration(f"edge {e} out of range")
-
-
 def _pinch_side(m: PlaneMap, spine_a, chain, spine_b, d_c: int, d_ex: int) -> str:
     """Which side of the doubled chain the open channel runs along.
 
@@ -383,19 +359,22 @@ def _pinch_side(m: PlaneMap, spine_a, chain, spine_b, d_c: int, d_ex: int) -> st
         r = m.sigma(r)
 
 
-def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool):
+def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int):
     """Resolve the cut geometry for growing a new edge out of edge e.
 
     Returns (kind, parts, anchor_c, anchor_2, u2, ebar): kind is
     "simple" and parts the plain cut walk, or a pinch side and the
     three walk sections; ebar is the dart of e toward the first slot.
+    Faces j == k grow one face by two corners, where c2 ranges over one
+    value more.  slot_anchor and edge refuse a coordinate out of range
+    before any BFS.
 
     Both distance tables are balls that stop at the endpoints of e: the
     geodesics from e only read vertices closer than its far endpoint.
     """
-    u2 = c2 - 1 if same and c2 > c else c2
+    u2 = c2 - 1 if j == k and c2 > c else c2
     anchor_c = m.slot_anchor(j, c)
-    anchor_2 = m.slot_anchor(j if same else k, u2)
+    anchor_2 = m.slot_anchor(k, u2)
     cv = m.vertex_of(anchor_c)
     cv2 = m.vertex_of(anchor_2)
     lo, hi = m.edge(e)
@@ -429,12 +408,11 @@ def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: 
     return side, (spine_a, chain, spine_b), anchor_c, anchor_2, u2, ebar
 
 
-def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool, carry):
-    kind, parts, anchor_c, anchor_2, u2, ebar = _growth_channel(m, e, j, k, c, c2, same)
-    kk = j if same else k
+def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, carry):
+    kind, parts, anchor_c, anchor_2, u2, ebar = _growth_channel(m, e, j, k, c, c2)
     ws = _planted(m, carry)
     s_en = _cut_split(ws.marks_of(anchor_c), j, c, m.degree(j))
-    s_ex = _cut_split(ws.marks_of(anchor_2), kk, u2, m.degree(kk))
+    s_ex = _cut_split(ws.marks_of(anchor_2), k, u2, m.degree(k))
     if kind == "simple":
         s = slit(ws, parts, (anchor_c, s_en), (anchor_2, s_ex))
     else:
@@ -448,7 +426,7 @@ def _grow(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int, same: bool, carr
     h, h2 = rename[h_ref], rename[h2_ref]
     case = kind if kind == "simple" else f"{kind}-pinched"
     assert h != h2
-    assert m2.face[h] == j and m2.face[h2] == kk
+    assert m2.face[h] == j and m2.face[h2] == k
     ends = [vertex_of[d] for d in (h, m2.twin[h], h2, m2.twin[h2])]
     dv = _ball(m2, v, ends)
     assert dv[ends[1]] < dv[ends[0]] and dv[ends[3]] < dv[ends[2]], (
@@ -474,8 +452,8 @@ def grow_same(m: PlaneMap, e: int, c: int, c2: int, *, face: int = 1, carry=None
     positions.  The decoration (v, h, h2) is consumed by shrink_same.
     """
     e, c, c2, face = _decoration(e, c, c2, face)
-    _validate_grow(m, e, face, face, c, c2, True)
-    return _grow(m, e, face, face, c, c2, True, carry)
+    _side_rule(Identity.TWO_CORNERS_SAME_FACE, "lhs", m.degrees, face)
+    return _grow(m, e, face, face, c, c2, carry)
 
 
 def grow_two(m: PlaneMap, e: int, c: int, c2: int, *, faces=(1, 2), carry=None):
@@ -490,8 +468,8 @@ def grow_two(m: PlaneMap, e: int, c: int, c2: int, *, faces=(1, 2), carry=None):
     """
     j, k = _face_pair(faces)
     e, c, c2 = _decoration(e, c, c2)
-    _validate_grow(m, e, j, k, c, c2, False)
-    return _grow(m, e, j, k, c, c2, False, carry)
+    _side_rule(Identity.CORNER_EACH_TWO_FACES, "lhs", m.degrees, j, k)
+    return _grow(m, e, j, k, c, c2, carry)
 
 
 def grow_via_transfers(
@@ -507,16 +485,15 @@ def grow_via_transfers(
     """
     j, k = _face_pair(faces)
     e, c, c2, mark_side = _decoration(e, c, c2, mark_side)
-    same = j == k
-    _validate_grow(m, e, j, k, c, c2, same)
+    identity = Identity.TWO_CORNERS_SAME_FACE if j == k else Identity.CORNER_EACH_TWO_FACES
+    _side_rule(identity, "lhs", m.degrees, j, k)
     if carry is not None:
         carry = _check_carry(m, carry)
     # refuses a mark_side outside 0, 1 before the channel's BFS runs
     m1 = edge_to_digon(m, e, mark_side)
     # edge_to_digon keeps every dart, corner and mark of m
-    kind, _, anchor_c, anchor_2, u2, _ = _growth_channel(m, e, j, k, c, c2, same)
+    kind, _, anchor_c, anchor_2, u2, _ = _growth_channel(m, e, j, k, c, c2)
     case = kind if kind == "simple" else f"{kind}-pinched"
-    kk = j if same else k
     cv = m1.vertex_of(anchor_c)
     dist1 = distances(m1, cv)
     away = [d for d in range(m.n_darts, m1.n_darts) if classify_dart(m1, d, cv, dist1) == "away"]
@@ -526,29 +503,27 @@ def grow_via_transfers(
     # when both points share one corner, the first cut runs beside it
     ws = _planted(m1, carry)
     toks = ws.marks_of(anchor_2)
-    toks.insert(_cut_split(toks, kk, u2, m.degree(kk)), _POINT)
-    if same and u2 == c:
+    toks.insert(_cut_split(toks, k, u2, m.degree(k)), _POINT)
+    if j == k and u2 == c:
         toks.insert(toks.index(_POINT) + (c2 == c), _CUT)
     m2, _, h_mid, rename = _transfer_right(m1, j, m1.n_faces, c, away[0], ws)
     carry2 = _carry_out(ws, rename, [*(carry or ()), _POINT])
     # the second transfer cuts where the point came to rest
     d_pt, rank_pt = carry2.pop(_POINT)
-    assert m2.face_of(d_pt) == kk, "the cut point drifted off its face"
+    assert m2.face_of(d_pt) == k, "the cut point drifted off its face"
     ws = _planted(m2, carry2)
     ws.add_marker(d_pt, _CUT, rank_pt)
-    m3, v, h2, rename = _transfer1_right(m2, kk, m2.n_faces, m2.corner_slot(d_pt).slot, ws)
+    m3, v, h2, rename = _transfer1_right(m2, k, m2.n_faces, m2.corner_slot(d_pt).slot, ws)
     h = rename[h_mid]
     assert h != h2
-    assert m3.face_of(h) == j and m3.face_of(h2) == kk
+    assert m3.face_of(h) == j and m3.face_of(h2) == k
     dv = distances(m3, v)
     assert classify_dart(m3, h, v, dv) == classify_dart(m3, h2, v, dv) == "toward"
     return m3, v, h, h2, case, _carry_out(ws, rename, carry2)
 
 
 def _validate_shrink(m: PlaneMap, v: int, h: int, h2: int, j: int, k: int):
-    """Check a shrink decoration; returns the distances from v."""
-    if not 0 <= v < m.n_vertices:
-        raise BadDecoration(f"vertex {v} out of range")
+    """Check a shrink decoration; returns the distances from v, which refuse a bad v."""
     _check_dart(m, h, j)
     _check_dart(m, h2, k)
     if h == h2:
@@ -561,9 +536,7 @@ def _validate_shrink(m: PlaneMap, v: int, h: int, h2: int, j: int, k: int):
     return dist
 
 
-def _shrink(
-    m: PlaneMap, v: int, h: int, h2: int, j: int, k: int, same: bool, carry, dist
-):
+def _shrink(m: PlaneMap, v: int, h: int, h2: int, j: int, k: int, carry, dist):
     geo_h = leftmost_geodesic(m, v, from_corner=h, dist=dist)
     geo_2 = leftmost_geodesic(m, v, from_corner=h2, dist=dist)
     assert geo_h[0] == h and geo_2[0] == h2
@@ -601,9 +574,8 @@ def _shrink(
     e_out = m2.edge_index(rename[e_dart])
     fa, ca = _token_slot(m2, ws, rename, _CUT_A)
     fb, cb = _token_slot(m2, ws, rename, _CUT_B)
-    kk = j if same else k
-    assert fa == j and fb == kk, "a cut point drifted off its face"
-    if not same or cb < ca:
+    assert fa == j and fb == k, "a cut point drifted off its face"
+    if j != k or cb < ca:
         c2 = cb
     elif cb > ca:
         c2 = cb + 1
@@ -627,7 +599,7 @@ def shrink_same(m: PlaneMap, v: int, h: int, h2: int, *, face: int = 1, carry=No
     v, h, h2, face = _decoration(v, h, h2, face)
     _side_rule(Identity.TWO_CORNERS_SAME_FACE, "rhs", m.degrees, face)
     dist = _validate_shrink(m, v, h, h2, face, face)
-    return _shrink(m, v, h, h2, face, face, True, carry, dist)
+    return _shrink(m, v, h, h2, face, face, carry, dist)
 
 
 def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None):
@@ -642,7 +614,7 @@ def shrink_two(m: PlaneMap, v: int, h: int, h2: int, *, faces=(1, 2), carry=None
     v, h, h2 = _decoration(v, h, h2)
     _side_rule(Identity.CORNER_EACH_TWO_FACES, "rhs", m.degrees, j, k)
     dist = _validate_shrink(m, v, h, h2, j, k)
-    return _shrink(m, v, h, h2, j, k, False, carry, dist)
+    return _shrink(m, v, h, h2, j, k, carry, dist)
 
 
 # ------------------------------------------------------- the four identities

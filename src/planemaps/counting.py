@@ -266,18 +266,16 @@ def decoration_radices(
     For the rhs, t is the target type.  first and second are the faces
     in the identity's two roles: face 1, then the last face (face 2 for
     CORNER_EACH_TWO_FACES).  A dart's radix is the length of its
-    directed_darts list, which is the same at every vertex.  A face
-    outside t raises BadFace; then a type that is not on the side at
-    these faces raises BadParity (or its subclass) as _side_rule does.
+    directed_darts list, which is the same at every vertex.  Refusals
+    come from _side_rule and in its order: a one-face type on a
+    two-face side at the default roles raises BadParity, a face
+    outside t BadFace, a type off the side BadParity (or its subclass).
     """
     t, first = check_type(t), _index(first, "first")
     r = len(t)
     given = None if second is None else _index(second, "second")
-    second = (2 if identity is Identity.CORNER_EACH_TWO_FACES else r) if given is None else given
-    # faces before the rule, which refuses a one-face type at the default roles as BadParity
-    if not (0 < first <= r and 0 < second <= r):
-        raise BadFace(f"faces {first} and {second} outside 1..{r}")
     _side_rule(identity, side, t, first, given)
+    second = (2 if identity is Identity.CORNER_EACH_TWO_FACES else r) if given is None else given
     a, b, e = t[first - 1], t[second - 1], sum(t) // 2
     v = e - r + 2
     if identity is Identity.TWO_CORNERS_SAME_FACE:

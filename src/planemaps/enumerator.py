@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, product
 
-from .counting import Identity, _index, _side_rule, check_type, decoration_radices, edge_count
+from .counting import Identity, _index, check_type, decoration_radices, edge_count
 from .errors import Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap, _Faces
 from .metric import directed_darts, distances
@@ -121,11 +121,9 @@ def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tu
     Faces play the default roles of decoration_radices.  Vertex, edge
     and slot coordinates range over its radices, and darts come from
     directed_darts.  A map of a type the identity does not apply to
-    (lhs) or does not lead to (rhs) raises BadParity: the rule runs at
-    the default roles before the table, which would raise BadFace for
-    the second face of CORNER_EACH_TWO_FACES on a one-face map.
+    (lhs) or does not lead to (rhs) raises BadParity, as the table
+    reads the rule at the default roles.
     """
-    _side_rule(identity, side, m.degrees)
     radices = decoration_radices(identity, side, m.degrees)
     if side == "lhs" and identity is not Identity.FACE_TO_FACE:
         return list(product(*map(range, radices)))

@@ -95,10 +95,6 @@ class BadDecoration(PlaneMapError, ValueError):
     """A decoration that is not an integer or lies outside its range."""
 
 
-class SameSlot(BadDecoration):
-    pass
-
-
 class BadArgument(PlaneMapError, ValueError):
     """A keyword outside its fixed set, a table that does not fit the call,
     or a number outside the domain of a formula."""

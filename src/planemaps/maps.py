@@ -57,6 +57,20 @@ def _ints(data: Iterable[int], error: type, what: str) -> tuple[int, ...]:
         raise error(f"{what} not integers") from None
 
 
+def _entry(seq: tuple, i: int, what: str):
+    """seq[i] for a dart or vertex index i, or BadDecoration.
+
+    One comparison, because a negative i would wrap round from the end;
+    the tuple refuses the rest: an i past the end and a non-integer one.
+    """
+    try:
+        if i >= 0:
+            return seq[i]
+    except (IndexError, TypeError):
+        pass
+    raise BadDecoration(f"no {what} {i!r}")
+
+
 def _decoration(*values: int) -> tuple[int, ...]:
     """Decoration values (edges, slots, faces, darts) as ints, strictly."""
     return _ints(values, BadDecoration, "decorations are")
@@ -278,13 +292,7 @@ class PlaneMap:
         return len(self._vertices)
 
     def degree(self, i: int) -> int:
-        # the check of contour(), inlined: degree is called per growth step
-        try:
-            if i >= 1:
-                return len(self._contours[i - 1])
-        except (IndexError, TypeError):  # past the end; a str, None or float
-            pass
-        raise BadFace(f"face {i!r} out of range 1..{len(self._contours)}")
+        return len(self.contour(i))
 
     # incidence
 
@@ -302,66 +310,32 @@ class PlaneMap:
             pass
         raise BadFace(f"face {i!r} out of range 1..{len(self._contours)}")
 
-    # The dart and vertex accessors below raise BadDecoration for an
-    # index outside the range and for a non-integer one.  Each makes
-    # one comparison, because a negative index would wrap round from
-    # the end, and lets the tuple refuse the rest: growth steps call
-    # them.
+    # dart and vertex accessors: out of range, -1 included, raises BadDecoration
 
     def face_of(self, d: int) -> int:
-        try:
-            if d >= 0:
-                return self.face[d]
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no dart {d!r}")
+        return _entry(self.face, d, "dart")
 
     def prev(self, d: int) -> int:
-        try:
-            if d >= 0:
-                return self._prev[d]
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no dart {d!r}")
+        return _entry(self._prev, d, "dart")
 
     def sigma(self, d: int) -> int:
         """Clockwise neighbour of d around its origin vertex."""
-        try:
-            if d >= 0:
-                return self.next[self.twin[d]]
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no dart {d!r}")
+        return self.next[_entry(self.twin, d, "dart")]
 
     def vertex_of(self, d: int) -> int:
         """Index of the origin vertex of d."""
-        try:
-            if d >= 0:
-                return self._vertex_of[d]
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no dart {d!r}")
+        return _entry(self._vertex_of, d, "dart")
 
     def head_of(self, d: int) -> int:
         """Index of the vertex the dart points to."""
-        try:
-            if d >= 0:
-                return self._vertex_of[self.twin[d]]
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no dart {d!r}")
+        return self._vertex_of[_entry(self.twin, d, "dart")]
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         """All vertices as clockwise dart cycles."""
         return self._vertices
 
     def vertex_darts(self, v: int) -> tuple[int, ...]:
-        try:
-            if v >= 0:
-                return self._vertices[v]
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no vertex {v!r}")
+        return _entry(self._vertices, v, "vertex")
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (d, twin(d)) with d < twin(d), sorted by d."""
@@ -379,24 +353,14 @@ class PlaneMap:
 
     def edge_index(self, d: int) -> int:
         """Index in edges() of the edge that carries dart d."""
-        try:
-            if d >= 0:
-                return sum(map(lt, range(min(d, self.twin[d])), self.twin))
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no dart {d!r}")
+        return sum(map(lt, range(min(d, _entry(self.twin, d, "dart"))), self.twin))
 
     # corners and slots
 
     def corner_slot(self, d: int) -> CornerSlot:
         """Slot of the corner before d; the marked corner reports slot 0."""
-        try:
-            if d >= 0:
-                i = self.face[d]
-                return CornerSlot(i, self._contours[i - 1].index(d))
-        except (IndexError, TypeError):
-            pass
-        raise BadDecoration(f"no dart {d!r}")
+        i = _entry(self.face, d, "dart")
+        return CornerSlot(i, self._contours[i - 1].index(d))
 
     def slot_anchor(self, i: int, slot: int) -> int:
         """Dart whose preceding corner realises the given slot of face i."""

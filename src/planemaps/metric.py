@@ -15,22 +15,14 @@ from __future__ import annotations
 
 from operator import index
 
-from .errors import BadArgument, BadDecoration
+from .errors import BadArgument
 from .maps import PlaneMap
 
 
 def _vertex(m: PlaneMap, v: int) -> int:
-    """v as a vertex index of m, or BadDecoration.
-
-    -1 would answer for the last vertex; a str or None fails the
-    comparison, and index() refuses a float.
-    """
-    try:
-        if 0 <= v < len(m._vertices):
-            return index(v)
-    except TypeError:
-        pass
-    raise BadDecoration(f"vertex {v!r} out of range 0..{len(m._vertices) - 1}")
+    """v as a vertex index of m; vertex_darts refuses any other."""
+    m.vertex_darts(v)
+    return index(v)
 
 
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:

@@ -291,8 +291,10 @@ class TestRadices:
         assert compared > 1000
 
     def test_refusals(self):
-        with pytest.raises(BadFace):
+        # a two-face side of a one-face type: the rule's default-roles clause
+        with pytest.raises(BadParity) as info:
             decoration_radices(Identity.CORNER_EACH_TWO_FACES, "rhs", (4,))
+        assert type(info.value) is BadParity
         with pytest.raises(BadFace):
             decoration_radices(Identity.UNIT_FACE, "lhs", (3, 1), 0)
         with pytest.raises(BadArgument):

@@ -25,8 +25,8 @@ from planemaps.errors import (
     DegreeTooSmall,
     NoDegreeOneFace,
     NotBipartite,
+    PlaneMapError,
     SameFace,
-    SameSlot,
 )
 from planemaps.metric import classify_dart, distances
 from planemaps.sampler import sample
@@ -358,15 +358,17 @@ class TestErrors:
             grow_via_transfers(m, 0, 0, 0, mark_side=side)
 
     def test_slot_out_of_range(self):
-        with pytest.raises(SameSlot):
-            grow_same(EDGE, 0, 3, 0)
-        with pytest.raises(SameSlot):
-            grow_same(EDGE, 0, 0, 4)
-        with pytest.raises(SameSlot):
-            grow_two(double_edge(), 0, 0, 3, faces=(1, 2))
-        # every decoration coordinate out of range is a BadDecoration
-        with pytest.raises(BadDecoration):
-            grow_via_transfers(EDGE, 0, 3, 0)
+        # every decoration coordinate out of range is a BadDecoration,
+        # raised by the map accessor that reads it
+        for call in (
+            lambda: grow_same(EDGE, 0, 3, 0),
+            lambda: grow_same(EDGE, 0, 0, 4),
+            lambda: grow_two(double_edge(), 0, 0, 3, faces=(1, 2)),
+            lambda: grow_via_transfers(EDGE, 0, 3, 0),
+        ):
+            with pytest.raises(BadDecoration) as info:
+                call()
+            assert type(info.value) is BadDecoration
 
     def test_bad_edge(self):
         with pytest.raises(BadDecoration):
@@ -408,6 +410,60 @@ def heads(m, *faces):
 
 
 UNIT = first_map((3, 1))
+DOUBLE = double_edge()
+SAME, TWO = first_map((4,)), first_map((3, 3))
+
+
+def out_of_range(name, call, top):
+    """Rows calling call with -1 and with top, the first value past the range."""
+    return [
+        pytest.param(BadDecoration, lambda bad=bad: call(bad), id=f"{name}={bad}")
+        for bad in (-1, top)
+    ]
+
+
+def decoration_rows():
+    """A row per decoration coordinate out of range, on each bijection that reads it.
+
+    The other coordinates are in range, so each row reaches the bad one.
+    """
+    (unit,), (lose,) = heads(UNIT, 1), heads(DOUBLE, 2)
+    h, h2 = SAME.contour(1)[:2]
+    j, k = heads(TWO, 1, 2)
+
+    def via(m, *dec, faces):
+        return grow_via_transfers(m, *dec, faces=faces)
+
+    return [
+        *out_of_range("transfer_left-slot", lambda s: transfer_left(DOUBLE, 1, 2, s, lose), 3),
+        *out_of_range("transfer_left-dart", lambda d: transfer_left(DOUBLE, 1, 2, 0, d), 4),
+        *out_of_range("transfer_right-slot", lambda s: transfer_right(DOUBLE, 1, 2, s, lose), 3),
+        *out_of_range("transfer_right-dart", lambda d: transfer_right(DOUBLE, 1, 2, 0, d), 4),
+        *out_of_range("transfer1_right-slot", lambda s: transfer1_right(UNIT, 1, 2, s), 4),
+        *out_of_range("transfer1_left-dart", lambda d: transfer1_left(UNIT, 1, 3, 0, d), 4),
+        *out_of_range("transfer1_left-vertex", lambda v: transfer1_left(UNIT, 1, 3, v, unit), 3),
+        *out_of_range("grow_same-edge", lambda e: grow_same(EDGE, e, 0, 0), 1),
+        *out_of_range("grow_same-c", lambda c: grow_same(EDGE, 0, c, 0), 3),
+        *out_of_range("grow_same-c2", lambda c2: grow_same(EDGE, 0, 0, c2), 4),
+        *out_of_range("grow_two-edge", lambda e: grow_two(DOUBLE, e, 0, 0), 2),
+        *out_of_range("grow_two-c", lambda c: grow_two(DOUBLE, 0, c, 0), 3),
+        *out_of_range("grow_two-c2", lambda c2: grow_two(DOUBLE, 0, 0, c2), 3),
+        *out_of_range("via_same-edge", lambda e: via(EDGE, e, 0, 0, faces=(1, 1)), 1),
+        *out_of_range("via_same-c", lambda c: via(EDGE, 0, c, 0, faces=(1, 1)), 3),
+        *out_of_range("via_same-c2", lambda c2: via(EDGE, 0, 0, c2, faces=(1, 1)), 4),
+        *out_of_range("via_two-edge", lambda e: via(DOUBLE, e, 0, 0, faces=(1, 2)), 2),
+        *out_of_range("via_two-c", lambda c: via(DOUBLE, 0, c, 0, faces=(1, 2)), 3),
+        *out_of_range("via_two-c2", lambda c2: via(DOUBLE, 0, 0, c2, faces=(1, 2)), 3),
+        *out_of_range("shrink_same-h", lambda d: shrink_same(SAME, 0, d, h2), 4),
+        *out_of_range("shrink_same-h2", lambda d: shrink_same(SAME, 0, h, d), 4),
+        *out_of_range("shrink_same-vertex", lambda v: shrink_same(SAME, v, h, h2), 3),
+        *out_of_range("shrink_two-h", lambda d: shrink_two(TWO, 0, d, k), 6),
+        *out_of_range("shrink_two-h2", lambda d: shrink_two(TWO, 0, j, d), 6),
+        *out_of_range("shrink_two-vertex", lambda v: shrink_two(TWO, v, j, k), 3),
+    ]
+
+
+DECORATION_ROWS = decoration_rows()
 
 
 @pytest.mark.parametrize(
@@ -429,23 +485,31 @@ UNIT = first_map((3, 1))
         # corners: these ran a BFS, then raised BadDecoration
         (DegreeTooSmall, lambda: shrink_same(double_edge(), 0, *double_edge().contour(1))),
         (DegreeTooSmall, lambda: shrink_two(UNIT, 0, *heads(UNIT, 1, 2))),
+        *DECORATION_ROWS,
     ],
     ids=[
         "transfer_left", "transfer_right", "transfer_left-unit-lose",
         "transfer1_right-no-unit", "transfer1_right", "transfer1_left-unit-lose",
         "transfer1_left", "grow_same", "grow_two", "grow_via_transfers", "shrink_same",
         "shrink_two", "shrink_same-degree-2", "shrink_two-degree-1",
+        *(row.id for row in DECORATION_ROWS),
     ],
 )
 def test_off_side_types_refused_before_any_bfs(monkeypatch, error, call):
-    # each bijection reads its identity side's type rule at its own faces
-    # before it reads the map
+    # each bijection reads its identity side's type rule at its own faces,
+    # then each decoration coordinate through the map accessor that
+    # refuses it out of range, before any BFS; a vertex is refused by
+    # distances itself, at its entry
     def bfs(*args, **kwargs):
         raise AssertionError("a BFS ran")
 
-    monkeypatch.setattr(bijections, "distances", bfs)
+    def entry_only(m, v):
+        distances(m, v)
+        raise AssertionError("a BFS ran")
+
+    monkeypatch.setattr(bijections, "distances", entry_only)
     monkeypatch.setattr(bijections, "_ball", bfs)
-    with pytest.raises(BadParity) as info:
+    with pytest.raises(PlaneMapError) as info:
         call()
     assert type(info.value) is error
 

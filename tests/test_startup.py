@@ -75,3 +75,37 @@ def test_oracles_are_assert_rewritten():
 
     for oracle in (slit_reference, contour_reference, geodesic_reference):
         assert isinstance(oracle.__loader__, AssertionRewritingHook), oracle.__name__
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports and never reads, as 'file:line name'.
+
+    An import on a line marked ``# noqa: F401``, a name listed in
+    ``__all__`` and ``from __future__`` imports are exempt.
+    """
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}:{alias.lineno} {name}")
+    return unused
+
+
+def test_library_has_no_unused_import():
+    # a stdlib stand-in for a linter's unused-import rule (F401)
+    unused = [u for path in sorted((SRC / "planemaps").glob("*.py")) for u in _unused_imports(path)]
+    assert unused == []
