@@ -120,10 +120,6 @@ class TooManyOddFaces(PlaneMapError):
 
 # sampler
 
-class OddCoordinate(PlaneMapError):
-    pass
-
-
 class BadSchedule(PlaneMapError):
     pass
 

@@ -4,11 +4,11 @@ Distances are measured on vertices along edges.  A half-edge points
 toward a vertex v when its head is strictly closer to v than its tail,
 away when strictly farther, and is parallel otherwise.
 
-A leftmost (rightmost) geodesic greedily extends a walk by the first
-distance-decreasing dart encountered while turning clockwise
-(counterclockwise) around the current vertex, starting the scan just
-past the dart that was arrived on, or sweeping the sector of a corner
-when the walk starts in one.
+A leftmost (rightmost) geodesic starts in a corner and greedily
+extends a walk by the first distance-decreasing dart encountered while
+turning clockwise (counterclockwise) around the current vertex: the
+first scan sweeps the sector of the corner, each later one starts just
+past the dart that was arrived on.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ def _vertex(m: PlaneMap, v: int) -> int:
     """v as a vertex index of m; vertex_darts refuses any other."""
     m.vertex_darts(v)
     return index(v)
+
+
+def _dart(m: PlaneMap, d: int) -> int:
+    """d as a dart index of m; vertex_of refuses any other."""
+    m.vertex_of(d)
+    return index(d)
 
 
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
@@ -72,9 +78,11 @@ def _ball(m: PlaneMap, v: int, stop) -> list[int]:
 
 
 def classify_dart(m: PlaneMap, d: int, v: int, dist=None) -> str:
-    """'toward', 'away' or 'parallel' relative to vertex index v."""
-    if dist is None:
-        dist = distances(m, v)
+    """'toward', 'away' or 'parallel' relative to vertex index v.
+
+    A given dist is checked like the geodesics'.
+    """
+    dist = _checked_dist(m, v, dist)
     a = dist[m.vertex_of(d)]
     b = dist[m.head_of(d)]
     if b < a:
@@ -178,39 +186,27 @@ def _checked_dist(m, v, dist):
     return dist
 
 
-def _target_dist(m, target, from_dart, from_corner, dist):
-    if (from_dart is None) == (from_corner is None):
-        raise TypeError("need exactly one of from_dart and from_corner")
-    return _checked_dist(m, target, dist)
+def leftmost_geodesic(m: PlaneMap, target: int, *, from_corner, dist=None) -> tuple[int, ...]:
+    """Leftmost geodesic to vertex index target from the corner before from_corner.
 
-
-def leftmost_geodesic(
-    m: PlaneMap, target: int, *, from_dart=None, from_corner=None, dist=None
-) -> tuple[int, ...]:
-    """Leftmost geodesic to vertex index target.
-
-    Exactly one of from_dart (continue past that dart) and from_corner
-    (start inside the corner before that dart) must be given.  dist,
-    when given, is ``distances(m, target)`` already at hand and saves
-    the BFS; a table that is not 0 at the target raises BadArgument.
-    Returns the darts of the walk, empty when already at the target.
+    dist, when given, is ``distances(m, target)`` already at hand and
+    saves the BFS; a table that is not 0 at the target raises
+    BadArgument.  Returns the darts of the walk, empty when already at
+    the target.  The walk that continues past a dart d starts from the
+    corner before next[d].
     """
-    dist = _target_dist(m, target, from_dart, from_corner, dist)
     # the corner before d opens between sigma^-1(d) and d
-    start = m.twin[from_dart] if from_corner is None else m.twin[m._prev[from_corner]]
-    return _walk(m, start, True, dist)
+    start = m.twin[m.prev(from_corner)]
+    return _walk(m, start, True, _checked_dist(m, target, dist))
 
 
-def rightmost_geodesic(
-    m: PlaneMap, target: int, *, from_dart=None, from_corner=None, dist=None
-) -> tuple[int, ...]:
+def rightmost_geodesic(m: PlaneMap, target: int, *, from_corner, dist=None) -> tuple[int, ...]:
     """Rightmost geodesic to vertex index target, mirror of leftmost.
 
-    Takes the same arguments, dist included.
+    Takes the same arguments, dist included.  The walk that continues
+    past a dart d starts from the corner before twin[d].
     """
-    dist = _target_dist(m, target, from_dart, from_corner, dist)
-    start = m.twin[from_dart] if from_corner is None else from_corner
-    return _walk(m, start, False, dist)
+    return _walk(m, _dart(m, from_corner), False, _checked_dist(m, target, dist))
 
 
 def _rightmost(m: PlaneMap, d: int, dist) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .bijections import grow_same, transfer1_left, transfer_right
 from .counting import Identity, _odd_pair, _odd_positions, check_type, decoration_radices
-from .errors import BadParity, BadSchedule, BadSeed, OddCoordinate
+from .errors import BadParity, BadSchedule, BadSeed, NotBipartite
 from .maps import PlaneMap
 from .metric import directed_darts
 from .surgery import edge_to_digon
@@ -35,7 +35,7 @@ def _even_type(a) -> tuple[int, ...]:
     t = check_type(a)
     bad = [x for x in t if x % 2]
     if bad:
-        raise OddCoordinate(f"odd face degrees {bad} in a bipartite type")
+        raise NotBipartite(f"odd face degrees {bad} in a bipartite type")
     return t
 
 

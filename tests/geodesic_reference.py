@@ -1,12 +1,29 @@
 """The geodesic walk as it was before it turned around vertices by σ/σ⁻¹.
 
 Each step here builds the candidate darts as a rotated list of the
-vertex rotation, reversed for the rightmost walk, and scans it.  It is
-kept unchanged as the reference that tests/test_metric.py compares the
-library's walks against, start by start.
+vertex rotation, reversed for the rightmost walk, and scans it.  The
+walk is kept unchanged as the reference that tests/test_metric.py
+compares the library's walks against, start by start.  It keeps both
+starts: a corner, as the library's geodesics take it, and a dart to
+continue past, as the growth step's _rightmost takes it.  Its checks
+are its own, and it takes the distance table from the caller.
 """
 
-from planemaps.metric import _target_dist
+from planemaps.errors import BadArgument, BadDecoration
+
+
+def _start(m, target, from_dart, from_corner, dist):
+    """The one start given, once it and the table are found to fit m."""
+    if (from_dart is None) == (from_corner is None):
+        raise TypeError("need exactly one of from_dart and from_corner")
+    start = from_corner if from_dart is None else from_dart
+    if type(start) is not int or not 0 <= start < m.n_darts:
+        raise BadDecoration(f"no dart {start!r}")
+    if type(target) is not int or not 0 <= target < m.n_vertices:
+        raise BadDecoration(f"no vertex {target!r}")
+    if len(dist) != m.n_vertices or dist[target] != 0:
+        raise BadArgument(f"dist is not a distance table from vertex {target}")
+    return start
 
 
 def _walk(m, cands, step, dist):
@@ -40,23 +57,19 @@ def _counterclockwise_from(m, d):
     return _rotate_past(m._vertices[m._vertex_of[d]][::-1], d)
 
 
-def leftmost_geodesic(m, target, *, from_dart=None, from_corner=None, dist=None):
-    dist = _target_dist(m, target, from_dart, from_corner, dist)
+def leftmost_geodesic(m, target, *, from_dart=None, from_corner=None, dist):
+    d = _start(m, target, from_dart, from_corner, dist)
     step = lambda u: _clockwise_from(m, m.twin[u])
-    if from_dart is not None:
-        cands = step(from_dart)
-    else:
-        d = from_corner
-        cands = [d] + _clockwise_from(m, d)[:-1]
+    cands = step(d) if from_corner is None else [d] + _clockwise_from(m, d)[:-1]
     return _walk(m, cands, step, dist)
 
 
-def rightmost_geodesic(m, target, *, from_dart=None, from_corner=None, dist=None):
-    dist = _target_dist(m, target, from_dart, from_corner, dist)
-    if from_dart is not None:
-        return _rightmost(m, from_dart, dist)
+def rightmost_geodesic(m, target, *, from_dart=None, from_corner=None, dist):
+    d = _start(m, target, from_dart, from_corner, dist)
+    if from_corner is None:
+        return _rightmost(m, d, dist)
     step = lambda u: _counterclockwise_from(m, m.twin[u])
-    return _walk(m, _counterclockwise_from(m, from_corner), step, dist)
+    return _walk(m, _counterclockwise_from(m, d), step, dist)
 
 
 def _rightmost(m, d, dist):

@@ -28,6 +28,11 @@ from common import double_edge, loop_map, loop_pendant, path_map
 # no library code needs simple cycles.
 
 
+def corner_past(m: PlaneMap, geodesic, d: int) -> int:
+    """The corner that geodesic's walk continuing past dart d starts from."""
+    return (m.next if geodesic is leftmost_geodesic else m.twin)[d]
+
+
 def edge_id(m: PlaneMap, d: int) -> int:
     return min(d, m.twin[d])
 
@@ -147,7 +152,7 @@ class TestGeodesics:
         m = path_map()
         u = m.vertex_of(0)
         # arriving along dart 0 at the middle vertex, continue to u
-        assert leftmost_geodesic(m, u, from_dart=0) == (1,)
+        assert leftmost_geodesic(m, u, from_corner=m.next[0]) == (1,)
 
     def test_needs_one_start(self):
         m = path_map()
@@ -163,8 +168,8 @@ class TestGeodesics:
                     dist = distances(m, target)
                     for d in range(m.n_darts):
                         for geo in (
-                            leftmost_geodesic(m, target, from_dart=d),
-                            rightmost_geodesic(m, target, from_dart=d),
+                            leftmost_geodesic(m, target, from_corner=m.next[d]),
+                            rightmost_geodesic(m, target, from_corner=m.twin[d]),
                             leftmost_geodesic(m, target, from_corner=d),
                             rightmost_geodesic(m, target, from_corner=d),
                         ):
@@ -188,21 +193,36 @@ class TestGeodesics:
             for target in range(m.n_vertices):
                 dist = distances(m, target)
                 for d in range(m.n_darts):
-                    kw = {start: d}
-                    assert geodesic(m, target, dist=dist, **kw) == geodesic(
-                        m, target, **kw
+                    c = d if start == "from_corner" else corner_past(m, geodesic, d)
+                    assert geodesic(m, target, from_corner=c, dist=dist) == geodesic(
+                        m, target, from_corner=c
                     )
 
-    @pytest.mark.parametrize("geodesic", [leftmost_geodesic, rightmost_geodesic])
-    def test_dist_from_elsewhere_rejected(self, geodesic):
+    @pytest.mark.parametrize("fn", [leftmost_geodesic, rightmost_geodesic, classify_dart])
+    def test_dist_from_elsewhere_rejected(self, fn):
         m = path_map()
         w, u = m.vertex_of(3), m.vertex_of(0)
-        with pytest.raises(ValueError):
-            geodesic(m, w, from_corner=0, dist=distances(m, u))
-        with pytest.raises(BadArgument) as info:
-            geodesic(m, w, from_dart=0, dist=distances(m, u))
-        assert isinstance(info.value, PlaneMapError)
-        assert isinstance(info.value, ValueError)
+        if fn is classify_dart:
+            # answered from the table of u, as if it were the table of w
+            calls = [lambda dist: fn(m, 0, w, dist)]
+        else:
+            corners = (0, corner_past(m, fn, 0))
+            calls = [lambda dist, c=c: fn(m, w, from_corner=c, dist=dist) for c in corners]
+        for call in calls:
+            with pytest.raises(BadArgument) as info:
+                call(distances(m, u))
+            assert isinstance(info.value, PlaneMapError)
+            assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("geodesic", [leftmost_geodesic, rightmost_geodesic])
+    def test_start_corner_out_of_range_refused(self, geodesic):
+        # -1 started from the last dart, the others raised IndexError or TypeError
+        m = path_map()
+        w = m.vertex_of(3)
+        for dist in (None, distances(m, w)):
+            for c in (-1, m.n_darts, 99, "0", 1.5, None):
+                with pytest.raises(BadDecoration):
+                    geodesic(m, w, from_corner=c, dist=dist)
 
 
 def walk_outcome(call, *args, **kw):
@@ -217,9 +237,9 @@ def assert_walks_match(m):
     """Every start dart and corner to every target, both directions.
 
     The library walk and the reference give the same path; each pair
-    of calls shares one table.
+    of calls shares one table.  The reference's walk past dart d is
+    the library's walk from the corner that corner_past names.
     """
-    starts = ("from_dart", "from_corner")
     pairs = (
         (leftmost_geodesic, ref.leftmost_geodesic),
         (rightmost_geodesic, ref.rightmost_geodesic),
@@ -227,11 +247,13 @@ def assert_walks_match(m):
     for target in range(m.n_vertices):
         dist = distances(m, target)
         for d in range(m.n_darts):
-            for start in starts:
-                for walk, old in pairs:
-                    kw = {start: d, "dist": dist}
-                    got = walk(m, target, **kw)
-                    assert got == old(m, target, **kw), (m.to_json(), target, start, d)
+            for walk, old in pairs:
+                got = walk(m, target, from_corner=corner_past(m, walk, d), dist=dist)
+                want = old(m, target, from_dart=d, dist=dist)
+                assert got == want, (m.to_json(), target, "from_dart", d)
+                got = walk(m, target, from_corner=d, dist=dist)
+                want = old(m, target, from_corner=d, dist=dist)
+                assert got == want, (m.to_json(), target, "from_corner", d)
 
 
 def assert_rightmost_on_balls_matches(m, centres):
@@ -278,8 +300,8 @@ class TestWalkMatchesReference:
         calls = [
             lambda: leftmost_geodesic(m, w, from_corner=0, dist=dist),
             lambda: rightmost_geodesic(m, w, from_corner=0, dist=dist),
-            lambda: leftmost_geodesic(m, w, from_dart=1, dist=dist),
-            lambda: rightmost_geodesic(m, w, from_dart=1, dist=dist),
+            lambda: leftmost_geodesic(m, w, from_corner=m.next[1], dist=dist),
+            lambda: rightmost_geodesic(m, w, from_corner=m.twin[1], dist=dist),
             lambda: metric._rightmost(m, 1, dist),
         ]
         assert dist[u] == 2
@@ -391,8 +413,9 @@ class TestDirectedDarts:
             lambda v: directed_darts(m, 1, v, "toward"),
             lambda v: directed_darts(m, 1, v, "toward", last),
             lambda v: classify_dart(m, 0, v),
+            lambda v: classify_dart(m, 0, v, last),
             lambda v: leftmost_geodesic(m, v, from_corner=0),
-            lambda v: rightmost_geodesic(m, v, from_dart=0, dist=last),
+            lambda v: rightmost_geodesic(m, v, from_corner=m.twin[0], dist=last),
         ]
         for call in calls:
             # "0" and None raised a bare TypeError from the comparison

@@ -21,7 +21,7 @@ from planemaps.errors import (
     BadParity,
     BadSchedule,
     BadSeed,
-    OddCoordinate,
+    NotBipartite,
     PlaneMapError,
     TooManyOddFaces,
 )
@@ -44,9 +44,9 @@ class TestSchedule:
         )
 
     def test_odd_coordinate(self):
-        with pytest.raises(OddCoordinate):
+        with pytest.raises(NotBipartite):
             default_schedule((3,))
-        with pytest.raises(OddCoordinate):
+        with pytest.raises(NotBipartite):
             sample_bipartite((4, 1), 0)
 
     def test_check_schedule(self):

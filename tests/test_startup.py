@@ -77,6 +77,30 @@ def test_oracles_are_assert_rewritten():
         assert isinstance(oracle.__loader__, AssertionRewritingHook), oracle.__name__
 
 
+# what an oracle may take from the library: the error classes it raises
+# like the library does, and the workspace the slit oracle cuts in
+ORACLE_IMPORTS = {("planemaps.surgery", "Slit"), ("planemaps.surgery", "Workspace")}
+
+
+def test_oracles_import_no_checked_code():
+    # an oracle that calls the library's own check checks nothing
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*_reference.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "", alias.name) for alias in node.names]
+            else:
+                continue
+            for module, name in names:
+                if module.split(".")[0] != "planemaps" or (module, name) in ORACLE_IMPORTS:
+                    continue
+                if module != "planemaps.errors" or name in (None, "*"):
+                    found.append(f"{path.name}:{node.lineno} {module} {name}")
+    assert found == []
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names path imports and never reads, as 'file:line name'.
 
