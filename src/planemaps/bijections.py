@@ -31,6 +31,7 @@ from .metric import (
     rightmost_geodesic,
 )
 from .surgery import (
+    _check_mark_side,
     arrow,
     edge_to_digon,
     finish,
@@ -489,10 +490,12 @@ def grow_via_transfers(
     _side_rule(identity, "lhs", m.degrees, j, k)
     if carry is not None:
         carry = _check_carry(m, carry)
-    # refuses a mark_side outside 0, 1 before the channel's BFS runs
-    m1 = edge_to_digon(m, e, mark_side)
-    # edge_to_digon keeps every dart, corner and mark of m
+    _check_mark_side(mark_side)
+    # the channel refuses an edge or slot out of range before its BFS,
+    # so both before the digon map is built
     kind, _, anchor_c, anchor_2, u2, _ = _growth_channel(m, e, j, k, c, c2)
+    # edge_to_digon keeps every dart, corner and mark of m
+    m1 = edge_to_digon(m, e, mark_side)
     case = kind if kind == "simple" else f"{kind}-pinched"
     cv = m1.vertex_of(anchor_c)
     dist1 = distances(m1, cv)

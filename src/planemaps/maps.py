@@ -191,7 +191,7 @@ class PlaneMap:
         "marked",
         "_prev",
         "_contours",
-        "_vertices",
+        "_first",
         "_vertex_of",
         "degrees",
         "_canonical_",
@@ -242,22 +242,20 @@ class PlaneMap:
         if len(reached) < r:
             raise Disconnected("darts do not form a single connected map")
 
-        # vertices are the orbits of sigma = next o twin, clockwise
+        # vertices are the orbits of sigma = next o twin, numbered and
+        # kept by their least dart; vertex_darts walks the rest on demand
         vertex_of = [-1] * n
-        vertices = []
+        first = []
         for d in range(n):
-            if vertex_of[d] >= 0:
-                continue
-            orbit = []
-            v = len(vertices)
-            e = d
-            while vertex_of[e] < 0:
-                vertex_of[e] = v
-                orbit.append(e)
-                e = next_t[twin_t[e]]
-            vertices.append(tuple(orbit))
+            if vertex_of[d] < 0:
+                v = len(first)
+                first.append(d)
+                e = d
+                while vertex_of[e] < 0:
+                    vertex_of[e] = v
+                    e = next_t[twin_t[e]]
 
-        if len(vertices) - n // 2 + r != 2:
+        if len(first) - n // 2 + r != 2:
             raise WrongGenus("Euler characteristic is not 2")
 
         _set_twin(self, twin_t)
@@ -266,7 +264,7 @@ class PlaneMap:
         _set_marked(self, marked_t)
         _set_prev(self, prev_t)
         _set_contours(self, contours)
-        _set_vertices(self, tuple(vertices))
+        _set_first(self, tuple(first))
         _set_vertex_of(self, tuple(vertex_of))
         _set_degrees(self, degrees)
 
@@ -289,7 +287,7 @@ class PlaneMap:
 
     @property
     def n_vertices(self) -> int:
-        return len(self._vertices)
+        return len(self._first)
 
     def degree(self, i: int) -> int:
         return len(self.contour(i))
@@ -332,10 +330,18 @@ class PlaneMap:
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         """All vertices as clockwise dart cycles."""
-        return self._vertices
+        return tuple(map(self.vertex_darts, range(len(self._first))))
 
     def vertex_darts(self, v: int) -> tuple[int, ...]:
-        return _entry(self._vertices, v, "vertex")
+        """The clockwise dart cycle of vertex v, walked from its least dart."""
+        d = _entry(self._first, v, "vertex")
+        nxt, twin = self.next, self.twin
+        cycle = [d]
+        e = nxt[twin[d]]
+        while e != d:
+            cycle.append(e)
+            e = nxt[twin[e]]
+        return tuple(cycle)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (d, twin(d)) with d < twin(d), sorted by d."""
@@ -483,7 +489,7 @@ class PlaneMap:
 
 
 # the slots' own setters, which PlaneMap.__setattr__'s refusal does not reach
-(_set_twin, _set_next, _set_face, _set_marked, _set_prev, _set_contours, _set_vertices,
+(_set_twin, _set_next, _set_face, _set_marked, _set_prev, _set_contours, _set_first,
  _set_vertex_of, _set_degrees, _set_canonical) = (
     getattr(PlaneMap, slot).__set__ for slot in PlaneMap.__slots__)
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 from operator import index
 
 from .errors import BadArgument
-from .maps import PlaneMap
+from .maps import PlaneMap, _entry
 
 
 def _vertex(m: PlaneMap, v: int) -> int:
-    """v as a vertex index of m; vertex_darts refuses any other."""
-    m.vertex_darts(v)
+    """v as a vertex index of m; the map's first-dart table refuses any
+    other, where vertex_darts would build the vertex's cycle to refuse it."""
+    _entry(m._first, v, "vertex")
     return index(v)
 
 
@@ -34,17 +35,26 @@ def _dart(m: PlaneMap, d: int) -> int:
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
     """BFS distance from vertex index v to every vertex."""
     v = _vertex(m, v)
-    vertices, vertex_of, twin = m._vertices, m._vertex_of, m.twin
-    dist = [-1] * len(vertices)
+    first, vertex_of, twin, nxt = m._first, m._vertex_of, m.twin, m.next
+    dist = [-1] * len(first)
     dist[v] = 0
-    queue = [v]
-    for u in queue:
-        du = dist[u] + 1
-        for d in vertices[u]:
-            w = vertex_of[twin[d]]
+    # one dart out of each reached vertex, v's first or the twin of the ray
+    # that reached it; sigma = next o twin walks the rays past it round to it
+    s = first[v]
+    queue = [s]
+    if (w := vertex_of[twin[s]]) != v:
+        dist[w] = 1
+        queue.append(twin[s])
+    for s in queue:
+        du = dist[vertex_of[s]] + 1
+        d = nxt[twin[s]]
+        while d != s:
+            t = twin[d]
+            w = vertex_of[t]
             if dist[w] < 0:
                 dist[w] = du
-                queue.append(w)
+                queue.append(t)
+            d = nxt[t]
     return tuple(dist)
 
 
@@ -55,25 +65,35 @@ def _ball(m: PlaneMap, v: int, stop) -> list[int]:
     of them carry their true distance; the rest carry it or -1.  Only
     the growth step reads such a table, and only through _rightmost.
     """
-    vertices, vertex_of, twin = m._vertices, m._vertex_of, m.twin
-    dist = [-1] * len(vertices)
+    first, vertex_of, twin, nxt = m._first, m._vertex_of, m.twin, m.next
+    dist = [-1] * len(first)
     dist[v] = 0
     left = set(stop)
     left.discard(v)
     if not left:
         return dist
-    queue = [v]
-    for u in queue:
-        du = dist[u] + 1
-        for d in vertices[u]:
-            w = vertex_of[twin[d]]
+    s = first[v]  # the search of distances, cut short below
+    queue = [s]
+    if (w := vertex_of[twin[s]]) != v:
+        dist[w] = 1
+        queue.append(twin[s])
+        left.discard(w)
+        if not left:
+            return dist
+    for s in queue:
+        du = dist[vertex_of[s]] + 1
+        d = nxt[twin[s]]
+        while d != s:
+            t = twin[d]
+            w = vertex_of[t]
             if dist[w] < 0:
                 dist[w] = du
-                queue.append(w)
+                queue.append(t)
                 if w in left:
                     left.discard(w)
                     if not left:
                         return dist
+            d = nxt[t]
     return dist
 
 

@@ -577,6 +577,12 @@ def finish(ws: Workspace) -> tuple[PlaneMap, list[int | None]]:
     return PlaneMap(twin, next_, None, marked), rename
 
 
+def _check_mark_side(mark_side: int) -> None:
+    """BadDecoration unless the int mark_side is 0 or 1."""
+    if mark_side not in (0, 1):
+        raise BadDecoration("mark_side must be 0 or 1")
+
+
 def edge_to_digon(m: PlaneMap, edge_index: int, mark_side: int) -> PlaneMap:
     """Split an edge in two and insert a digon face between the copies.
 
@@ -584,8 +590,7 @@ def edge_to_digon(m: PlaneMap, edge_index: int, mark_side: int) -> PlaneMap:
     corner on the side of the lower dart of the edge, 1 the other.
     """
     edge_index, mark_side = _decoration(edge_index, mark_side)
-    if mark_side not in (0, 1):
-        raise BadDecoration("mark_side must be 0 or 1")
+    _check_mark_side(mark_side)
     d, t = m.edge(edge_index)  # raises BadDecoration outside 0..E-1
     n = m.n_darts
     nl, nt = n, n + 1

@@ -42,19 +42,26 @@ def _walk(m, cands, step, dist):
             raise AssertionError("no distance-decreasing dart found")
 
 
-def _rotate_past(cycle, d):
-    """The cycle read from the entry after d around to d itself."""
-    k = cycle.index(d) + 1
-    return list(cycle[k:] + cycle[:k])
+def _rotation(m, d):
+    """The darts at the origin of d, clockwise from d: walked here from
+    next and twin, not read from the map's storage."""
+    rot = [d]
+    e = m.next[m.twin[d]]
+    while e != d:
+        rot.append(e)
+        e = m.next[m.twin[e]]
+    return rot
 
 
 def _clockwise_from(m, d):
     """All darts at the origin of d: d itself last, scanning clockwise."""
-    return _rotate_past(m._vertices[m._vertex_of[d]], d)
+    rot = _rotation(m, d)
+    return rot[1:] + rot[:1]
 
 
 def _counterclockwise_from(m, d):
-    return _rotate_past(m._vertices[m._vertex_of[d]][::-1], d)
+    rot = _rotation(m, d)
+    return rot[:0:-1] + rot[:1]
 
 
 def leftmost_geodesic(m, target, *, from_dart=None, from_corner=None, dist):

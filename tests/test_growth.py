@@ -28,6 +28,7 @@ from planemaps.errors import (
     PlaneMapError,
     SameFace,
 )
+from planemaps.maps import PlaneMap
 from planemaps.metric import classify_dart, distances
 from planemaps.sampler import sample
 from planemaps.surgery import digon_to_edge, edge_to_digon
@@ -369,6 +370,22 @@ class TestErrors:
             with pytest.raises(BadDecoration) as info:
                 call()
             assert type(info.value) is BadDecoration
+
+    @pytest.mark.parametrize("c, c2", [(3, 0), (0, 4), (-1, 0), (0, -1)])
+    def test_slot_refused_before_the_digon_map(self, monkeypatch, c, c2):
+        # a slot out of range is refused by the channel's accessors, so
+        # edge_to_digon never builds its map for a decoration that fails
+        built = []
+        real = PlaneMap.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(PlaneMap, "__init__", counting)
+        with pytest.raises(BadDecoration):
+            grow_via_transfers(EDGE, 0, c, c2)
+        assert built == []
 
     def test_bad_edge(self):
         with pytest.raises(BadDecoration):

@@ -438,7 +438,7 @@ class TestFaceValidationSlot:
         for t in types:
             fresh[t] = [
                 (m.twin, m.next, m.face, m.marked, m._contours, m._prev,
-                 m._vertices, m._vertex_of)
+                 m._first, m.vertices(), m._vertex_of)
                 for m in enumerate_maps(t)
             ]
         # rebuild them through the constructor, one map of each type at a time
@@ -450,7 +450,7 @@ class TestFaceValidationSlot:
                     m = PlaneMap(*rows[t][k])
                     built[t].append(
                         (m.twin, m.next, m.face, m.marked, m._contours,
-                         m._prev, m._vertices, m._vertex_of)
+                         m._prev, m._first, m.vertices(), m._vertex_of)
                     )
         assert built == fresh
 
@@ -461,8 +461,8 @@ def built(twin, next_, marked):
         m = PlaneMap(twin, next_, None, marked)
     except PlaneMapError as exc:
         return type(exc)
-    return (m.twin, m.next, m.face, m.marked, m._contours, m._prev, m._vertices,
-            m._vertex_of, m.degrees)
+    return (m.twin, m.next, m.face, m.marked, m._contours, m._prev, m._first,
+            m.vertices(), m._vertex_of, m.degrees)
 
 
 class TestWalkedFaces:

@@ -526,3 +526,61 @@ class TestBall:
         assert ball.count(-1) > m.n_vertices // 2
         only = metric._ball(m, v, (v,))
         assert only[v] == 0 and only.count(-1) == m.n_vertices - 1
+
+
+def own_rotations(m: PlaneMap) -> list[tuple[int, ...]]:
+    """The orbits of sigma = next o twin, walked here from next and twin.
+
+    Numbered in the order of their least darts, each read clockwise from
+    its least dart: the map's vertex numbering, found without its tables.
+    """
+    seen = [False] * m.n_darts
+    cycles = []
+    for d in range(m.n_darts):
+        cycle = []
+        while not seen[d]:
+            seen[d] = True
+            cycle.append(d)
+            d = m.next[m.twin[d]]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+def own_distances(m: PlaneMap, cycles, v: int) -> list[int]:
+    """BFS from v over the given cycles, reading no table of the map."""
+    origin = {d: u for u, cycle in enumerate(cycles) for d in cycle}
+    dist = [-1] * len(cycles)
+    dist[v] = 0
+    queue = [v]
+    for u in queue:
+        for d in cycles[u]:
+            w = origin[m.twin[d]]
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("a", [(320,), (4,) * 80, (161, 159)], ids=["tree", "quads", "quasi"])
+def test_rotations_and_searches_at_size(a, seed):
+    # the map keeps one dart per vertex and walks the rest on demand;
+    # its cycles and both searches must match ones built here from scratch
+    m = sample(a, seed)
+    cycles = own_rotations(m)
+    assert m.n_vertices == len(cycles)
+    assert m.vertices() == tuple(cycles)
+    assert [m.vertex_darts(v) for v in range(m.n_vertices)] == cycles
+    rng = random.Random(seed)
+    for v in (0, *rng.sample(range(len(cycles)), 3)):
+        full = own_distances(m, cycles, v)
+        assert distances(m, v) == tuple(full)
+        stop = rng.sample(range(len(cycles)), 2)
+        ball = metric._ball(m, v, stop)
+        reach = max(full[s] for s in stop)
+        for u, (got, want) in enumerate(zip(ball, full)):
+            if want < reach or u in stop:
+                assert got == want, (seed, v, stop, u)
+            else:
+                assert got in (want, -1), (seed, v, stop, u)
