@@ -493,14 +493,10 @@ def grow_via_transfers(
     _check_mark_side(mark_side)
     # the channel refuses an edge or slot out of range before its BFS,
     # so both before the digon map is built
-    kind, _, anchor_c, anchor_2, u2, _ = _growth_channel(m, e, j, k, c, c2)
-    # edge_to_digon keeps every dart, corner and mark of m
+    kind, _, anchor_c, anchor_2, u2, ebar = _growth_channel(m, e, j, k, c, c2)
+    # edge_to_digon keeps every dart, corner and mark of m; ebar's digon twin points away
     m1 = edge_to_digon(m, e, mark_side)
     case = kind if kind == "simple" else f"{kind}-pinched"
-    cv = m1.vertex_of(anchor_c)
-    dist1 = distances(m1, cv)
-    away = [d for d in range(m.n_darts, m1.n_darts) if classify_dart(m1, d, cv, dist1) == "away"]
-    assert len(away) == 1, "one digon dart points away from the first cut"
 
     # pin the second cut point before the first transfer disturbs it;
     # when both points share one corner, the first cut runs beside it
@@ -509,7 +505,7 @@ def grow_via_transfers(
     toks.insert(_cut_split(toks, k, u2, m.degree(k)), _POINT)
     if j == k and u2 == c:
         toks.insert(toks.index(_POINT) + (c2 == c), _CUT)
-    m2, _, h_mid, rename = _transfer_right(m1, j, m1.n_faces, c, away[0], ws)
+    m2, _, h_mid, rename = _transfer_right(m1, j, m1.n_faces, c, m1.twin[ebar], ws)
     carry2 = _carry_out(ws, rename, [*(carry or ()), _POINT])
     # the second transfer cuts where the point came to rest
     d_pt, rank_pt = carry2.pop(_POINT)

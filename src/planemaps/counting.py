@@ -173,6 +173,11 @@ class Identity(Enum):
     UNIT_FACE = "unit-face"
 
 
+def _second(identity: Identity, r: int, second: int | None) -> int:
+    """second, or by default the last of r faces, face 2 for CORNER_EACH_TWO_FACES."""
+    return (2 if identity is Identity.CORNER_EACH_TWO_FACES else r) if second is None else second
+
+
 def _side_rule(
     identity: Identity, side: str, t: tuple[int, ...], first: int = 1, second: int | None = None
 ) -> None:
@@ -193,10 +198,9 @@ def _side_rule(
     one_role = identity is Identity.TWO_CORNERS_SAME_FACE or (
         identity is Identity.UNIT_FACE and side == "rhs"
     )
-    if second is None:
-        if r < 2 and not one_role:
-            raise BadParity(f"{identity.value} needs at least two faces")
-        second = 2 if identity is Identity.CORNER_EACH_TWO_FACES else r
+    if second is None and r < 2 and not one_role:
+        raise BadParity(f"{identity.value} needs at least two faces")
+    second = _second(identity, r, second)
     if not (0 < first <= r and 0 < second <= r):
         raise BadFace(f"faces {first} and {second} outside 1..{r}")
     if first == second and not one_role:
@@ -275,7 +279,7 @@ def decoration_radices(
     r = len(t)
     given = None if second is None else _index(second, "second")
     _side_rule(identity, side, t, first, given)
-    second = (2 if identity is Identity.CORNER_EACH_TWO_FACES else r) if given is None else given
+    second = _second(identity, r, given)
     a, b, e = t[first - 1], t[second - 1], sum(t) // 2
     v = e - r + 2
     if identity is Identity.TWO_CORNERS_SAME_FACE:

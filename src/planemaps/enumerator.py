@@ -21,11 +21,11 @@ with every constructor check that reads the twin, and share its tuples.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
-from .counting import Identity, _index, check_type, decoration_radices, edge_count
-from .errors import Disconnected, TooManyEdges, WrongGenus
-from .maps import PlaneMap, _Faces
+from .counting import Identity, _index, _second, check_type, decoration_radices, edge_count
+from .errors import BadDecoration, Disconnected, TooManyEdges, WrongGenus
+from .maps import PlaneMap, _Faces, _ints
 from .metric import directed_darts, distances
 
 DEFAULT_MAX_EDGES = 6
@@ -115,35 +115,51 @@ def enumerate_maps(a, max_edges: int = DEFAULT_MAX_EDGES) -> list[PlaneMap]:
     return out
 
 
+def decode(m: PlaneMap, identity: Identity, side: str, digits, first=1, second=None) -> tuple:
+    """The decoration of one side of an identity that digits name on m.
+
+    digits are one int below each radix of decoration_radices at the
+    same roles, else BadDecoration.  They are the decoration on the lhs
+    of the growth identities and of UNIT_FACE.  Elsewhere the first is a
+    slot or a vertex and each later one indexes a directed_darts list;
+    on one face's list, the second skips the first dart.
+    """
+    radices = decoration_radices(identity, side, m.degrees, first, second)
+    ds = _ints(digits, BadDecoration, "digits are")
+    if len(ds) != len(radices) or not all(0 <= d < x for d, x in zip(ds, radices)):
+        raise BadDecoration(f"digits {digits!r} do not fit the radices {radices}")
+    return _decorations(m, identity, side, first, second, ds[0], [ds[1:]])[0]
+
+
+def _decorations(m, identity, side, first, second, d0, rests) -> list[tuple]:
+    """decode of in-range digits (d0, *rest), each rest in rests, on d0's one BFS."""
+    second = _second(identity, m.n_faces, second)
+    if identity is Identity.FACE_TO_FACE:
+        # a slot of one face, then the darts of the other at its vertex
+        f, g, direction = (first, second, "toward") if side == "lhs" else (second, first, "away")
+        hs = directed_darts(m, g, m.vertex_of(m.slot_anchor(f, d0)), direction)
+        return [(d0, hs[d]) for d, in rests]
+    if side == "lhs":
+        return [(d0, *rest) for rest in rests]
+    if identity is Identity.CORNER_EACH_TWO_FACES:
+        dist = distances(m, d0)
+        hs, hs2 = (directed_darts(m, f, d0, "toward", dist) for f in (first, second))
+        return [(d0, hs[d], hs2[d2]) for d, d2 in rests]
+    hs = directed_darts(m, first, d0, "toward")
+    if identity is Identity.UNIT_FACE:
+        return [(d0, hs[d]) for d, in rests]
+    # two darts of one face: the second digit skips the first dart
+    return [(d0, hs[d], hs[d2 + (d2 >= d)]) for d, d2 in rests]
+
+
 def enumerate_decorations(m: PlaneMap, identity: Identity, side: str) -> list[tuple]:
     """All decorations of one side of a counting identity on one map.
 
-    Faces play the default roles of decoration_radices.  Vertex, edge
-    and slot coordinates range over its radices, and darts come from
-    directed_darts.  A map of a type the identity does not apply to
-    (lhs) or does not lead to (rhs) raises BadParity, as the table
-    reads the rule at the default roles.
+    The decode of every digit tuple in lexicographic order, at the
+    default roles.  A map of a type the identity does not apply to (lhs)
+    or does not lead to (rhs) raises BadParity, as decoration_radices does.
     """
     radices = decoration_radices(identity, side, m.degrees)
-    if side == "lhs" and identity is not Identity.FACE_TO_FACE:
-        return list(product(*map(range, radices)))
-    out: list[tuple] = []
-    if identity is Identity.FACE_TO_FACE:
-        # a slot of one face, then the darts of the other at its vertex
-        f, g, direction = (1, m.n_faces, "toward") if side == "lhs" else (m.n_faces, 1, "away")
-        for c in range(radices[0]):
-            v = m.vertex_of(m.slot_anchor(f, c))
-            out += [(c, h) for h in directed_darts(m, g, v, direction)]
-        return out
-    # an rhs vertex, then darts of face 1 (and face 2) toward it
-    for v in range(radices[0]):
-        if identity is Identity.CORNER_EACH_TWO_FACES:
-            dist = distances(m, v)
-            hs, hs2 = (directed_darts(m, f, v, "toward", dist) for f in (1, 2))
-        else:
-            hs = hs2 = directed_darts(m, 1, v, "toward")
-        if identity is Identity.UNIT_FACE:
-            out += [(v, h) for h in hs]
-        else:  # darts of two different faces always differ
-            out += [(v, h, h2) for h in hs for h2 in hs2 if h != h2]
-    return out
+    rests = [*product(*map(range, radices[1:]))]
+    per_d0 = (_decorations(m, identity, side, 1, None, d0, rests) for d0 in range(radices[0]))
+    return [*chain.from_iterable(per_d0)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import islice
+from itertools import compress, count, islice
 from operator import index, lt
 
 from .counting import check_type
@@ -351,7 +351,7 @@ class PlaneMap:
         """edges()[e] without building the others; e must lie in 0..E-1."""
         try:  # islice refuses a float, next an e past the last edge
             if e >= 0:
-                d = next(islice((d for d, t in enumerate(self.twin) if d < t), e, None))
+                d = next(islice(compress(count(), map(lt, count(), self.twin)), e, None))
                 return d, self.twin[d]
         except (StopIteration, TypeError, ValueError):
             pass

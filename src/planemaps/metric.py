@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import index
 
 from .errors import BadArgument
-from .maps import PlaneMap, _entry
+from .maps import PlaneMap, _entry, _ints
 
 
 def _vertex(m: PlaneMap, v: int) -> int:
@@ -34,50 +34,32 @@ def _dart(m: PlaneMap, d: int) -> int:
 
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
     """BFS distance from vertex index v to every vertex."""
-    v = _vertex(m, v)
+    return tuple(_ball(m, _vertex(m, v), ()))
+
+
+def _ball(m: PlaneMap, v: int, stop) -> list[int]:
+    """The search of distances(m, v), cut short once every vertex in stop is labelled.
+
+    An empty stop labels all.  Otherwise the stops and every vertex
+    closer to v than the farthest stop carry their true distance, the
+    rest it or -1; only the growth step reads them, via _rightmost.
+    """
     first, vertex_of, twin, nxt = m._first, m._vertex_of, m.twin, m.next
     dist = [-1] * len(first)
+    for w in stop:
+        dist[w] = -2  # a stop not reached yet
     dist[v] = 0
+    left = dist.count(-2) if stop else -1  # -1 never counts down to 0
+    if not left:
+        return dist
     # one dart out of each reached vertex, v's first or the twin of the ray
     # that reached it; sigma = next o twin walks the rays past it round to it
     s = first[v]
     queue = [s]
     if (w := vertex_of[twin[s]]) != v:
+        left -= dist[w] == -2
         dist[w] = 1
         queue.append(twin[s])
-    for s in queue:
-        du = dist[vertex_of[s]] + 1
-        d = nxt[twin[s]]
-        while d != s:
-            t = twin[d]
-            w = vertex_of[t]
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(t)
-            d = nxt[t]
-    return tuple(dist)
-
-
-def _ball(m: PlaneMap, v: int, stop) -> list[int]:
-    """distances(m, v) cut short once every vertex in stop is labelled.
-
-    The stop vertices and every vertex closer to v than the farthest
-    of them carry their true distance; the rest carry it or -1.  Only
-    the growth step reads such a table, and only through _rightmost.
-    """
-    first, vertex_of, twin, nxt = m._first, m._vertex_of, m.twin, m.next
-    dist = [-1] * len(first)
-    dist[v] = 0
-    left = set(stop)
-    left.discard(v)
-    if not left:
-        return dist
-    s = first[v]  # the search of distances, cut short below
-    queue = [s]
-    if (w := vertex_of[twin[s]]) != v:
-        dist[w] = 1
-        queue.append(twin[s])
-        left.discard(w)
         if not left:
             return dist
     for s in queue:
@@ -87,12 +69,13 @@ def _ball(m: PlaneMap, v: int, stop) -> list[int]:
             t = twin[d]
             w = vertex_of[t]
             if dist[w] < 0:
+                if dist[w] == -2:
+                    left -= 1
+                    if not left:
+                        dist[w] = du
+                        return dist
                 dist[w] = du
                 queue.append(t)
-                if w in left:
-                    left.discard(w)
-                    if not left:
-                        return dist
             d = nxt[t]
     return dist
 
@@ -161,9 +144,13 @@ def census_fits(counts: tuple[int, int, int], quasi: bool) -> bool:
     The face degree is the sum of the counts.  An odd face sees one
     parallel dart and splits the rest evenly between toward and away.
     An even face splits evenly with no parallel dart in a bipartite
-    map, and with zero or two in a quasibipartite one.
+    map, and with zero or two in a quasibipartite one.  Anything but
+    three ints raises BadArgument.
     """
-    toward, away, par = counts
+    triple = _ints(counts, BadArgument, "census counts are")
+    if len(triple) != 3:
+        raise BadArgument(f"census counts {counts!r} are not a triple")
+    toward, away, par = triple
     if toward != away:
         return False
     if (toward + away + par) % 2:

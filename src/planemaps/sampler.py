@@ -21,9 +21,9 @@ from functools import lru_cache
 
 from .bijections import grow_same, transfer1_left, transfer_right
 from .counting import Identity, _odd_pair, _odd_positions, check_type, decoration_radices
+from .enumerator import _decorations
 from .errors import BadParity, BadSchedule, BadSeed, NotBipartite
 from .maps import PlaneMap
-from .metric import directed_darts
 from .surgery import edge_to_digon
 
 Schedule = tuple[tuple[int, ...], ...]
@@ -187,23 +187,17 @@ def sample_quasibipartite(a, rng) -> PlaneMap:
 def _quasi(t: tuple[int, ...], odd: tuple[int, ...], r: random.Random) -> PlaneMap:
     """sample_quasibipartite of a checked type and its two odd positions."""
     i, j = odd
-    if t[j - 1] == 1:
-        tt = [x for pos, x in enumerate(t, start=1) if pos != j]
-        tt[i - 1] += 1
-        m = _default_map(tuple(tt), r)
-        # an rhs of UNIT_FACE: a vertex and a dart of face i toward it,
-        # uniform because the toward count per vertex is fixed
-        v = r.randrange(decoration_radices(Identity.UNIT_FACE, "rhs", m.degrees, i)[0])
-        return transfer1_left(m, i, j, v, r.choice(directed_darts(m, i, v, "toward")))[0]
     tt = list(t)
     tt[i - 1] += 1
     tt[j - 1] -= 1
-    m = _default_map(tuple(tt), r)
-    # an rhs of FACE_TO_FACE: a slot of face j and a dart of face i away
-    # from the slot vertex, again fixed per vertex
-    slot = r.randrange(decoration_radices(Identity.FACE_TO_FACE, "rhs", m.degrees, i, j)[0])
-    cv = m.vertex_of(m.slot_anchor(j, slot))
-    return transfer_right(m, j, i, slot, r.choice(directed_darts(m, i, cv, "away")))[0]
+    # a uniform rhs of UNIT_FACE on the relative when face j is gone, else
+    # of FACE_TO_FACE: one randrange per radix, in range, so not rechecked
+    unit = not tt[j - 1]
+    identity, second = (Identity.UNIT_FACE, None) if unit else (Identity.FACE_TO_FACE, j)
+    m = _default_map(tuple(filter(None, tt)), r)
+    d0, *rest = map(r.randrange, decoration_radices(identity, "rhs", m.degrees, i, second))
+    (dec,) = _decorations(m, identity, "rhs", i, second, d0, [rest])
+    return (transfer1_left(m, i, j, *dec) if unit else transfer_right(m, j, i, *dec))[0]
 
 
 def sample(a, rng) -> PlaneMap:

@@ -95,11 +95,14 @@ def censuses(k: int) -> tuple[list[str], int]:
     lines, n_maps = [], 0
     for t in admissible_types(k):
         quasi = bool(odd_positions(t))
+        fits = {}  # one verdict per distinct triple of the type
         for m in enumerate_maps(t, max_edges=k):
             n_maps += 1
             for v in range(m.n_vertices):
                 for i, counts in enumerate(direction_census(m, v), start=1):
-                    if not census_fits(counts, quasi):
+                    if counts not in fits:
+                        fits[counts] = census_fits(counts, quasi)
+                    if not fits[counts]:
                         lines.append(
                             f"FAIL direction census {t} face {i} vertex {v}: "
                             f"(toward, away, parallel) = {counts}"

@@ -1,21 +1,24 @@
 """Gluing enumeration against the counting formula."""
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
 from planemaps import enumerator
+from planemaps.bijections import transfer1_left, transfer_right
 from planemaps.counting import (
     Identity,
     admissible_types,
+    decoration_radices,
     identity_families,
     identity_sides,
     identity_target,
     tutte_count,
 )
-from planemaps.enumerator import DEFAULT_MAX_EDGES, enumerate_decorations, enumerate_maps
+from planemaps.enumerator import DEFAULT_MAX_EDGES, decode, enumerate_decorations, enumerate_maps
 from planemaps.errors import (
     BadArgument,
+    BadDecoration,
     BadParity,
     Disconnected,
     PlaneMapError,
@@ -23,6 +26,7 @@ from planemaps.errors import (
     WrongGenus,
 )
 from planemaps.maps import PlaneMap
+from planemaps.metric import directed_darts, distances
 
 SMALL_TYPES = [
     (2,),
@@ -273,3 +277,106 @@ class TestDecorations:
             call(Identity.UNIT_FACE.value)
         assert isinstance(info.value, PlaneMapError)
         assert isinstance(info.value, ValueError)
+
+
+def reference_decorations(m, identity, side):
+    """enumerate_decorations as one branch per identity and side."""
+    radices = decoration_radices(identity, side, m.degrees)
+    if side == "lhs" and identity is not Identity.FACE_TO_FACE:
+        return list(product(*map(range, radices)))
+    out = []
+    if identity is Identity.FACE_TO_FACE:
+        f, g, direction = (1, m.n_faces, "toward") if side == "lhs" else (m.n_faces, 1, "away")
+        for c in range(radices[0]):
+            v = m.vertex_of(m.slot_anchor(f, c))
+            out += [(c, h) for h in directed_darts(m, g, v, direction)]
+        return out
+    for v in range(radices[0]):
+        if identity is Identity.CORNER_EACH_TWO_FACES:
+            dist = distances(m, v)
+            hs, hs2 = (directed_darts(m, f, v, "toward", dist) for f in (1, 2))
+        else:
+            hs = hs2 = directed_darts(m, 1, v, "toward")
+        if identity is Identity.UNIT_FACE:
+            out += [(v, h) for h in hs]
+        else:
+            out += [(v, h, h2) for h in hs for h2 in hs2 if h != h2]
+    return out
+
+
+class TestDecode:
+    def test_every_digit_tuple_in_order_is_the_enumeration(self):
+        # every family with at most 4 edges on its lhs, both sides
+        maps, n = {}, 0
+        for t, identity, target in identity_families(4):
+            for side, a in (("lhs", t), ("rhs", target)):
+                radices = decoration_radices(identity, side, a)
+                if a not in maps:
+                    maps[a] = enumerate_maps(a)
+                for m in maps[a]:
+                    got = [decode(m, identity, side, ds) for ds in product(*map(range, radices))]
+                    assert got == enumerate_decorations(m, identity, side), (a, identity, side)
+                    assert got == reference_decorations(m, identity, side), (a, identity, side)
+                    n += len(got)
+        assert n == 122_600
+
+    @pytest.mark.parametrize(
+        "identity, side, a",
+        [
+            (Identity.TWO_CORNERS_SAME_FACE, "lhs", (4, 2)),
+            (Identity.TWO_CORNERS_SAME_FACE, "rhs", (6, 2)),
+            (Identity.CORNER_EACH_TWO_FACES, "rhs", (3, 3)),
+            (Identity.FACE_TO_FACE, "lhs", (4, 2)),
+            (Identity.FACE_TO_FACE, "rhs", (3, 1)),
+            (Identity.UNIT_FACE, "lhs", (3, 1)),
+            (Identity.UNIT_FACE, "rhs", (4,)),
+        ],
+    )
+    def test_refuses_digits_off_the_radices(self, identity, side, a):
+        m = enumerate_maps(a)[0]
+        radices = decoration_radices(identity, side, a)
+        low = [0] * len(radices)
+        assert decode(m, identity, side, low)
+        bad = [low[:-1], low + [0], [0.0] + low[1:], [-1] + low[1:], low[:-1] + [-1]]
+        bad += [low[:k] + [x] + low[k + 1 :] for k, x in enumerate(radices)]
+        for digits in bad:
+            with pytest.raises(BadDecoration):
+                decode(m, identity, side, digits)
+
+    def test_type_off_the_side_raises_as_the_table(self):
+        m = enumerate_maps((3, 1))[0]
+        refused = set()
+        for identity, side in product(Identity, ("lhs", "rhs")):
+            try:
+                decoration_radices(identity, side, m.degrees)
+            except BadParity as info:
+                with pytest.raises(BadParity) as got:
+                    decode(m, identity, side, (0, 0, 0))
+                assert type(got.value) is type(info)
+                refused.add(type(info))
+        assert len(refused) > 1, refused
+
+    @pytest.mark.parametrize(
+        "a", [(3, 1), (1, 3), (2, 3, 1), (1, 2, 3), (3, 3), (5, 1), (3, 2, 1)], ids=str
+    )
+    def test_sampler_roles_feed_the_transfers(self, a):
+        # the sampler's last step: an rhs decoration of its bipartite
+        # relative at the two odd faces i and j, then one transfer back
+        i, j = (k for k, x in enumerate(a, start=1) if x % 2)
+        relative = list(a)
+        relative[i - 1] += 1
+        relative[j - 1] -= 1
+        if a[j - 1] == 1:
+            del relative[j - 1]
+            identity, roles = Identity.UNIT_FACE, (i,)
+            transfer = lambda m, v, h: transfer1_left(m, i, j, v, h)
+        else:
+            identity, roles = Identity.FACE_TO_FACE, (i, j)
+            transfer = lambda m, slot, h: transfer_right(m, j, i, slot, h)
+        n = 0
+        for m in enumerate_maps(relative):
+            radices = decoration_radices(identity, "rhs", m.degrees, *roles)
+            for ds in product(*map(range, radices)):
+                assert transfer(m, *decode(m, identity, "rhs", ds, *roles))[0].degrees == a
+                n += 1
+        assert n

@@ -389,6 +389,13 @@ class TestDirectionCensus:
     def test_census_fits(self, counts, quasi, fits):
         assert census_fits(counts, quasi) is fits
 
+    @pytest.mark.parametrize("counts", [(1, 1), "abc", (1, 1, 0, 0), (1.0, 1, 0), None])
+    def test_census_fits_refuses_all_but_three_ints(self, counts):
+        # (1, 1) raised a bare ValueError from unpacking and "abc" read as
+        # False, comparing its letters
+        with pytest.raises(BadArgument):
+            census_fits(counts, False)
+
 
 class TestDirectedDarts:
     def test_equals_classify_dart_filter(self):
