@@ -346,7 +346,8 @@ def _pinch_side(m: PlaneMap, spine_a, chain, spine_b, d_c: int, d_ex: int) -> st
 
     Clockwise from the arrival corner at the attachment vertex, meeting
     the departing branch before the chain means the channel turns
-    right; meeting the chain first means it stays left.
+    right; meeting the chain first means it stays left.  One turn
+    round the vertex that meets neither is an inconsistent cut.
     """
     first = m.sigma(m.twin[spine_a[-1]]) if spine_a else d_c
     depart = spine_b[0] if spine_b else d_ex
@@ -358,6 +359,8 @@ def _pinch_side(m: PlaneMap, spine_a, chain, spine_b, d_c: int, d_ex: int) -> st
         if r == d1:
             return "left"
         r = m.sigma(r)
+        if r == first:
+            raise AssertionError("neither the departure nor the chain is at the vertex")
 
 
 def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int):

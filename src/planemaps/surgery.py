@@ -30,6 +30,7 @@ mouth darts.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from .errors import (
     BadArgument,
@@ -125,15 +126,30 @@ class Slit(namedtuple("Slit", "walk nl nr entry_dart exit_dart")):
         return len(self.walk)
 
 
-def _split(rot: list[int], arrive: int, new_l: int, new_r: int) -> list[list[int]]:
-    """Left and right copy of a walk vertex, as ray cycles from the mouth.
+def _arcs(rot: list[int], head: int, cuts: list[tuple]) -> list[list[int]]:
+    """The copies of a walk vertex: the arcs of rot between consecutive cuts.
 
-    rot is the rotation of the vertex from the departing walk dart and
-    arrive is the twin of the arriving one: the rays after arrive go
-    left behind new_l, those before it right behind new_r.
+    rot runs clockwise from a walk ray, which is cut just after, where
+    its fresh copy head opens the first arc.  Each other cut is (d,
+    fresh): just after the walk ray d, where fresh opens the next arc,
+    or, with fresh None, just before the mouth corner of dart d.  In
+    one gap a ray's cut comes before a corner's.  An arc is the fresh
+    copy that opens it, if any, then the rays up to the next cut.
     """
-    q = rot.index(arrive)
-    return [[new_l, *rot[q + 1 :], rot[0]], [new_r, *rot[1:q], arrive]]
+    n = len(rot)
+    # gap g lies just before rot[g], before rot[0] when g == n
+    keys = []
+    for d, fresh in cuts:
+        q = rot.index(d)
+        keys.append((q + 1, 0, fresh) if fresh is not None else (q or n, 1, None))
+    keys.sort()
+    arcs = []
+    start, fresh = 1, head
+    for gap, _, after in keys:
+        arcs.append(rot[start:gap] if fresh is None else [fresh, *rot[start:gap]])
+        start, fresh = gap, after
+    arcs.append([*rot[start:], rot[0]] if fresh is None else [fresh, *rot[start:], rot[0]])
+    return arcs
 
 
 def slit(
@@ -145,10 +161,11 @@ def slit(
     """Cut along a self-avoiding walk of darts.
 
     entry is (dart, split): the cut starts inside the corner before
-    that dart, with the first split markers of the corner going to the
-    right bank.  exit is the same at the far end, or None for a blind
-    slit that leaves the far vertex whole.  Walk vertices must be
-    pairwise distinct and the corners must sit on the walk ends.
+    that dart, with the first split markers of the corner, an int from
+    0 to their number, going to the right bank.  exit is the same at
+    the far end, or None for a blind slit that leaves the far vertex
+    whole.  Walk vertices must be pairwise distinct and the corners
+    must sit on the walk ends, or CornerMismatch is raised.
     """
     p = list(walk)
     if not p:
@@ -191,23 +208,28 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
 
     The walk is sa, ch, the twins of ch in reverse, then sb.  Without
     a chain sb is empty and the far end of sa is the exit mouth, or
-    the whole far vertex of a blind slit when exit is None.  Every
-    vertex copy is sliced out of the rotations the walk check takes,
-    each from its walk dart, and written back as a vertex cycle on the
-    lists themselves.
+    the whole far vertex of a blind slit when exit is None.  One rule
+    cuts every walk vertex, on the rotation the walk check took from
+    one of its walk rays: a cut falls just after each walk ray through
+    the vertex, where the ray's fresh copy opens the next arc, and just
+    before each mouth corner; in one gap the ray's cut comes first.
+    Every vertex copy is the arc between two consecutive cuts, and at
+    the attachment vertex the arc between arrival and departure ends
+    in the chain's middle copy, whichever way round they lie.  The
+    copies are written back as vertex cycles on the lists themselves.
     """
-    d_c, entry_split = entry
-    d_ex, exit_split = exit if exit is not None else (None, 0)
     a, n_ch, b = len(sa), len(ch), len(sb)
     twin, nxt, prv = ws.twin, ws.next, ws.prev
+    n = len(twin)
     p = [*sa, *ch]
-    for x in reversed(ch):  # the chain climbed back
+    for x in reversed(ch):  # the chain climbed back: known darts only
+        if not (0 <= x < n and twin[x] is not None):
+            raise InvalidWalk(f"unknown dart {x}")
         p.append(twin[x])
     p += sb
     length = len(p)
     # rots[k] is the rotation from p[k]: it must hold told[k - 1], the
     # head of the dart before, so only the final head needs its own
-    n = len(twin)
     rots: list[list[int]] = []
     told: list[int] = []
     for dart in p:
@@ -228,10 +250,9 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     seen = rots[: a + n_ch + 1] + rots[a + 2 * n_ch + 1 :] if ch else rots
     if len(set(map(min, seen))) != len(seen):
         raise InvalidWalk("walk revisits a vertex")
-    if d_c not in rots[0]:
-        raise CornerMismatch("entry corner is not at the walk start")
-    if exit is not None and d_ex not in rots[-1]:
-        raise CornerMismatch("exit corner is not at the walk end")
+    d_c, entry_split = _mouth(ws, entry, rots[0], "entry", "start")
+    blind = exit is None and not ch
+    d_ex, exit_split = (None, 0) if blind else _mouth(ws, exit, rots[-1], "exit", "end")
     same_corner = a == 0 and b == 0 and d_c == d_ex
     if same_corner and (
         exit_split > entry_split if side == "left" else entry_split > exit_split
@@ -252,72 +273,30 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
         else:
             nl[a:a], nr[a:a] = mup + mdn[::-1], y_new + x_new[::-1]
 
-    # cut every vertex copy from the rotations taken above; a mouth keeps
-    # the rays from its corner dart round to the walk dart
+    # every walk vertex copy comes from _arcs: the fresh copy of p[k] at
+    # its origin is nr[k], of told[k] at its head nl[k]; down the chain
+    # they are y_new and x_new; the middle strand's vertices, all fresh,
+    # are written out directly
     cycles: list[list[int]] = []
     if a:
-        rot = rots[0]
-        q = rot.index(d_c) or len(rot)
-        cycles += [[*rot[q:], rot[0]], [nr[0], *rot[1:q]]]
-    for s in range(a - 1):
-        cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
+        cycles += _arcs(rots[0], nr[0], [(d_c, None)])
+    for s in (*range(1, a), *range(a + 2 * n_ch + 1, length)):
+        cycles += _arcs(rots[s], nr[s], [(told[s - 1], nl[s - 1])])
+    if b or not ch:  # the far vertex, whole when the slit is blind
+        cycles += _arcs(rots[-1], nl[-1], [] if blind else [(d_ex, None)])
     if ch:
         for t in range(n_ch - 1):
-            cycles += _split(rots[a + t + 1], told[a + t], x_new[t], y_new[t + 1])
+            cycles += _arcs(rots[a + t + 1], y_new[t + 1], [(told[a + t], x_new[t])])
             cycles.append([mup[t], mdn[t + 1]])
-        e_last = told[a + n_ch - 1]
-        cycles.append([x_new[-1], *rots[a + n_ch][1:], e_last])
+        cycles += _arcs(rots[a + n_ch], x_new[-1], [])
         cycles.append([mup[-1]])
-
-        # the attachment vertex, where the chain hangs: its rotation runs
-        # from d1, and the arrival ray sits at i_in, the departure at i_out
-        rot = rots[a]
-        d1 = ch[0]
-        dep = sb[0] if b else None
-        base_in = told[a - 1] if a else d_c
-        lead = nl[a - 1] if a else d_c
-        out_anchor = dep if b else d_ex
-        nr_b = nr[a + 2 * n_ch] if b else None
-        i_in, i_out = rot.index(base_in), rot.index(out_anchor)
-        if same_corner:
-            q = i_in or len(rot)
-            cycles += [[*rot[q:], d1], [y_new[0], *rot[1:q]], [mdn[0]]]
-        elif side == "left":
-            cycles.append([lead, *rot[i_in + 1 :], d1] if i_in else [d1])
-            cycles.append([y_new[0], *rot[1:i_out]] + ([dep] if b else []))
-            # the rays strictly between the departure and the arrival
-            fused = [mdn[0], nr_b if b else d_ex]
-            fused += rot[i_out + 1 : i_in] if i_out <= i_in else rot[i_out + 1 :] + rot[:i_in]
-            if a and not (b == 0 and d_ex == base_in):
-                fused.append(base_in)
-            cycles.append(fused)
-        elif b == 0 and a and d_ex == base_in:
-            # exit corner right where the walk first arrives: the arrival
-            # ray sits alone between the two cuts, next to the middle
-            cycles.append([nl[a - 1], *rot[i_in + 1 :], d1])
-            cycles.append([y_new[0], *rot[1:i_in]])
-            cycles.append([mdn[0], d_ex])
-        else:
-            # the rays strictly between the arrival and the departure
-            fused = [lead]
-            fused += rot[i_in + 1 : i_out] if i_in <= i_out else rot[i_in + 1 :] + rot[:i_out]
-            if b and dep != lead:
-                fused.append(dep)
-            fused.append(mdn[0])
-            cycles.append(fused)
-            cycles.append([nr_b if b else d_ex, *rot[i_out + 1 :], d1] if i_out else [d1])
-            cap = [y_new[0], *rot[1:i_in]]
-            if a:
-                cap.append(base_in)
-            cycles.append(cap)
-    for s in range(a + 2 * n_ch, length - 1):
-        cycles += _split(rots[s + 1], told[s], nl[s], nr[s + 1])
-    if exit is None:  # blind: the far vertex, from told[-1], stays whole
-        cycles.append([nl[-1], *rots[-1][1:], told[-1]])
-    elif b or not ch:
-        rot = rots[-1]
-        q = rot.index(d_ex) or len(rot)
-        cycles += [[nl[-1], *rot[1:q]], [*rot[q:], rot[0]]]
+        # the attachment vertex, from the chain's first dart: the arc
+        # between arrival and departure ends in the middle copy
+        arrive = (told[a - 1], nl[a - 1]) if a else (d_c, None)
+        depart = (sb[0], nr[a + 2 * n_ch]) if b else (d_ex, None)
+        arcs = _arcs(rots[a], y_new[0], [arrive, depart])
+        arcs[1].append(mdn[0])
+        cycles += arcs
 
     # triple the chain, double the spines
     for t in range(n_ch):
@@ -338,6 +317,7 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
             prv[after] = t
             ray = after
 
+    # the first split tokens of a mouth corner go to its fresh copy
     if same_corner:
         marks = ws.markers.get(d_c, [])
         if side == "left":
@@ -351,19 +331,34 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
         if near:
             ws.markers[nr[0]] = near
         ws.markers[d_c] = stay
-    else:
-        if entry_split:
-            entry_marks = ws.markers.get(d_c, [])
-            ws.markers[nr[0]] = entry_marks[:entry_split]
-            ws.markers[d_c] = entry_marks[entry_split:]
-        if exit_split:
-            exit_marks = ws.markers.get(d_ex, [])
-            ws.markers[nl[-1]] = exit_marks[:exit_split]
-            ws.markers[d_ex] = exit_marks[exit_split:]
+    elif entry_split or exit_split:
+        for d, split, f in (d_c, entry_split, nr[0]), (d_ex, exit_split, nl[-1]):
+            if split:  # the corner's tokens number at least split
+                marks = ws.markers[d]
+                ws.markers[f], ws.markers[d] = marks[:split], marks[split:]
 
     # an assert: python -O skips the check
     assert (j := _bad_copy(ws, cycles)) is None, f"copy {j} of the slit is not a vertex cycle"
     return Slit(tuple(p), tuple(nl), tuple(nr), d_c, d_ex)
+
+
+def _mouth(ws: Workspace, corner, rot: list[int], end: str, where: str) -> tuple[int, int]:
+    """The (dart, split) of the entry or exit corner.
+
+    The dart must be in rot and the split an int from 0 to the
+    corner's token count; anything else raises CornerMismatch.
+    """
+    try:
+        d, split = corner
+        split = index(split)
+    except (TypeError, ValueError):
+        raise CornerMismatch(f"{end} corner is not a (dart, int split) pair") from None
+    if d not in rot:
+        raise CornerMismatch(f"{end} corner is not at the walk {where}")
+    # get, not marks_of: a refused cut plants no empty token list
+    if split and not 0 < split <= len(ws.markers.get(d, ())):
+        raise CornerMismatch(f"{end} split {split} is off the corner's tokens")
+    return d, split
 
 
 def _bad_copy(ws: Workspace, cycles: list[list[int]]) -> int | None:

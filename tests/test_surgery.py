@@ -45,6 +45,7 @@ from planemaps.surgery import (
 )
 
 import slit_reference
+import slit_sweep
 from common import ALL_EXAMPLES, digon, double_edge, loop_map, loop_pendant, path_map
 
 
@@ -168,6 +169,51 @@ class TestSlitValidation:
         assert isinstance(info.value, PlaneMapError)
         assert isinstance(info.value, ValueError)
         assert len(ws.twin) == 2
+
+    @pytest.mark.parametrize("chain", [[99], [-5]])
+    def test_pinched_unknown_chain_dart(self, chain):
+        # the climb back reads the twins of the chain darts, so they are
+        # checked first: 99 is past the end and -5 must not wrap round
+        ws = Workspace(path_map())
+        with pytest.raises(InvalidWalk):
+            slit_pinched(ws, [], chain, [], (1, 0), (1, 0), "left")
+        assert len(ws.twin) == 4
+
+    @pytest.mark.parametrize(
+        "entry, exit",
+        [
+            ((0, -1), (1, 0)),
+            ((0, 2), (1, 0)),
+            ((0, 1.5), (1, 0)),
+            (0, (1, 0)),
+            ((0, 0, 0), (1, 0)),
+            ((0, 0), (1, -1)),
+            ((0, 0), (1, 1)),
+            ((0, 0), (1, "0")),
+            ((0, 0), 1),
+        ],
+    )
+    def test_bad_corner_entry(self, entry, exit):
+        # a split is an integer from 0 to the token count of its corner,
+        # never counted from the end or clamped: on path_map the walk
+        # [0] leaves a leaf whose corner holds one arrow and arrives in
+        # the corner before dart 1, which holds none; the refusal comes
+        # before the workspace changes and plants no token list
+        cuts = [
+            lambda ws: slit(ws, [0], entry, exit),
+            lambda ws: slit_pinched(ws, [0], [2], [], entry, exit, "right"),
+        ]
+        for cut in cuts:
+            ws = workspace_with_arrows(path_map())
+            with pytest.raises(CornerMismatch):
+                cut(ws)
+            assert len(ws.twin) == 4 and ws.markers == {0: [arrow(1)]}
+
+    def test_pinched_needs_an_exit_corner(self):
+        ws = workspace_with_arrows(path_map())
+        with pytest.raises(CornerMismatch):
+            slit_pinched(ws, [0], [2], [], (0, 0), None, "right")
+        assert len(ws.twin) == 4
 
 
 class TestSlitDigon:
@@ -852,3 +898,18 @@ def test_slits_equal_reference(monkeypatch):
     # the walk arrives by dart 0, hangs chain [2] and exits at dart 1
     ws = workspace_with_arrows(path_map())
     surgery.slit_pinched(ws, [0], [2], [], (0, 1), (1, 0), "right")
+
+
+def test_pinch_side_stops_after_one_turn():
+    # the arrival corner 0 sits at a leaf that holds neither the
+    # departing dart 1 nor the chain's dart 2: one turn round it, then
+    # a refusal that python -O keeps, not an endless walk
+    with pytest.raises(AssertionError):
+        bijections._pinch_side(path_map(), [], [2], [], 0, 1)
+
+
+def test_every_small_cut_equals_reference():
+    # every plain, blind and pinched cut of every map with at most
+    # three edges, through the library and slit_reference (see
+    # slit_sweep); the counts pin what the sweep covers
+    assert slit_sweep.sweep(3) == (61298, 8266)
