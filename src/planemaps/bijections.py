@@ -379,16 +379,16 @@ def _growth_channel(m: PlaneMap, e: int, j: int, k: int, c: int, c2: int):
     u2 = c2 - 1 if j == k and c2 > c else c2
     anchor_c = m.slot_anchor(j, c)
     anchor_2 = m.slot_anchor(k, u2)
-    cv = m.vertex_of(anchor_c)
-    cv2 = m.vertex_of(anchor_2)
     lo, hi = m.edge(e)
-    a, b = m.vertex_of(lo), m.vertex_of(hi)
-    dist = _ball(m, cv, (a, b))
+    # darts of m, as slot_anchor and edge return them: no range checks needed
+    vertex_of = m._vertex_of
+    a, b = vertex_of[lo], vertex_of[hi]
+    dist = _ball(m, vertex_of[anchor_c], (a, b))
     assert dist[a] != dist[b], "one dart of a bipartite edge points toward any vertex"
     ebar, tw = (lo, hi) if dist[b] < dist[a] else (hi, lo)
     geo_c = _rightmost(m, ebar, dist)
-    dist2 = _ball(m, cv2, (a, b))
-    if dist2[m.vertex_of(ebar)] < dist2[m.vertex_of(tw)]:
+    dist2 = _ball(m, vertex_of[anchor_2], (a, b))
+    if dist2[vertex_of[ebar]] < dist2[vertex_of[tw]]:
         walk = [m.twin[x] for x in reversed(geo_c)] + [tw]
         walk += _rightmost(m, tw, dist2)
         return "simple", walk, anchor_c, anchor_2, u2, ebar

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from enum import Enum
+from functools import lru_cache
 from math import factorial, prod
 from operator import index
 
@@ -188,12 +189,23 @@ def _side_rule(
     A face outside t raises BadFace and two given roles on one face
     SameFace; at the default roles a two-face side of a one-face type
     raises BadParity.  A failing parity or degree clause raises the
-    BadParity subclass that names it.
+    BadParity subclass that names it.  A verdict that passes is kept
+    per checked type and roles, for the 256 most recently used; a
+    refusal is worked out again on every call.
     """
     if not isinstance(identity, Identity):
         raise BadArgument(f"unknown identity {identity!r}")
     if side not in ("lhs", "rhs"):
         raise BadArgument("side must be 'lhs' or 'rhs'")
+    _side_verdict(identity, side, t, first, second)
+
+
+# keyed by checked, hashable arguments; a refusal raises, so only passes are kept
+@lru_cache(maxsize=256)
+def _side_verdict(
+    identity: Identity, side: str, t: tuple[int, ...], first: int, second: int | None
+) -> None:
+    """The clauses of _side_rule past its identity and side checks."""
     r = len(t)
     one_role = identity is Identity.TWO_CORNERS_SAME_FACE or (
         identity is Identity.UNIT_FACE and side == "rhs"

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, product
 from .counting import Identity, _index, _second, check_type, decoration_radices, edge_count
 from .errors import BadDecoration, Disconnected, TooManyEdges, WrongGenus
 from .maps import PlaneMap, _Faces, _ints
-from .metric import directed_darts, distances
+from .metric import directed_darts
 
 DEFAULT_MAX_EDGES = 6
 
@@ -142,8 +142,8 @@ def _decorations(m, identity, side, first, second, d0, rests) -> list[tuple]:
     if side == "lhs":
         return [(d0, *rest) for rest in rests]
     if identity is Identity.CORNER_EACH_TWO_FACES:
-        dist = distances(m, d0)
-        hs, hs2 = (directed_darts(m, f, d0, "toward", dist) for f in (first, second))
+        # both lists read the one table the map keeps for d0
+        hs, hs2 = (directed_darts(m, f, d0, "toward") for f in (first, second))
         return [(d0, hs[d], hs2[d2]) for d, d2 in rests]
     hs = directed_darts(m, first, d0, "toward")
     if identity is Identity.UNIT_FACE:

@@ -195,6 +195,7 @@ class PlaneMap:
         "_vertex_of",
         "degrees",
         "_canonical_",
+        "_distances_",
     )
 
     def __init__(
@@ -490,7 +491,7 @@ class PlaneMap:
 
 # the slots' own setters, which PlaneMap.__setattr__'s refusal does not reach
 (_set_twin, _set_next, _set_face, _set_marked, _set_prev, _set_contours, _set_first,
- _set_vertex_of, _set_degrees, _set_canonical) = (
+ _set_vertex_of, _set_degrees, _set_canonical, _set_distances) = (
     getattr(PlaneMap, slot).__set__ for slot in PlaneMap.__slots__)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import index
 
 from .errors import BadArgument
-from .maps import PlaneMap, _entry, _ints
+from .maps import PlaneMap, _entry, _ints, _set_distances
 
 
 def _vertex(m: PlaneMap, v: int) -> int:
@@ -33,8 +33,21 @@ def _dart(m: PlaneMap, d: int) -> int:
 
 
 def distances(m: PlaneMap, v: int) -> tuple[int, ...]:
-    """BFS distance from vertex index v to every vertex."""
-    return tuple(_ball(m, _vertex(m, v), ()))
+    """BFS distance from vertex index v to every vertex.
+
+    The map keeps the last table asked of it, so that a decoder and the
+    bijection that checks its decoration share one search.
+    """
+    v = _vertex(m, v)
+    try:
+        kept_v, kept = m._distances_
+        if kept_v == v:
+            return kept
+    except AttributeError:
+        pass
+    dist = tuple(_ball(m, v, ()))
+    _set_distances(m, (v, dist))
+    return dist
 
 
 def _ball(m: PlaneMap, v: int, stop) -> list[int]:
@@ -120,9 +133,10 @@ def direction_census(m: PlaneMap, v: int) -> list[tuple[int, int, int]]:
 
     One triple per face, face 1 first; each counts the contour darts
     that classify_dart would call toward, away and parallel, so the
-    three add up to the face degree.
+    three add up to the face degree.  A census sweeps every vertex, so
+    its searches are not kept on the map.
     """
-    dist = distances(m, v)
+    dist = _ball(m, _vertex(m, v), ())
     twin, vertex_of = m.twin, m._vertex_of
     out = []
     for contour in m._contours:
@@ -184,13 +198,17 @@ def _walk(m, start, clockwise, dist):
 
 
 def _checked_dist(m, v, dist):
-    """dist, or distances(m, v) when None; BadArgument unless it starts at v."""
+    """dist, or distances(m, v) when None; BadArgument unless it starts at v.
+
+    A given table must be a sequence of ints, one per vertex, and 0 at v.
+    """
     if dist is None:
         return distances(m, v)
     v = _vertex(m, v)
-    if len(dist) != m.n_vertices or dist[v] != 0:
+    table = _ints(dist, BadArgument, "dist entries are")
+    if len(table) != m.n_vertices or table[v] != 0:
         raise BadArgument(f"dist is not a distance table from vertex {v}")
-    return dist
+    return table
 
 
 def leftmost_geodesic(m: PlaneMap, target: int, *, from_corner, dist=None) -> tuple[int, ...]:

@@ -77,7 +77,8 @@ def check_schedule(schedule, a=None, start=None) -> Schedule:
 
     Every entry must be an even type; consecutive entries must differ
     either by +2 on exactly one coordinate or by appending (2).  When
-    given, start pins the first entry and a the last.
+    given, start pins the first entry and a the last; start is an even
+    type like every entry.
     """
     try:  # _even_type turns its own TypeErrors into BadType
         steps = tuple(map(_even_type, schedule))
@@ -85,8 +86,8 @@ def check_schedule(schedule, a=None, start=None) -> Schedule:
         raise BadSchedule(f"schedule must be an iterable of types, not {schedule!r}") from None
     if not steps:
         raise BadSchedule("empty schedule")
-    if start is not None and steps[0] != tuple(start):
-        raise BadSchedule(f"schedule starts at {steps[0]}, expected {tuple(start)}")
+    if start is not None and steps[0] != (start := _even_type(start)):
+        raise BadSchedule(f"schedule starts at {steps[0]}, expected {start}")
     if a is not None and steps[-1] != (want := check_type(a)):
         raise BadSchedule(f"schedule ends at {steps[-1]}, expected {want}")
     for (j, _), prev, cur in zip(_plan(steps), steps, steps[1:]):
@@ -181,23 +182,38 @@ def sample_quasibipartite(a, rng) -> PlaneMap:
     odd = _odd_positions(t)
     if len(odd) != 2:
         raise BadParity(f"type {t} has {len(odd)} odd degrees, need exactly two")
-    return _quasi(t, odd, _as_rng(rng))
+    return _quasi(t, _as_rng(rng))
 
 
-def _quasi(t: tuple[int, ...], odd: tuple[int, ...], r: random.Random) -> PlaneMap:
-    """sample_quasibipartite of a checked type and its two odd positions."""
-    i, j = odd
+@lru_cache(maxsize=256)  # keyed by checked type: one plan per type, not per sample
+def _quasi_plan(t: tuple[int, ...]) -> tuple:
+    """(relative, identity, odd, radices) of a checked quasibipartite type.
+
+    The relative raises the first odd degree i by one and lowers the
+    second, j, dropping it at zero.  The final transfer draws a uniform
+    rhs of UNIT_FACE on the relative when face j is gone, else of
+    FACE_TO_FACE with face i first and j second.
+    """
+    odd = i, j = _odd_positions(t)
     tt = list(t)
     tt[i - 1] += 1
     tt[j - 1] -= 1
-    # a uniform rhs of UNIT_FACE on the relative when face j is gone, else
-    # of FACE_TO_FACE: one randrange per radix, in range, so not rechecked
-    unit = not tt[j - 1]
-    identity, second = (Identity.UNIT_FACE, None) if unit else (Identity.FACE_TO_FACE, j)
-    m = _default_map(tuple(filter(None, tt)), r)
-    d0, *rest = map(r.randrange, decoration_radices(identity, "rhs", m.degrees, i, second))
-    (dec,) = _decorations(m, identity, "rhs", i, second, d0, [rest])
-    return (transfer1_left(m, i, j, *dec) if unit else transfer_right(m, j, i, *dec))[0]
+    identity, second = (Identity.FACE_TO_FACE, j) if tt[j - 1] else (Identity.UNIT_FACE, None)
+    rel = tuple(filter(None, tt))
+    return rel, identity, odd, decoration_radices(identity, "rhs", rel, i, second)
+
+
+def _quasi(t: tuple[int, ...], r: random.Random) -> PlaneMap:
+    """sample_quasibipartite of a checked type with two odd degrees."""
+    rel, identity, (i, j), radices = _quasi_plan(t)
+    m = _default_map(rel, r)
+    # one randrange per radix, in range, so not rechecked; the UNIT_FACE
+    # rhs reads the first role only, so j passes as the second for both
+    d0, *rest = map(r.randrange, radices)
+    (dec,) = _decorations(m, identity, "rhs", i, j, d0, [rest])
+    if identity is Identity.UNIT_FACE:
+        return transfer1_left(m, i, j, *dec)[0]
+    return transfer_right(m, j, i, *dec)[0]
 
 
 def sample(a, rng) -> PlaneMap:
@@ -205,4 +221,4 @@ def sample(a, rng) -> PlaneMap:
     t = check_type(a)
     odd = _odd_pair(t)
     r = _as_rng(rng)
-    return _quasi(t, odd, r) if odd else _default_map(t, r)
+    return _quasi(t, r) if odd else _default_map(t, r)

@@ -229,22 +229,31 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     p += sb
     length = len(p)
     # rots[k] is the rotation from p[k]: it must hold told[k - 1], the
-    # head of the dart before, so only the final head needs its own
+    # head of the dart before, so only the final head needs its own; the
+    # climb back above the tip k = tip + s revisits the vertex tip - s,
+    # whose rotation from the way down serves, if it holds p[k]
     rots: list[list[int]] = []
     told: list[int] = []
-    for dart in p:
+    tip = a + n_ch
+    for k, dart in enumerate(p):
         if not (0 <= dart < n and twin[dart] is not None):
             raise InvalidWalk(f"unknown dart {dart}")
-        rot = [dart]
-        e = nxt[twin[dart]]
-        while e != dart:
-            rot.append(e)
-            e = nxt[twin[e]]
-        if told and told[-1] not in rot:
+        if tip < k <= tip + n_ch:
+            rot = rots[2 * tip - k]
+            chained = dart in rot
+        else:
+            rot = [dart]
+            e = nxt[twin[dart]]
+            while e != dart:
+                rot.append(e)
+                e = nxt[twin[e]]
+            chained = not told or told[-1] in rot
+        if not chained:
             raise InvalidWalk("walk darts do not chain head to tail")
         rots.append(rot)
         told.append(twin[dart])
-    rots.append(ws.rotation_from(told[-1]))
+    # a climb back with no spine_b ends at the attachment vertex
+    rots.append(rots[a] if ch and not b else ws.rotation_from(told[-1]))
     # a rotation names its vertex by its least dart; the vertices down
     # to the chain tip and those of spine_b must be distinct
     seen = rots[: a + n_ch + 1] + rots[a + 2 * n_ch + 1 :] if ch else rots
@@ -280,7 +289,9 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
     cycles: list[list[int]] = []
     if a:
         cycles += _arcs(rots[0], nr[0], [(d_c, None)])
-    for s in (*range(1, a), *range(a + 2 * n_ch + 1, length)):
+    for s in range(1, a):
+        cycles += _arcs(rots[s], nr[s], [(told[s - 1], nl[s - 1])])
+    for s in range(a + 2 * n_ch + 1, length):
         cycles += _arcs(rots[s], nr[s], [(told[s - 1], nl[s - 1])])
     if b or not ch:  # the far vertex, whole when the slit is blind
         cycles += _arcs(rots[-1], nl[-1], [] if blind else [(d_ex, None)])
@@ -304,7 +315,10 @@ def _cut(ws: Workspace, sa, ch, sb, entry, exit, side) -> Slit:
         twin[dt], twin[x_new[t]] = x_new[t], dt
         twin[et], twin[y_new[t]] = y_new[t], et
         twin[mdn[t]], twin[mup[t]] = mup[t], mdn[t]
-    for s in (*range(a), *range(a + 2 * n_ch, length)):
+    for s in range(a):
+        twin[p[s]], twin[nl[s]] = nl[s], p[s]
+        twin[told[s]], twin[nr[s]] = nr[s], told[s]
+    for s in range(a + 2 * n_ch, length):
         twin[p[s]], twin[nl[s]] = nl[s], p[s]
         twin[told[s]], twin[nr[s]] = nr[s], told[s]
     # each copy becomes the clockwise rotation at its vertex: sigma of

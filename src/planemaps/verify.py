@@ -1,8 +1,9 @@
 """Exhaustive checks up to k edges: identities, round trips, censuses.
 
-Each engine returns its report (FAIL lines, then summaries) and its
-failure count.  The two family engines walk one family at a time,
-its lhs type, then its rhs type, holding one type's maps at a time.
+Each engine refuses a bound below one edge with BadArgument, and
+returns its report (FAIL lines, then summaries) and its failure count.
+The two family engines walk one family at a time, its lhs type, then
+its rhs type, holding one type's maps at a time.
 """
 
 from __future__ import annotations
@@ -10,10 +11,17 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .bijections import IDENTITIES
-from .counting import admissible_types, identity_families, identity_sides, odd_positions
+from .counting import _index, admissible_types, identity_families, identity_sides, odd_positions
 from .enumerator import DEFAULT_MAX_EDGES, enumerate_decorations, enumerate_maps
-from .errors import TooManyEdges
+from .errors import BadArgument, TooManyEdges
 from .metric import census_fits, direction_census
+
+
+def _bound(k: int) -> int:
+    """k as an int of at least 1, else BadArgument: an empty sweep passes vacuously."""
+    if (k := _index(k, "max_edges")) < 1:
+        raise BadArgument(f"max_edges must be at least 1, not {k}")
+    return k
 
 
 def _family_maps(t: tuple[int, ...], target: tuple[int, ...]) -> Iterator[tuple]:
@@ -25,6 +33,7 @@ def _family_maps(t: tuple[int, ...], target: tuple[int, ...]) -> Iterator[tuple]
 
 def identities(k: int) -> tuple[list[str], int]:
     """Both sides of each identity as formulas, then as set sizes up to DEFAULT_MAX_EDGES."""
+    k = _bound(k)
     families = list(identity_families(k))
     sides = [identity_sides(ident, t) for t, ident, _ in families]
     lines = []
@@ -53,6 +62,7 @@ def round_trips(k: int) -> tuple[list[str], int]:
     are distinct and are those of the rhs decorations, also distinct.
     Above DEFAULT_MAX_EDGES, TooManyEdges before any enumeration.
     """
+    k = _bound(k)
     if k > DEFAULT_MAX_EDGES:
         raise TooManyEdges(f"round trips run up to {DEFAULT_MAX_EDGES} edges, not {k}")
     families = list(identity_families(k))
@@ -92,6 +102,7 @@ def round_trips(k: int) -> tuple[list[str], int]:
 
 def censuses(k: int) -> tuple[list[str], int]:
     """The direction census of every face from every vertex of every map."""
+    k = _bound(k)
     lines, n_maps = [], 0
     for t in admissible_types(k):
         quasi = bool(odd_positions(t))

@@ -20,7 +20,7 @@ from planemaps.counting import (
     tutte_count,
 )
 from planemaps.enumerator import enumerate_decorations, enumerate_maps
-from planemaps.errors import TooManyEdges
+from planemaps.errors import BadArgument, TooManyEdges
 from planemaps.maps import PlaneMap
 
 from common import digon
@@ -298,6 +298,19 @@ class TestVerify:
         assert capsys.readouterr().err == "error: round trips run up to 6 edges, not 7\n"
         with pytest.raises(TooManyEdges):
             verify.round_trips(7)
+
+    @pytest.mark.parametrize(
+        "engine", [verify.identities, verify.round_trips, verify.censuses],
+        ids=lambda f: f.__name__,
+    )
+    def test_engines_refuse_an_empty_sweep(self, engine):
+        # a bound below one edge sweeps nothing; these reported zero
+        # items and no failure, which reads as "all passed"
+        for k in (0, -1, -2):
+            with pytest.raises(BadArgument):
+                engine(k)
+        with pytest.raises(BadArgument):
+            engine("3")
 
     def test_sweep_counts(self):
         _, text = invoke(["verify-roundtrip", "--max-edges", "1"])

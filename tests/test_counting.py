@@ -23,7 +23,7 @@ from planemaps.counting import (
     tutte_count,
     vertex_count,
 )
-from planemaps.enumerator import enumerate_maps
+from planemaps.enumerator import decode, enumerate_decorations, enumerate_maps
 from planemaps.errors import (
     BadArgument,
     BadFace,
@@ -379,3 +379,46 @@ class TestSideRule:
         for identity in (Identity.CORNER_EACH_TWO_FACES, Identity.FACE_TO_FACE):
             with pytest.raises(BadParity):
                 _side_rule(identity, "lhs", (4,))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: decoration_radices([1], "lhs", (4,)),
+            lambda: decoration_radices(Identity.TWO_CORNERS_SAME_FACE, ["lhs"], (4,)),
+            lambda: identity_target([1], (4,)),
+            lambda: enumerate_decorations(enumerate_maps((4,))[0], [1], "lhs"),
+            lambda: enumerate_decorations(
+                enumerate_maps((4,))[0], Identity.TWO_CORNERS_SAME_FACE, ["lhs"]
+            ),
+            lambda: decode(enumerate_maps((4,))[0], [1], "lhs", (0, 0, 0)),
+            lambda: decode(
+                enumerate_maps((4,))[0], Identity.TWO_CORNERS_SAME_FACE, ["lhs"], (0, 0, 0)
+            ),
+        ],
+        ids=[
+            "radices-identity", "radices-side", "identity_target", "decorations-identity",
+            "decorations-side", "decode-identity", "decode-side",
+        ],
+    )
+    def test_unhashable_identity_or_side_refused(self, call):
+        # the rule keeps its passing verdicts by argument, and only after
+        # it has checked the identity and the side: a cache in front of
+        # those checks raised a bare TypeError on these
+        for _ in range(2):
+            with pytest.raises(BadArgument):
+                call()
+
+    def test_refusals_repeat_on_a_second_call(self):
+        # a refusal is worked out again on every call, never kept: each
+        # raises its class twice, and the verdicts that pass stay passes
+        outcomes = set()
+        for t in all_types(5):
+            for identity in Identity:
+                for side in ("lhs", "rhs"):
+                    for roles in [(), *itertools.product(range(0, len(t) + 2), repeat=2)]:
+                        once = _outcome(_side_rule, identity, side, t, *roles)
+                        assert _outcome(_side_rule, identity, side, t, *roles) == once
+                        outcomes.add(once)
+        assert outcomes == {
+            None, BadFace, SameFace, BadParity, NotBipartite, DegreeTooSmall, NoDegreeOneFace
+        }

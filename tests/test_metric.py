@@ -198,21 +198,53 @@ class TestGeodesics:
                         m, target, from_corner=c
                     )
 
-    @pytest.mark.parametrize("fn", [leftmost_geodesic, rightmost_geodesic, classify_dart])
+    @pytest.mark.parametrize(
+        "fn", [leftmost_geodesic, rightmost_geodesic, classify_dart, directed_darts]
+    )
     def test_dist_from_elsewhere_rejected(self, fn):
         m = path_map()
         w, u = m.vertex_of(3), m.vertex_of(0)
         if fn is classify_dart:
             # answered from the table of u, as if it were the table of w
             calls = [lambda dist: fn(m, 0, w, dist)]
+        elif fn is directed_darts:
+            calls = [lambda dist: fn(m, 1, w, "toward", dist)]
         else:
             corners = (0, corner_past(m, fn, 0))
             calls = [lambda dist, c=c: fn(m, w, from_corner=c, dist=dist) for c in corners]
+        # a table that is not a sequence of ints, though 0 at w: 5 and
+        # the strings raised a bare TypeError, the floats were walked
+        own = distances(m, w)
+        tables = [
+            distances(m, u),
+            5,
+            [x or "a" for x in own],
+            tuple(x and x + 0.5 for x in own),
+            tuple(map(float, own)),
+        ]
         for call in calls:
-            with pytest.raises(BadArgument) as info:
-                call(distances(m, u))
-            assert isinstance(info.value, PlaneMapError)
-            assert isinstance(info.value, ValueError)
+            for table in tables:
+                with pytest.raises(BadArgument) as info:
+                    call(table)
+                assert isinstance(info.value, PlaneMapError)
+                assert isinstance(info.value, ValueError)
+            call(list(own))  # any sequence of ints will do
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: classify_dart(m, 0, 0, dist=5),
+            lambda m: directed_darts(m, 1, 0, "toward", dist=5),
+            lambda m: classify_dart(m, 0, 0, dist=[0, "a", "b"]),
+            lambda m: rightmost_geodesic(m, 0, from_corner=0, dist=(0, 1.5, 2)),
+        ],
+        ids=["classify-5", "directed-5", "classify-str", "rightmost-float"],
+    )
+    def test_dist_not_a_table_of_ints_refused(self, call):
+        m = sample((4, 2), 0)
+        assert m.n_vertices == 3
+        with pytest.raises(BadArgument):
+            call(m)
 
     @pytest.mark.parametrize("geodesic", [leftmost_geodesic, rightmost_geodesic])
     def test_start_corner_out_of_range_refused(self, geodesic):
@@ -591,3 +623,28 @@ def test_rotations_and_searches_at_size(a, seed):
                 assert got == want, (seed, v, stop, u)
             else:
                 assert got in (want, -1), (seed, v, stop, u)
+
+
+def test_the_map_keeps_its_last_table(monkeypatch):
+    # distances searches once per vertex in a row, not once per call;
+    # another vertex replaces the kept table, and a census keeps nothing
+    searches = []
+    real = metric._ball
+
+    def counted(m, v, stop):
+        searches.append(v)
+        return real(m, v, stop)
+
+    monkeypatch.setattr(metric, "_ball", counted)
+    for t in admissible_types(3):
+        for m in enumerate_maps(t):
+            cycles = own_rotations(m)
+            for u in range(m.n_vertices):
+                for w in range(m.n_vertices):
+                    assert distances(m, u) == tuple(own_distances(m, cycles, u))
+                    searches.clear()
+                    direction_census(m, w)
+                    assert distances(m, u) is distances(m, u)
+                    assert searches == [w]
+                    assert distances(m, w) == tuple(own_distances(m, cycles, w))
+                    assert searches == ([w, w] if u != w else [w])

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from scipy.stats import chisquare
 
-from planemaps import sampler
+from planemaps import bijections, metric, sampler
 from planemaps.counting import (
     Identity,
     admissible_types,
@@ -21,6 +21,7 @@ from planemaps.errors import (
     BadParity,
     BadSchedule,
     BadSeed,
+    BadType,
     NotBipartite,
     PlaneMapError,
     TooManyOddFaces,
@@ -67,6 +68,17 @@ class TestSchedule:
             check_schedule(None)
         with pytest.raises(BadSchedule):
             check_schedule(5)
+
+    def test_check_schedule_start_is_an_even_type(self):
+        # start was only compared to the first entry: 5 raised a bare
+        # TypeError and [2.0] passed as (2,)
+        with pytest.raises(BadType):
+            check_schedule([[2], [4]], start=5)
+        with pytest.raises(BadType):
+            check_schedule([[2], [4]], start=[2.0])
+        with pytest.raises(NotBipartite):
+            check_schedule([[2], [4]], start=[3])
+        assert check_schedule([[2], [4]], start=[2]) == ((2,), (4,))
 
     def test_step_legality_on_all_small_pairs(self):
         # legal: append a digon, or widen exactly one face by two
@@ -423,6 +435,28 @@ class TestDispatch:
             sample((3, 3, 3, 1), 0)
         with pytest.raises(BadParity):
             sample_quasibipartite((2, 2), 0)
+
+    @pytest.mark.parametrize(
+        "t", [(3, 3), (3, 1), (1, 5), (5, 2, 3), (2, 1, 1)], ids=lambda t: ",".join(map(str, t))
+    )
+    def test_final_transfer_makes_one_full_search(self, t, monkeypatch):
+        # the decoder's directed_darts and the transfer's own check read
+        # one table, which the map keeps; the growth steps' searches stop
+        # early, so every full search is the final transfer's
+        full = []
+        real = metric._ball
+
+        def counted(m, v, stop):
+            if not stop:
+                full.append(v)
+            return real(m, v, stop)
+
+        monkeypatch.setattr(metric, "_ball", counted)
+        monkeypatch.setattr(bijections, "_ball", counted)
+        for seed in range(10):
+            full.clear()
+            assert sample(t, seed).degrees == t
+            assert len(full) == 1, (seed, full)
 
     def test_quasibipartite_routes(self):
         # generic transfer and the dropped-coordinate loop split

@@ -179,6 +179,17 @@ class TestSlitValidation:
             slit_pinched(ws, [], chain, [], (1, 0), (1, 0), "left")
         assert len(ws.twin) == 4
 
+    def test_pinched_second_spine_off_the_attachment_vertex(self):
+        # on the path A-B-C-D, the chain [1] hangs from B down to A and
+        # climbs back to B, where spine_b must start; [4] leaves C, and
+        # no vertex repeats, so only the climb back's check refuses it
+        m = PlaneMap((1, 0, 3, 2, 5, 4), (2, 0, 4, 1, 5, 3), None, (0,))
+        assert [m.vertex_of(d) for d in (1, 4, 5)] == [1, 2, 3]
+        ws = workspace_with_arrows(m)
+        with pytest.raises(InvalidWalk):
+            slit_pinched(ws, [], [1], [4], (2, 0), (5, 0), "left")
+        assert len(ws.twin) == 6
+
     @pytest.mark.parametrize(
         "entry, exit",
         [
